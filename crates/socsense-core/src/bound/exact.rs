@@ -55,6 +55,15 @@ const PREFIX_BITS: usize = 6;
 /// # Ok::<(), socsense_core::SenseError>(())
 /// ```
 pub fn exact_bound(probs: &[(f64, f64)], z: f64) -> Result<BoundResult, SenseError> {
+    exact_bound_counted(probs, z).map(|(bound, _)| bound)
+}
+
+/// [`exact_bound`] plus the number of nodes the pruned walk visited —
+/// the enumeration's work, an integer independent of timing.
+pub(crate) fn exact_bound_counted(
+    probs: &[(f64, f64)],
+    z: f64,
+) -> Result<(BoundResult, u64), SenseError> {
     let prep = Prepared::new(probs, z)?;
     let mut acc = Accumulator::default();
     dfs(
@@ -67,11 +76,12 @@ pub fn exact_bound(probs: &[(f64, f64)], z: f64) -> Result<BoundResult, SenseErr
         &prep.max_ratio,
         &mut acc,
     );
-    Ok(BoundResult {
+    let bound = BoundResult {
         error: acc.fp + acc.fn_,
         false_positive: acc.fp,
         false_negative: acc.fn_,
-    })
+    };
+    Ok((bound, acc.nodes))
 }
 
 /// [`exact_bound`] with an explicit [`Parallelism`] level.
@@ -193,6 +203,8 @@ impl Prepared {
 struct Accumulator {
     fp: f64,
     fn_: f64,
+    /// Walk nodes visited (pruned subtrees count once).
+    nodes: u64,
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -206,6 +218,7 @@ fn dfs(
     max_ratio: &[f64],
     acc: &mut Accumulator,
 ) {
+    acc.nodes += 1;
     let w1 = z * q1;
     let w0 = (1.0 - z) * q0;
     // Whole subtree decides "true" (every leaf has w1·rest1 > w0·rest0):

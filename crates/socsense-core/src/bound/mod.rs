@@ -24,6 +24,7 @@ use serde::{Deserialize, Serialize};
 use socsense_matrix::parallel::{par_map_collect, Parallelism};
 use socsense_obs::Obs;
 
+use exact::exact_bound_counted;
 pub use exact::{exact_bound, exact_bound_from_table, exact_bound_with, MAX_EXACT_SOURCES};
 pub use gibbs::{gibbs_bound, GibbsConfig, GibbsEstimator, GibbsOutcome};
 pub use importance::{importance_bound, ImportanceConfig, ImportanceOutcome};
@@ -160,7 +161,9 @@ pub fn bound_for_assertions_with(
 
 /// [`bound_for_assertions_with`] reporting `bound.*` metrics to `obs`:
 /// evaluation wall time, assertions per method (exact vs. Gibbs), and
-/// Gibbs sample counts. Per-assertion outcomes are collected first and
+/// the work each method did — nodes the pruned exact walk visited
+/// (`bound.exact.nodes_total`) and Gibbs samples drawn
+/// (`bound.gibbs.samples_total`). Per-assertion outcomes are collected first and
 /// emitted serially in assertion order, so recorded totals are
 /// deterministic at every [`Parallelism`] level — and the returned
 /// bound is bit-identical to the untraced call.
@@ -197,26 +200,32 @@ pub fn bound_for_assertions_traced(
     }
     let n = data.source_count();
     let timer = obs.timer("bound.eval.seconds");
-    // Each evaluation also reports how it ran: `None` for exact
-    // enumeration, `Some((samples, converged))` for a Gibbs chain.
-    type Meta = Option<(usize, bool)>;
-    let per: Vec<Result<(BoundResult, Meta), SenseError>> =
+    // Each evaluation also reports how it ran and the work it did.
+    enum Work {
+        /// Exact enumeration: nodes the pruned walk visited.
+        Exact(u64),
+        /// Gibbs chain: samples drawn, and whether it converged.
+        Gibbs(usize, bool),
+    }
+    let per: Vec<Result<(BoundResult, Work), SenseError>> =
         par_map_collect(par, assertions.len(), |k| {
             let j = assertions[k];
             let probs = assertion_probs(data, theta, j);
             let gibbs_at = |cfg: &GibbsConfig| {
                 gibbs_bound(&probs, theta.z(), &per_assertion_gibbs(cfg, j))
-                    .map(|o| (o.result, Some((o.samples, o.converged))))
+                    .map(|o| (o.result, Work::Gibbs(o.samples, o.converged)))
             };
+            let exact =
+                || exact_bound_counted(&probs, theta.z()).map(|(r, nodes)| (r, Work::Exact(nodes)));
             match method {
-                BoundMethod::Exact => exact_bound(&probs, theta.z()).map(|r| (r, None)),
+                BoundMethod::Exact => exact(),
                 BoundMethod::Gibbs(cfg) => gibbs_at(cfg),
                 BoundMethod::Auto {
                     exact_max_sources,
                     gibbs,
                 } => {
                     if n <= *exact_max_sources {
-                        exact_bound(&probs, theta.z()).map(|r| (r, None))
+                        exact()
                     } else {
                         gibbs_at(gibbs)
                     }
@@ -227,10 +236,13 @@ pub fn bound_for_assertions_traced(
     let per = per.into_iter().collect::<Result<Vec<_>, _>>()?;
     if obs.enabled() {
         obs.counter("bound.assertions_total", per.len() as u64);
-        for (_, meta) in &per {
-            match meta {
-                None => obs.counter("bound.exact_evals_total", 1),
-                Some((samples, converged)) => {
+        for (_, work) in &per {
+            match work {
+                Work::Exact(nodes) => {
+                    obs.counter("bound.exact_evals_total", 1);
+                    obs.counter("bound.exact.nodes_total", *nodes);
+                }
+                Work::Gibbs(samples, converged) => {
                     obs.counter("bound.gibbs_evals_total", 1);
                     obs.counter("bound.gibbs.samples_total", *samples as u64);
                     obs.observe("bound.gibbs.samples", *samples as f64);
@@ -373,6 +385,22 @@ mod tests {
         .unwrap();
         assert_eq!(rec.counter_value("bound.exact_evals_total"), 1);
         assert_eq!(rec.counter_value("bound.gibbs_evals_total"), 0);
+        let nodes = rec.counter_value("bound.exact.nodes_total");
+        assert!(nodes > 0, "the exact walk reports its work");
+
+        // Work counts are integers summed in assertion order: the same
+        // at every parallelism.
+        let (obs, rec) = Obs::recorder();
+        bound_for_assertions_traced(
+            &data,
+            &theta,
+            &BoundMethod::Exact,
+            &[0],
+            Parallelism::Auto,
+            &obs,
+        )
+        .unwrap();
+        assert_eq!(rec.counter_value("bound.exact.nodes_total"), nodes);
     }
 
     #[test]

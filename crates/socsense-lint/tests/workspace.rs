@@ -297,20 +297,28 @@ fn sharded_tier_modules_stay_under_the_deterministic_contract() {
         "socsense-serve lost its deterministic contract"
     );
 
-    // The router's construction-time `.expect()`s are justified
-    // suppressions; their presence in the report proves the new module
-    // is actually scanned under the strict rule set rather than
-    // skipped. (A rule change that stops flagging them at all would
-    // also trip this, which is the point: coverage must be explicit.)
-    let router_suppressed = report
-        .findings
-        .iter()
-        .filter(|f| f.file.ends_with("socsense-serve/src/router.rs") && f.suppressed)
-        .count();
-    assert!(
-        router_suppressed >= 2,
-        "expected the router's justified suppressions in the scan, found {router_suppressed}"
-    );
+    // The tier's construction-time `.expect()`s — the shard spawns in
+    // the router and the service-thread spawn in the front end both
+    // tiers share — are justified suppressions; their presence in the
+    // report proves both modules are actually scanned under the strict
+    // rule set rather than skipped. (A rule change that stops flagging
+    // them at all would also trip this, which is the point: coverage
+    // must be explicit.)
+    for module in ["router.rs", "service.rs"] {
+        let suppressed = report
+            .findings
+            .iter()
+            .filter(|f| {
+                f.file.ends_with(&format!("socsense-serve/src/{module}"))
+                    && f.suppressed
+                    && f.rule == "P1"
+            })
+            .count();
+        assert!(
+            suppressed >= 1,
+            "expected the {module} spawn suppression in the scan, found {suppressed}"
+        );
+    }
 
     // And neither new module may carry an unsuppressed finding.
     let loose: Vec<_> = report

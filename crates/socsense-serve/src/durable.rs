@@ -3,7 +3,7 @@
 //! history spill (see DESIGN.md §12).
 //!
 //! Every float inside a payload travels as `f64::to_bits` (via
-//! [`StreamingState`] / [`EmFitBits`]), so a restored worker is
+//! [`SlotCheckpoint`]), so a restored worker is
 //! bit-identical to the one that wrote the checkpoint — recovery is
 //! *restore the newest snapshot, then replay the WAL tail through the
 //! normal ingest path*, and both steps are pure functions of the logged
@@ -14,13 +14,12 @@ use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
-use socsense_core::{EmFitBits, StreamingState};
 use socsense_graph::TimedClaim;
 use socsense_obs::Obs;
 use socsense_persist::{recover, rewrite_atomic, SnapshotStore, WalWriter};
 
-use crate::api::{PersistConfig, ServeError, ServeStats};
-use crate::shard::{LastRefit, SlotCounters};
+use crate::api::{PersistConfig, ServeError};
+use crate::slot::SlotCheckpoint;
 
 /// One WAL record: an accepted ingest batch stamped with its position
 /// in the ingest sequence (the unsharded worker's batch number, or the
@@ -34,37 +33,25 @@ pub(crate) struct WalRecord {
     pub claims: Vec<TimedClaim>,
 }
 
-/// The unsharded worker's checkpoint: the estimator's full streaming
-/// state, the cached chain fit, and the operating counters — everything
-/// the worker needs to answer queries bit-identically after a restart.
+/// The unsharded worker's checkpoint: its slot plus the request count.
+/// The ingest sequence position it covers is the snapshot's own
+/// sequence number.
 #[derive(Serialize, Deserialize)]
 pub(crate) struct WorkerSnapshot {
-    /// The ingest sequence position this checkpoint covers.
-    pub seq: u64,
-    pub stream: StreamingState,
-    pub chain_fit: Option<EmFitBits>,
-    /// Counters at checkpoint time. Chain-refit counters are advanced
-    /// exactly by tail replay; query-driven counters (probe refits,
-    /// cache hits, requests served) resume from their checkpoint values
-    /// and are not replayed.
-    pub stats: ServeStats,
+    pub slot: SlotCheckpoint,
+    pub requests_served: u64,
 }
 
-/// One cluster's slice of a router checkpoint: global membership, the
-/// compacted estimator's streaming state (local ids), the cached chain
-/// fit, and the cluster's counters. Shipping this to whichever shard
-/// the rendezvous hash picks *after* restart is what makes a cluster
-/// move equal to snapshot ship + tail replay.
+/// One cluster's slice of a router checkpoint: global membership and
+/// the cluster's slot (local ids). Shipping this to whichever shard the
+/// rendezvous hash picks *after* restart is what makes a cluster move
+/// equal to snapshot ship + tail replay.
 #[derive(Serialize, Deserialize)]
 pub(crate) struct ClusterSnapshot {
     pub key: u32,
     pub sources: Vec<u32>,
     pub assertions: Vec<u32>,
-    pub pending: usize,
-    pub stream: StreamingState,
-    pub chain_fit: Option<EmFitBits>,
-    pub counters: SlotCounters,
-    pub last_refit: Option<LastRefit>,
+    pub slot: SlotCheckpoint,
 }
 
 /// The sharded router's checkpoint: router counters plus every live
@@ -83,8 +70,29 @@ pub(crate) struct Recovered<S> {
     pub snapshot: Option<(u64, S)>,
     /// Every valid WAL record, in append order (including records the
     /// snapshot already covers — the router's membership dry-replay
-    /// needs the full sequence; callers filter by `seq`).
+    /// needs the full sequence). Replay them through [`dense_from`].
     pub records: Vec<WalRecord>,
+}
+
+/// The one gap check of WAL recovery: the records from sequence `first`
+/// on, in order. Records before `first` — absorbed by a checkpoint that
+/// truncated the log — are skipped; the rest must run densely `first,
+/// first + 1, …`, so recovery fails loudly instead of replaying around
+/// a hole.
+pub(crate) fn dense_from(
+    records: Vec<WalRecord>,
+    first: u64,
+) -> Result<Vec<WalRecord>, ServeError> {
+    let tail: Vec<WalRecord> = records.into_iter().filter(|r| r.seq >= first).collect();
+    for (expected, record) in (first..).zip(&tail) {
+        if record.seq != expected {
+            return Err(ServeError::Persist(format!(
+                "WAL gap: expected batch {expected}, found {}",
+                record.seq
+            )));
+        }
+    }
+    Ok(tail)
 }
 
 /// The durability engine shared by the unsharded worker and the sharded

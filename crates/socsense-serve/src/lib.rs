@@ -79,6 +79,7 @@ mod durable;
 mod router;
 mod service;
 mod shard;
+mod slot;
 
 pub use api::{
     ClusterAssignment, IngestAck, PersistConfig, ServeConfig, ServeError, ServeStats,

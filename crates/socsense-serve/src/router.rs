@@ -35,26 +35,25 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use socsense_core::{
     exact_bound, BoundResult, ClusterTracker, ClusterUpdate, SenseError, SourceParams,
-    StreamingEstimator,
 };
 use socsense_graph::{FollowerGraph, TimedClaim};
-use socsense_obs::{Obs, Recorder, Tee};
+use socsense_obs::{Obs, Recorder};
 
 use crate::api::{
-    ClusterAssignment, IngestAck, PersistConfig, ServeConfig, ServeError, ServeStats,
-    ShardTopology, SourceRank,
+    ClusterAssignment, IngestAck, PersistConfig, ServeConfig, ServeError, ServeStats, ShardTopology,
 };
-use crate::durable::{DurableLog, HistoryBackend, HistoryEntry, RouterSnapshot};
-use crate::service::{panic_message, Envelope, Request, Response, ServeHandle};
+use crate::durable::{dense_from, DurableLog, HistoryBackend, HistoryEntry, RouterSnapshot};
+use crate::service::{panic_message, recorded, Backend, FrontEnd, Request, Response, ServeHandle};
 use crate::shard::{
-    ClusterAck, ClusterOp, LastRefit, ShardMsg, ShardQuery, ShardReply, ShardReturn, ShardWorker,
+    ClusterAck, ClusterOp, ShardMsg, ShardQuery, ShardReply, ShardReturn, ShardWorker,
 };
+use crate::slot::{rank_sources, Slot, SlotStats};
 
 /// SplitMix64 finalizer: a full-avalanche mix of one 64-bit word.
 fn splitmix64(x: u64) -> u64 {
@@ -128,10 +127,7 @@ fn history_batches(history: &[HistoryEntry]) -> Vec<Vec<TimedClaim>> {
 /// docs for the protocol and the determinism argument.
 #[derive(Debug)]
 pub struct ShardedService {
-    tx: Sender<Envelope>,
-    depth: Arc<AtomicUsize>,
-    max_depth: usize,
-    router: Option<JoinHandle<()>>,
+    front: FrontEnd,
     shards: usize,
 }
 
@@ -211,17 +207,9 @@ impl ShardedService {
         }
         // Probe construction: surface exactly the shape/config errors
         // the unsharded service would, before any thread exists.
-        {
-            let mut probe = StreamingEstimator::new(n, m, graph.clone(), config.em)?;
-            probe.set_warm_blend(config.warm_blend)?;
-            probe.set_refit_mode(config.refit_mode)?;
-        }
+        Slot::new(n, m, graph.clone(), &config, Obs::none())?;
         let tracker = ClusterTracker::new(n, m, graph.clone())?;
-        let rec = Arc::new(Recorder::new());
-        let obs = match extra.sink() {
-            Some(sink) => Obs::new(Arc::new(Tee::new(rec.clone(), sink))),
-            None => Obs::new(rec.clone()),
-        };
+        let (rec, obs) = recorded(&extra);
         let mut shard_tx = Vec::with_capacity(shards);
         let mut shard_depth = Vec::with_capacity(shards);
         let mut shard_workers = Vec::with_capacity(shards);
@@ -239,15 +227,12 @@ impl ShardedService {
             shard_depth.push(depth);
             shard_workers.push(handle);
         }
-        let depth = Arc::new(AtomicUsize::new(0));
-        let router_depth = Arc::clone(&depth);
         let max_depth = config.max_queue_depth;
         let persist = config.persist.clone();
         let history = match &persist {
             Some(pcfg) => HistoryBackend::disk(&pcfg.data_dir.join("clusters"))?,
             None => HistoryBackend::memory(),
         };
-        let (tx, rx) = mpsc::channel::<Envelope>();
         let mut router = Router {
             cfg: config,
             tracker,
@@ -261,7 +246,6 @@ impl ShardedService {
             shard_workers,
             rec,
             obs,
-            depth: router_depth,
             durable: None,
             wedged: None,
         };
@@ -270,20 +254,12 @@ impl ShardedService {
         // the WAL-tail replay) but before the router serves anything.
         if let Some(pcfg) = &persist {
             if let Err(e) = router.recover(pcfg) {
-                router.stop_shards();
+                router.stop();
                 return Err(e);
             }
         }
-        let router = std::thread::Builder::new()
-            .name("socsense-router".into())
-            .spawn(move || router.run(rx))
-            // detlint: allow(P1) -- construction-time: no client exists yet, so a failed spawn panics the caller, not a worker others wait on
-            .expect("spawning the router thread");
         Ok(Self {
-            tx,
-            depth,
-            max_depth,
-            router: Some(router),
+            front: FrontEnd::spawn("socsense-router", router, max_depth),
             shards,
         })
     }
@@ -296,7 +272,7 @@ impl ShardedService {
     /// A new client handle. Handles stay valid until shutdown.
     pub fn handle(&self) -> ShardedHandle {
         ShardedHandle {
-            inner: ServeHandle::internal(self.tx.clone(), Arc::clone(&self.depth), self.max_depth),
+            inner: self.front.handle(),
         }
     }
 
@@ -310,35 +286,7 @@ impl ShardedService {
     /// [`ServeError::WorkerPanicked`] when the router — or any shard,
     /// surfaced through the router's shutdown reply — died by panic.
     pub fn shutdown(mut self) -> Result<ServeStats, ServeError> {
-        self.shutdown_impl()
-    }
-
-    fn shutdown_impl(&mut self) -> Result<ServeStats, ServeError> {
-        let stats = match self.handle().inner.call(Request::Shutdown) {
-            Ok(Response::ShuttingDown(stats)) => Ok(stats),
-            Ok(_) => Err(ServeError::Protocol("expected ShuttingDown")),
-            Err(e) => Err(e),
-        };
-        if let Some(router) = self.router.take() {
-            // A panicked router must not be swallowed: it outranks
-            // whatever the (necessarily failed) shutdown call returned.
-            if let Err(payload) = router.join() {
-                return Err(ServeError::WorkerPanicked(panic_message(payload)));
-            }
-        }
-        stats
-    }
-}
-
-impl Drop for ShardedService {
-    fn drop(&mut self) {
-        if self.router.is_some() {
-            // Nobody is left to receive the error; a panic still gets
-            // reported rather than vanishing with the service.
-            if let Err(ServeError::WorkerPanicked(what)) = self.shutdown_impl() {
-                eprintln!("socsense-serve: router or shard thread panicked: {what}");
-            }
-        }
+        self.front.shutdown()
     }
 }
 
@@ -362,7 +310,6 @@ struct Router {
     shard_workers: Vec<JoinHandle<()>>,
     rec: Arc<Recorder>,
     obs: Obs,
-    depth: Arc<AtomicUsize>,
     /// Durability engine, when [`ServeConfig::persist`] is set.
     durable: Option<DurableLog>,
     /// Set when an ingest epoch failed after the WAL append but before
@@ -373,36 +320,47 @@ struct Router {
     wedged: Option<String>,
 }
 
-impl Router {
-    fn run(mut self, rx: Receiver<Envelope>) {
-        while let Ok(env) = rx.recv() {
-            if matches!(env.req, Request::Shutdown) {
-                // Graceful drain: everything already queued is answered
-                // (the shards are still up); senders arriving after the
-                // channel closes get `Closed`. The shutdown reply is
-                // held back until the shards have been joined, so a
-                // shard that died by panic surfaces in the result
-                // instead of being swallowed.
-                self.note_pickup(&env);
-                let stats = self.stats_snapshot();
-                while let Ok(queued) = rx.try_recv() {
-                    self.answer(queued);
-                }
-                let result = match self.stop_shards() {
-                    Some(what) => Err(ServeError::WorkerPanicked(what)),
-                    None => stats.map(Response::ShuttingDown),
-                };
-                // A client that gave up on its reply is not an error.
-                let _ = env.reply.send(result);
-                return;
-            }
-            self.answer(env);
-        }
-        self.stop_shards();
+impl Backend for Router {
+    fn obs(&self) -> &Obs {
+        &self.obs
     }
 
-    /// Stops and joins every shard, reporting the first panic payload.
-    fn stop_shards(&mut self) -> Option<String> {
+    fn picked_up(&mut self, waiting: usize) {
+        self.requests_served += 1;
+        self.obs.gauge("serve.router.queue.depth", waiting as f64);
+    }
+
+    fn dispatch(&mut self, req: Request) -> Result<Response, ServeError> {
+        if let Some(why) = &self.wedged {
+            // Graceful shutdown still drains and joins the shards.
+            if !matches!(req, Request::Shutdown) {
+                return Err(ServeError::Wedged(why.clone()));
+            }
+        }
+        match req {
+            Request::Ingest(batch) => self.ingest(batch, true),
+            Request::Posterior(j) => self.posterior(j),
+            Request::Posteriors => self.posteriors(),
+            Request::TopSources(k) => self.top_sources(k),
+            Request::Bound { assertions, method } => self.bound(assertions, method),
+            Request::Stats => Ok(Response::Stats(self.stats_snapshot()?)),
+            Request::Metrics => Ok(Response::Metrics(Box::new(self.rec.snapshot()))),
+            Request::Topology => Ok(Response::Topology(Box::new(self.topology()))),
+            Request::Shutdown => Ok(Response::ShuttingDown(self.stats_snapshot()?)),
+            #[cfg(test)]
+            Request::InjectPanic => panic!("injected router panic"),
+            #[cfg(test)]
+            Request::Park { ack, release } => {
+                let _ = ack.send(());
+                let _ = release.recv();
+                Ok(Response::Stats(self.stats_snapshot()?))
+            }
+        }
+    }
+
+    /// Stops and joins every shard, reporting the first panic payload
+    /// (so a shard that died by panic surfaces in the shutdown reply).
+    fn stop(&mut self) -> Option<String> {
         for (i, tx) in self.shard_tx.iter().enumerate() {
             self.shard_depth[i].fetch_add(1, Ordering::Relaxed);
             let _ = tx.send(ShardMsg::Shutdown);
@@ -417,72 +375,15 @@ impl Router {
         }
         panicked
     }
+}
 
-    /// Queue bookkeeping for one picked-up request: depth gauge, wait
-    /// histogram, request counter.
-    fn note_pickup(&mut self, env: &Envelope) {
-        let waiting = self.depth.fetch_sub(1, Ordering::Relaxed) - 1;
-        self.obs.gauge("serve.queue.depth", waiting as f64);
-        self.obs.gauge("serve.router.queue.depth", waiting as f64);
-        self.obs.observe(
-            "serve.queue.wait_seconds",
-            env.queued.elapsed().as_secs_f64(),
-        );
-        self.requests_served += 1;
-        self.obs.counter("serve.requests_total", 1);
-    }
-
-    fn answer(&mut self, env: Envelope) {
-        self.note_pickup(&env);
-        let label = env.req.label();
-        let timer = self.obs.timer(&format!("serve.request.{label}.seconds"));
-        let result = self.dispatch(env.req);
-        timer.stop();
-        if result.is_err() {
-            self.obs.counter("serve.request_errors_total", 1);
-        }
-        // A client that gave up on its reply is not an error.
-        let _ = env.reply.send(result);
-    }
-
-    fn dispatch(&mut self, req: Request) -> Result<Response, ServeError> {
-        if let Some(why) = &self.wedged {
-            return Err(ServeError::Wedged(why.clone()));
-        }
-        match req {
-            Request::Ingest(batch) => self.ingest(batch),
-            Request::Posterior(j) => self.posterior(j),
-            Request::Posteriors => self.posteriors(),
-            Request::TopSources(k) => self.top_sources(k),
-            Request::Bound { assertions, method } => self.bound(assertions, method),
-            Request::Stats => Ok(Response::Stats(self.stats_snapshot()?)),
-            Request::Metrics => Ok(Response::Metrics(Box::new(self.rec.snapshot()))),
-            Request::Topology => Ok(Response::Topology(Box::new(self.topology()))),
-            // Unreachable: `run` intercepts Shutdown so the reply can
-            // wait for the shard joins. Kept total for safety.
-            Request::Shutdown => Ok(Response::ShuttingDown(self.stats_snapshot()?)),
-            #[cfg(test)]
-            Request::InjectPanic => panic!("injected router panic"),
-            #[cfg(test)]
-            Request::Park { ack, release } => {
-                let _ = ack.send(());
-                let _ = release.recv();
-                Ok(Response::Stats(self.stats_snapshot()?))
-            }
-        }
-    }
-
+impl Router {
     /// Fans an ingest batch out by cluster and waits for every involved
     /// shard's ack (the drain barrier) before acknowledging the client.
-    fn ingest(&mut self, batch: Vec<TimedClaim>) -> Result<Response, ServeError> {
-        self.ingest_impl(batch, true)
-    }
-
-    /// The ingest path, shared by live requests (`log = true`: the
-    /// batch is WAL-appended and the checkpoint cadence applies) and
-    /// recovery's WAL-tail replay (`log = false`: the records are
-    /// already on disk).
-    fn ingest_impl(&mut self, batch: Vec<TimedClaim>, log: bool) -> Result<Response, ServeError> {
+    /// Shared by live requests (`log = true`: the batch is WAL-appended
+    /// and the checkpoint cadence applies) and recovery's WAL-tail
+    /// replay (`log = false`: the records are already on disk).
+    fn ingest(&mut self, batch: Vec<TimedClaim>, log: bool) -> Result<Response, ServeError> {
         // Atomic validation: a rejected batch changes nothing, and the
         // epoch does not advance.
         let update = self.tracker.ingest(&batch)?;
@@ -507,19 +408,7 @@ impl Router {
                 return Err(e);
             }
         };
-        let mut refitted = false;
-        let mut first_error: Option<SenseError> = None;
-        for ret in returns {
-            for ack in ret.payload? {
-                if let Some(rc) = self.recorded.get_mut(&ack.key) {
-                    rc.pending = ack.pending;
-                }
-                refitted |= ack.refitted;
-                if first_error.is_none() {
-                    first_error = ack.error;
-                }
-            }
-        }
+        let (refitted, first_error) = self.absorb_acks(returns)?;
         if log {
             self.maybe_snapshot()?;
         }
@@ -535,10 +424,30 @@ impl Router {
         }))
     }
 
+    /// Records each acked cluster's pending count; returns whether any
+    /// cluster's chain advanced and the first refit error.
+    fn absorb_acks(
+        &mut self,
+        returns: Vec<ShardReturn<Vec<ClusterAck>>>,
+    ) -> Result<(bool, Option<SenseError>), ServeError> {
+        let mut refitted = false;
+        let mut first_error = None;
+        for ret in returns {
+            for ack in ret.payload? {
+                if let Some(rc) = self.recorded.get_mut(&ack.key) {
+                    rc.pending = ack.pending;
+                }
+                refitted |= ack.refitted;
+                first_error = first_error.or(ack.error);
+            }
+        }
+        Ok((refitted, first_error))
+    }
+
     /// The wedge-guarded half of one ingest epoch: WAL append, history
     /// advance, cluster-operation build (including history reads for
     /// rebuilds), and the shard fan-out. Runs with the epoch already
-    /// advanced; [`Router::ingest_impl`] wedges the router if any step
+    /// advanced; [`Router::ingest`] wedges the router if any step
     /// fails.
     fn commit_batch(
         &mut self,
@@ -548,11 +457,9 @@ impl Router {
     ) -> Result<Vec<ShardReturn<Vec<ClusterAck>>>, ServeError> {
         // Log the accepted batch before the fan-out and the ack — with
         // `fsync_every = 1`, an acked batch is on disk.
-        if log && self.durable.is_some() {
-            let epoch = self.epoch;
-            let obs = self.obs.clone();
+        if log {
             if let Some(d) = &mut self.durable {
-                d.append(epoch, batch, &obs)?;
+                d.append(self.epoch, batch, &self.obs)?;
             }
         }
         self.total_claims += batch.len();
@@ -722,12 +629,10 @@ impl Router {
             requests_served: self.requests_served,
             clusters,
         };
-        let epoch = self.epoch;
-        let obs = self.obs.clone();
-        if let Some(d) = &mut self.durable {
-            d.write_snapshot(epoch, &snap, false, &obs)?;
+        match &mut self.durable {
+            Some(d) => d.write_snapshot(self.epoch, &snap, false, &self.obs),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Restores whatever a previous service left under the data
@@ -745,14 +650,9 @@ impl Router {
         // Segments are a rebuildable cache of the WAL: start clean.
         self.history.wipe()?;
         let since = recovered.snapshot.as_ref().map_or(0, |(seq, _)| *seq);
-        for record in recovered.records.iter().filter(|r| r.seq <= since) {
-            if record.seq != self.epoch + 1 {
-                return Err(ServeError::Persist(format!(
-                    "WAL gap: expected batch {}, found {}",
-                    self.epoch + 1,
-                    record.seq
-                )));
-            }
+        let mut covered = dense_from(recovered.records, 1)?;
+        let tail = covered.split_off(covered.partition_point(|r| r.seq <= since));
+        for record in &covered {
             let update = self.tracker.ingest(&record.claims)?;
             self.epoch = record.seq;
             self.advance_history(record.seq, &record.claims, &update.removed)?;
@@ -775,33 +675,23 @@ impl Router {
                         shard,
                         n_sources: cluster.sources.len(),
                         n_assertions: cluster.assertions.len(),
-                        pending: cluster.pending,
+                        pending: 0,
                     },
                 );
                 ops.entry(shard)
                     .or_default()
                     .push(ClusterOp::Restore(Box::new(cluster)));
             }
-            for ret in self.dispatch_ops(ops)? {
-                for ack in ret.payload? {
-                    if let Some(e) = ack.error {
-                        return Err(ServeError::Sense(e));
-                    }
-                }
+            let returns = self.dispatch_ops(ops)?;
+            if let (_, Some(e)) = self.absorb_acks(returns)? {
+                return Err(ServeError::Sense(e));
             }
         }
-        for record in recovered.records.into_iter().filter(|r| r.seq > since) {
-            if record.seq != self.epoch + 1 {
-                return Err(ServeError::Persist(format!(
-                    "WAL gap: expected batch {}, found {}",
-                    self.epoch + 1,
-                    record.seq
-                )));
-            }
+        for record in tail {
             // Refit errors during replay mirror the live path: the
             // original run surfaced them to the client and kept the
             // claims ingested. Anything else is fatal.
-            match self.ingest_impl(record.claims, false) {
+            match self.ingest(record.claims, false) {
                 Ok(_) | Err(ServeError::Sense(_)) => {}
                 Err(e) => return Err(e),
             }
@@ -886,37 +776,28 @@ impl Router {
 
     fn top_sources(&mut self, k: usize) -> Result<Response, ServeError> {
         let n = self.tracker.source_count();
-        let mut ranks: Vec<SourceRank> = Vec::with_capacity(n as usize);
+        let mut entries = Vec::with_capacity(n as usize);
         for (_, reply) in self.scatter(self.all_shards(|| ShardQuery::TopSources))? {
             let ShardReply::TopSources(list) = reply else {
                 return Err(ServeError::Protocol("expected shard TopSources"));
             };
-            ranks.extend(list);
+            entries.extend(list);
         }
-        // Sources in no cluster rank with neutral behaviour parameters,
-        // exactly the prior a fit has nothing to move away from.
+        // Sources in no cluster rank with neutral behaviour parameters
+        // under a neutral prior, exactly the prior a fit has nothing to
+        // move away from.
+        let neutral = SourceParams {
+            a: 0.5,
+            b: 0.5,
+            f: 0.5,
+            g: 0.5,
+        };
         for i in 0..n {
             if !self.tracker.is_active_source(i) {
-                ranks.push(SourceRank {
-                    source: i,
-                    precision: 0.5,
-                    params: SourceParams {
-                        a: 0.5,
-                        b: 0.5,
-                        f: 0.5,
-                        g: 0.5,
-                    },
-                });
+                entries.push((i, neutral, 0.5));
             }
         }
-        ranks.sort_by(|x, y| {
-            y.precision
-                .partial_cmp(&x.precision)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(x.source.cmp(&y.source))
-        });
-        ranks.truncate(k);
-        Ok(Response::TopSources(ranks))
+        Ok(Response::TopSources(rank_sources(entries, k)))
     }
 
     fn bound(
@@ -1024,33 +905,14 @@ impl Router {
     }
 
     fn stats_snapshot(&mut self) -> Result<ServeStats, ServeError> {
-        let mut stats = ServeStats {
-            total_claims: self.total_claims,
-            requests_served: self.requests_served,
-            ..ServeStats::default()
-        };
-        let mut last: Option<LastRefit> = None;
+        let mut stats = SlotStats::default();
         for (_, reply) in self.scatter(self.all_shards(|| ShardQuery::Stats))? {
-            let ShardReply::Stats(p) = reply else {
+            let ShardReply::Stats(shard) = reply else {
                 return Err(ServeError::Protocol("expected shard Stats"));
             };
-            stats.pending_claims += p.pending;
-            stats.chain_refits += p.chain_refits;
-            stats.probe_refits += p.probe_refits;
-            stats.probe_cache_hits += p.probe_cache_hits;
-            stats.failed_refits += p.failed_refits;
-            stats.warm_refits += p.warm_refits;
-            stats.delta_refits += p.delta_refits;
-            stats.fallback_refits += p.fallback_refits;
-            last = last.max(p.last_refit);
+            stats.merge(shard);
         }
-        if let Some(last) = last {
-            stats.last_refit_iterations = Some(last.iterations);
-            stats.last_touched_assertions = Some(last.touched_assertions);
-            stats.last_touched_sources = Some(last.touched_sources);
-            stats.last_ll_exact = Some(last.ll_exact);
-        }
-        Ok(stats)
+        Ok(stats.serve_stats(self.total_claims, self.requests_served))
     }
 
     fn topology(&self) -> ShardTopology {

@@ -7,17 +7,15 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use socsense_core::{
-    bound_for_assertions_traced, BoundMethod, BoundResult, EmFit, EmFitBits, RefitOutcome,
-    RefitStats, SenseError, StreamingEstimator,
-};
+use socsense_core::{BoundMethod, BoundResult, SenseError};
 use socsense_graph::{FollowerGraph, TimedClaim};
 use socsense_obs::{MetricsSnapshot, Obs, Recorder, Tee};
 
 use crate::api::{
     IngestAck, PersistConfig, ServeConfig, ServeError, ServeStats, ShardTopology, SourceRank,
 };
-use crate::durable::{DurableLog, WorkerSnapshot};
+use crate::durable::{dense_from, DurableLog, WorkerSnapshot};
+use crate::slot::{rank_sources, Slot};
 
 /// Renders a worker thread's panic payload for
 /// [`ServeError::WorkerPanicked`].
@@ -63,22 +61,23 @@ pub(crate) enum Request {
 }
 
 impl Request {
-    /// Stable label used in `serve.request.<label>.seconds` metrics.
+    /// The request's latency histogram, `serve.request.<label>.seconds`
+    /// (a static name, so answering a request formats nothing).
     pub(crate) fn label(&self) -> &'static str {
         match self {
-            Request::Ingest(_) => "ingest",
-            Request::Posterior(_) => "posterior",
-            Request::Posteriors => "posteriors",
-            Request::TopSources(_) => "top_sources",
-            Request::Bound { .. } => "bound",
-            Request::Stats => "stats",
-            Request::Metrics => "metrics",
-            Request::Topology => "topology",
-            Request::Shutdown => "shutdown",
+            Request::Ingest(_) => "serve.request.ingest.seconds",
+            Request::Posterior(_) => "serve.request.posterior.seconds",
+            Request::Posteriors => "serve.request.posteriors.seconds",
+            Request::TopSources(_) => "serve.request.top_sources.seconds",
+            Request::Bound { .. } => "serve.request.bound.seconds",
+            Request::Stats => "serve.request.stats.seconds",
+            Request::Metrics => "serve.request.metrics.seconds",
+            Request::Topology => "serve.request.topology.seconds",
+            Request::Shutdown => "serve.request.shutdown.seconds",
             #[cfg(test)]
-            Request::InjectPanic => "inject_panic",
+            Request::InjectPanic => "serve.request.inject_panic.seconds",
             #[cfg(test)]
-            Request::Park { .. } => "park",
+            Request::Park { .. } => "serve.request.park.seconds",
         }
     }
 }
@@ -123,21 +122,6 @@ pub struct ServeHandle {
 }
 
 impl ServeHandle {
-    /// A handle over an already-running request channel (the sharded
-    /// router speaks the same envelope protocol as the unsharded
-    /// worker).
-    pub(crate) fn internal(
-        tx: Sender<Envelope>,
-        depth: Arc<AtomicUsize>,
-        max_depth: usize,
-    ) -> Self {
-        Self {
-            tx,
-            depth,
-            max_depth,
-        }
-    }
-
     // Clippy twin of the detlint allow(D2) below: the queue-entry
     // timestamp is observation-only.
     #[allow(clippy::disallowed_methods)]
@@ -294,18 +278,172 @@ impl ServeHandle {
     }
 }
 
+/// A new recorder for a service's own metrics, and the emission handle
+/// that feeds it — teed with `extra`'s sink when one is attached.
+pub(crate) fn recorded(extra: &Obs) -> (Arc<Recorder>, Obs) {
+    let rec = Arc::new(Recorder::new());
+    let obs = match extra.sink() {
+        Some(sink) => Obs::new(Arc::new(Tee::new(rec.clone(), sink))),
+        None => Obs::new(rec.clone()),
+    };
+    (rec, obs)
+}
+
+/// The single-threaded owner behind a service's request channel: the
+/// serial [`Worker`] or the sharded router. [`FrontEnd::spawn`] runs
+/// either one through the same pickup/answer loop.
+pub(crate) trait Backend {
+    /// Where the loop's queue and latency metrics go.
+    fn obs(&self) -> &Obs;
+    /// Books one picked-up request; `waiting` requests are still queued
+    /// behind it.
+    fn picked_up(&mut self, waiting: usize);
+    /// Answers one request; `Shutdown` answers with the final
+    /// statistics.
+    fn dispatch(&mut self, req: Request) -> Result<Response, ServeError>;
+    /// Stops whatever the backend owns once the queue is drained,
+    /// returning the first panic payload among its threads.
+    fn stop(&mut self) -> Option<String>;
+}
+
+/// The pickup/answer loop. On `Shutdown`, everything already queued is
+/// still answered (senders arriving after the channel closes get
+/// `Closed`) and the backend stops before the shutdown reply goes out,
+/// so a thread the backend joined that died by panic surfaces in the
+/// reply instead of being swallowed. A client that gave up on its reply
+/// is not an error.
+fn serve<B: Backend>(mut backend: B, rx: Receiver<Envelope>, depth: &AtomicUsize) {
+    while let Ok(Envelope { req, reply, queued }) = rx.recv() {
+        let shutting_down = matches!(req, Request::Shutdown);
+        let result = answer(&mut backend, req, queued, depth);
+        if shutting_down {
+            while let Ok(Envelope { req, reply, queued }) = rx.try_recv() {
+                let _ = reply.send(answer(&mut backend, req, queued, depth));
+            }
+            let result = match backend.stop() {
+                Some(what) => Err(ServeError::WorkerPanicked(what)),
+                None => result,
+            };
+            let _ = reply.send(result);
+            return;
+        }
+        let _ = reply.send(result);
+    }
+    // All handles (and the service) dropped without a shutdown request:
+    // nothing left to answer.
+    backend.stop();
+}
+
+/// Answers one picked-up request.
+fn answer<B: Backend>(
+    backend: &mut B,
+    req: Request,
+    queued: Instant,
+    depth: &AtomicUsize,
+) -> Result<Response, ServeError> {
+    // The request leaves the queue: record how long it sat and how many
+    // are still behind it.
+    let waiting = depth.fetch_sub(1, Ordering::Relaxed) - 1;
+    backend.picked_up(waiting);
+    let obs = backend.obs();
+    obs.gauge("serve.queue.depth", waiting as f64);
+    obs.observe("serve.queue.wait_seconds", queued.elapsed().as_secs_f64());
+    obs.counter("serve.requests_total", 1);
+    let timer = obs.timer(req.label());
+    let result = backend.dispatch(req);
+    timer.stop();
+    if result.is_err() {
+        backend.obs().counter("serve.request_errors_total", 1);
+    }
+    result
+}
+
+/// The client-facing half of both tiers: the request channel, the queue
+/// depth every handle shares, the backpressure limit, and the thread
+/// running the pickup/answer loop. Dropping it without
+/// [`shutdown`](Self::shutdown) still drains the queue and joins the
+/// thread.
+#[derive(Debug)]
+pub(crate) struct FrontEnd {
+    tx: Sender<Envelope>,
+    /// Requests sent but not yet picked up (feeds `serve.queue.depth`).
+    depth: Arc<AtomicUsize>,
+    /// [`ServeConfig::max_queue_depth`].
+    max_depth: usize,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl FrontEnd {
+    /// Starts `backend`'s pickup/answer loop on a thread named `name`.
+    pub(crate) fn spawn<B: Backend + Send + 'static>(
+        name: &str,
+        backend: B,
+        max_depth: usize,
+    ) -> Self {
+        let (tx, rx) = mpsc::channel::<Envelope>();
+        let depth = Arc::new(AtomicUsize::new(0));
+        let loop_depth = Arc::clone(&depth);
+        let thread = std::thread::Builder::new()
+            .name(name.into())
+            .spawn(move || serve(backend, rx, &loop_depth))
+            // detlint: allow(P1) -- construction-time: no client exists yet, so a failed spawn panics the caller, not a worker others wait on
+            .expect("spawning the service thread");
+        Self {
+            tx,
+            depth,
+            max_depth,
+            thread: Some(thread),
+        }
+    }
+
+    pub(crate) fn handle(&self) -> ServeHandle {
+        ServeHandle {
+            tx: self.tx.clone(),
+            depth: Arc::clone(&self.depth),
+            max_depth: self.max_depth,
+        }
+    }
+
+    /// Sends `Shutdown` and joins the thread.
+    pub(crate) fn shutdown(&mut self) -> Result<ServeStats, ServeError> {
+        let stats = match self.handle().call(Request::Shutdown) {
+            Ok(Response::ShuttingDown(stats)) => Ok(stats),
+            Ok(_) => Err(ServeError::Protocol("expected ShuttingDown")),
+            Err(e) => Err(e),
+        };
+        if let Some(thread) = self.thread.take() {
+            // A panicked thread must not be swallowed: it outranks
+            // whatever the (necessarily failed) shutdown call returned.
+            if let Err(payload) = thread.join() {
+                return Err(ServeError::WorkerPanicked(panic_message(payload)));
+            }
+        }
+        stats
+    }
+}
+
+impl Drop for FrontEnd {
+    fn drop(&mut self) {
+        if self.thread.is_some() {
+            // Nobody is left to receive the error; a panic still gets
+            // reported rather than vanishing with the service.
+            if let Err(ServeError::WorkerPanicked(what)) = self.shutdown() {
+                eprintln!("socsense-serve: service thread panicked: {what}");
+            }
+        }
+    }
+}
+
 /// A long-lived query service owning one warm
-/// [`StreamingEstimator`] on a dedicated worker thread.
+/// [`StreamingEstimator`](socsense_core::StreamingEstimator) on a
+/// dedicated worker thread.
 ///
 /// See the crate docs for the ownership model and refit policy. Dropping
 /// the service without calling [`shutdown`](Self::shutdown) still drains
 /// the queue and joins the worker.
 #[derive(Debug)]
 pub struct QueryService {
-    tx: Sender<Envelope>,
-    depth: Arc<AtomicUsize>,
-    max_depth: usize,
-    worker: Option<JoinHandle<()>>,
+    front: FrontEnd,
 }
 
 impl QueryService {
@@ -347,54 +485,27 @@ impl QueryService {
         config: ServeConfig,
         extra: Obs,
     ) -> Result<Self, ServeError> {
-        let rec = Arc::new(Recorder::new());
-        let obs = match extra.sink() {
-            Some(sink) => Obs::new(Arc::new(Tee::new(rec.clone(), sink))),
-            None => Obs::new(rec.clone()),
-        };
-        let mut est = StreamingEstimator::new(n, m, graph, config.em)?;
-        est.set_warm_blend(config.warm_blend)?;
-        est.set_refit_mode(config.refit_mode)?;
-        est.set_obs(obs.clone());
-        let depth = Arc::new(AtomicUsize::new(0));
-        let max_depth = config.max_queue_depth;
-        let persist = config.persist.clone();
+        let (rec, obs) = recorded(&extra);
         let mut worker = Worker {
-            est,
-            cfg: config,
-            chain_fit: None,
-            probe_fit: None,
-            stats: ServeStats::default(),
+            slot: Slot::new(n, m, graph, &config, obs.clone())?,
+            bound: config.bound.clone(),
+            requests_served: 0,
             rec,
             obs,
-            depth: Arc::clone(&depth),
             durable: None,
             seq: 0,
         };
-        if let Some(pcfg) = &persist {
+        if let Some(pcfg) = &config.persist {
             worker.recover(pcfg)?;
         }
-        let (tx, rx) = mpsc::channel::<Envelope>();
-        let worker = std::thread::Builder::new()
-            .name("socsense-serve".into())
-            .spawn(move || worker.run(rx))
-            // detlint: allow(P1) -- construction-time: no client exists yet, so a failed spawn panics the caller, not a worker others wait on
-            .expect("spawning the service worker thread");
         Ok(Self {
-            tx,
-            depth,
-            max_depth,
-            worker: Some(worker),
+            front: FrontEnd::spawn("socsense-serve", worker, config.max_queue_depth),
         })
     }
 
     /// A new client handle. Handles stay valid until shutdown.
     pub fn handle(&self) -> ServeHandle {
-        ServeHandle {
-            tx: self.tx.clone(),
-            depth: Arc::clone(&self.depth),
-            max_depth: self.max_depth,
-        }
+        self.front.handle()
     }
 
     /// Shuts the service down gracefully: requests already queued are
@@ -410,58 +521,24 @@ impl QueryService {
     /// [`ServeError::WorkerPanicked`] when the worker thread died by
     /// panic (with its payload) instead of exiting cleanly.
     pub fn shutdown(mut self) -> Result<ServeStats, ServeError> {
-        self.shutdown_impl()
-    }
-
-    fn shutdown_impl(&mut self) -> Result<ServeStats, ServeError> {
-        let stats = match self.handle().call(Request::Shutdown) {
-            Ok(Response::ShuttingDown(stats)) => Ok(stats),
-            Ok(_) => Err(ServeError::Protocol("expected ShuttingDown")),
-            Err(e) => Err(e),
-        };
-        if let Some(worker) = self.worker.take() {
-            // A panicked worker must not be swallowed: it outranks
-            // whatever the (necessarily failed) shutdown call returned.
-            if let Err(payload) = worker.join() {
-                return Err(ServeError::WorkerPanicked(panic_message(payload)));
-            }
-        }
-        stats
+        self.front.shutdown()
     }
 }
 
-impl Drop for QueryService {
-    fn drop(&mut self) {
-        if self.worker.is_some() {
-            // Nobody is left to receive the error; a panic still gets
-            // reported rather than vanishing with the service.
-            if let Err(ServeError::WorkerPanicked(what)) = self.shutdown_impl() {
-                eprintln!("socsense-serve: worker thread panicked: {what}");
-            }
-        }
-    }
-}
-
-/// The single-threaded owner of the estimator and its cached fits.
+/// The serial tier's backend: one [`Slot`] over the global world.
 struct Worker {
-    est: StreamingEstimator,
-    cfg: ServeConfig,
-    /// Fit of the last warm-start-chain refit (covers the log up to the
-    /// last chain advance; exactly current while nothing is pending).
-    chain_fit: Option<Arc<EmFit>>,
-    /// Query-driven probe fit, keyed on the claim count it covered.
-    probe_fit: Option<(usize, Arc<EmFit>)>,
-    stats: ServeStats,
+    slot: Slot,
+    /// Default bound method ([`ServeConfig::bound`]).
+    bound: BoundMethod,
+    requests_served: u64,
     /// The service's own recorder; `Metrics` requests snapshot it.
     rec: Arc<Recorder>,
     /// Emission handle: the recorder, possibly teed with a caller sink.
     obs: Obs,
-    /// Shared with every [`ServeHandle`]; decremented on pickup.
-    depth: Arc<AtomicUsize>,
     /// Durability engine, when [`ServeConfig::persist`] is set.
     durable: Option<DurableLog>,
-    /// Ingest batches accepted over the service's *durable* lifetime
-    /// (monotonic across restarts; stays 0 without persistence).
+    /// Ingest batches accepted, numbering the WAL records (monotonic
+    /// across restarts with persistence).
     seq: u64,
 }
 
@@ -473,135 +550,108 @@ impl Worker {
     /// state.
     fn recover(&mut self, pcfg: &PersistConfig) -> Result<(), ServeError> {
         let (log, recovered) = DurableLog::open::<WorkerSnapshot>(pcfg, &self.obs)?;
-        let mut since = 0;
         if let Some((seq, snap)) = recovered.snapshot {
-            self.est.restore_state(&snap.stream)?;
-            self.chain_fit = match &snap.chain_fit {
-                Some(bits) => Some(Arc::new(bits.to_fit()?)),
-                None => None,
-            };
-            self.stats = snap.stats;
+            self.slot.restore(&snap.slot)?;
+            self.requests_served = snap.requests_served;
             self.seq = seq;
-            since = seq;
         }
-        for record in recovered.records {
-            if record.seq <= since {
-                continue;
-            }
-            if record.seq != self.seq + 1 {
-                return Err(ServeError::Persist(format!(
-                    "WAL gap: expected batch {}, found {}",
-                    self.seq + 1,
-                    record.seq
-                )));
-            }
+        for record in dense_from(recovered.records, self.seq + 1)? {
             self.seq = record.seq;
-            self.est.ingest(&record.claims)?;
+            self.slot.ingest(&record.claims)?;
             // Refit errors during replay mirror the live path: the
             // original run surfaced them to the client and kept the
             // claims ingested, so replay keeps the claims and moves on.
-            let _ = self.post_ingest();
+            let _ = self.slot.refit_if_due(self.seq, 0);
         }
         self.durable = Some(log);
         Ok(())
     }
-    fn run(mut self, rx: Receiver<Envelope>) {
-        while let Ok(env) = rx.recv() {
-            let shutting_down = matches!(env.req, Request::Shutdown);
-            self.answer(env);
-            if shutting_down {
-                // Graceful drain: everything already queued is answered;
-                // senders arriving after the channel closes get `Closed`.
-                while let Ok(env) = rx.try_recv() {
-                    self.answer(env);
-                }
-                return;
-            }
+
+    /// Writes a checkpoint when the configured cadence is due. The WAL
+    /// is truncated afterwards: the snapshot absorbed it, so recovery
+    /// replays only the tail since this point.
+    fn maybe_snapshot(&mut self) -> Result<(), ServeError> {
+        let Some(d) = &mut self.durable else {
+            return Ok(());
+        };
+        if !d.should_snapshot(self.seq) {
+            return Ok(());
         }
-        // All handles (and the service) dropped without a shutdown
-        // request: nothing left to answer.
+        let snap = WorkerSnapshot {
+            slot: self.slot.checkpoint(),
+            requests_served: self.requests_served,
+        };
+        d.write_snapshot(self.seq, &snap, true, &self.obs)
     }
 
-    fn answer(&mut self, env: Envelope) {
-        // The request leaves the queue: record how long it sat and how
-        // many are still behind it.
-        let waiting = self.depth.fetch_sub(1, Ordering::Relaxed) - 1;
-        self.obs.gauge("serve.queue.depth", waiting as f64);
-        self.obs.observe(
-            "serve.queue.wait_seconds",
-            env.queued.elapsed().as_secs_f64(),
-        );
-        self.stats.requests_served += 1;
-        self.obs.counter("serve.requests_total", 1);
-        let label = env.req.label();
-        let timer = self.obs.timer(&format!("serve.request.{label}.seconds"));
-        let result = self.dispatch(env.req);
-        timer.stop();
-        if result.is_err() {
-            self.obs.counter("serve.request_errors_total", 1);
-        }
-        // A client that gave up on its reply is not an error.
-        let _ = env.reply.send(result);
+    fn stats(&self) -> ServeStats {
+        self.slot
+            .stats()
+            .serve_stats(self.slot.claim_count(), self.requests_served)
+    }
+}
+
+impl Backend for Worker {
+    fn obs(&self) -> &Obs {
+        &self.obs
+    }
+
+    fn picked_up(&mut self, _waiting: usize) {
+        self.requests_served += 1;
     }
 
     fn dispatch(&mut self, req: Request) -> Result<Response, ServeError> {
         match req {
             Request::Ingest(batch) => {
-                self.est.ingest(&batch)?;
+                self.slot.ingest(&batch)?;
                 // Log the accepted batch before the refit work and the
                 // ack — with `fsync_every = 1`, an acked batch is on
                 // disk. A rejected batch (the `?` above) logs nothing.
-                if self.durable.is_some() {
-                    self.seq += 1;
-                    let seq = self.seq;
-                    let obs = self.obs.clone();
-                    if let Some(d) = &mut self.durable {
-                        d.append(seq, &batch, &obs)?;
-                    }
+                self.seq += 1;
+                if let Some(d) = &mut self.durable {
+                    d.append(self.seq, &batch, &self.obs)?;
                 }
-                let ack = self.post_ingest()?;
+                let refitted = self.slot.refit_if_due(self.seq, 0)?;
                 self.maybe_snapshot()?;
-                Ok(Response::Ingested(ack))
+                Ok(Response::Ingested(IngestAck {
+                    total_claims: self.slot.claim_count(),
+                    pending_claims: self.slot.pending(),
+                    refitted,
+                }))
             }
             Request::Posterior(j) => {
-                if j >= self.est.assertion_count() {
+                let m = self.slot.assertion_count();
+                if j >= m {
                     return Err(ServeError::Sense(SenseError::DimensionMismatch {
                         what: "query assertion id vs m",
-                        expected: self.est.assertion_count() as usize,
+                        expected: m as usize,
                         actual: j as usize,
                     }));
                 }
-                let fit = self.fresh_fit()?;
+                let fit = self.slot.fresh_fit(self.seq, 0)?;
                 Ok(Response::Posterior(fit.posterior[j as usize]))
             }
             Request::Posteriors => {
-                let fit = self.fresh_fit()?;
+                let fit = self.slot.fresh_fit(self.seq, 0)?;
                 Ok(Response::Posteriors(fit.posterior.clone()))
             }
             Request::TopSources(k) => {
-                let fit = self.fresh_fit()?;
-                Ok(Response::TopSources(rank_sources(&fit, k)))
+                let fit = self.slot.fresh_fit(self.seq, 0)?;
+                let z = fit.theta.z();
+                let entries = (0u32..).zip(fit.theta.sources()).map(|(i, s)| (i, *s, z));
+                Ok(Response::TopSources(rank_sources(entries, k)))
             }
             Request::Bound { assertions, method } => {
-                let fit = self.fresh_fit()?;
-                let data = self.est.snapshot();
                 let assertions = if assertions.is_empty() {
-                    (0..self.est.assertion_count()).collect()
+                    (0..self.slot.assertion_count()).collect()
                 } else {
                     assertions
                 };
-                let method = method.unwrap_or_else(|| self.cfg.bound.clone());
-                let bound = bound_for_assertions_traced(
-                    &data,
-                    &fit.theta,
-                    &method,
-                    &assertions,
-                    self.cfg.parallelism,
-                    &self.obs,
-                )?;
+                let method = method.unwrap_or_else(|| self.bound.clone());
+                let bound = self.slot.bound(&assertions, &method, self.seq, 0)?;
                 Ok(Response::Bound(bound))
             }
-            Request::Stats => Ok(Response::Stats(self.stats_snapshot())),
+            Request::Stats => Ok(Response::Stats(self.stats())),
             Request::Metrics => Ok(Response::Metrics(Box::new(self.rec.snapshot()))),
             // Only the sharded router keeps a partition map; the
             // unsharded worker cannot answer this (and no public
@@ -609,181 +659,26 @@ impl Worker {
             Request::Topology => Err(ServeError::Protocol(
                 "topology is only served by the sharded tier",
             )),
-            Request::Shutdown => Ok(Response::ShuttingDown(self.stats_snapshot())),
+            Request::Shutdown => Ok(Response::ShuttingDown(self.stats())),
             #[cfg(test)]
             Request::InjectPanic => panic!("injected worker panic"),
             #[cfg(test)]
             Request::Park { ack, release } => {
                 let _ = ack.send(());
                 let _ = release.recv();
-                Ok(Response::Stats(self.stats_snapshot()))
+                Ok(Response::Stats(self.stats()))
             }
         }
     }
 
-    /// The post-ingest half of the ingest path, shared by live requests
-    /// and WAL-tail replay: invalidate the probe cache, apply the
-    /// chain-refit policy, refresh the claim counters, and build the
-    /// ack.
-    fn post_ingest(&mut self) -> Result<IngestAck, ServeError> {
-        // The log changed: any cached probe is stale.
-        self.probe_fit = None;
-        let mut refitted = false;
-        if self.cfg.refit_pending_claims > 0 && self.est.pending() >= self.cfg.refit_pending_claims
-        {
-            self.chain_refit()?;
-            refitted = true;
-        }
-        self.stats.total_claims = self.est.claim_count();
-        self.stats.pending_claims = self.est.pending();
-        Ok(IngestAck {
-            total_claims: self.est.claim_count(),
-            pending_claims: self.est.pending(),
-            refitted,
-        })
+    fn stop(&mut self) -> Option<String> {
+        None
     }
-
-    /// Writes a checkpoint when the configured cadence is due. The WAL
-    /// is truncated afterwards: the snapshot absorbed it, so recovery
-    /// replays only the tail since this point.
-    fn maybe_snapshot(&mut self) -> Result<(), ServeError> {
-        let due = self
-            .durable
-            .as_ref()
-            .is_some_and(|d| d.should_snapshot(self.seq));
-        if !due {
-            return Ok(());
-        }
-        let snap = WorkerSnapshot {
-            seq: self.seq,
-            stream: self.est.export_state(),
-            chain_fit: self.chain_fit.as_deref().map(EmFitBits::from_fit),
-            stats: self.stats_snapshot(),
-        };
-        let seq = self.seq;
-        let obs = self.obs.clone();
-        if let Some(d) = &mut self.durable {
-            d.write_snapshot(seq, &snap, true, &obs)?;
-        }
-        Ok(())
-    }
-
-    /// Advances the warm-start chain: a full refit whose `θ̂` seeds the
-    /// next one. Only ingest processing calls this, so the chain — and
-    /// with it every served number — is a pure function of the ingest
-    /// sequence, never of query timing.
-    fn chain_refit(&mut self) -> Result<(), ServeError> {
-        match self.est.estimate_with_stats() {
-            Ok((fit, stats)) => {
-                self.stats.chain_refits += 1;
-                self.obs.counter("serve.refit.chain_total", 1);
-                self.note_refit(&stats);
-                self.chain_fit = Some(Arc::new(fit));
-                Ok(())
-            }
-            Err(e) => {
-                self.stats.failed_refits += 1;
-                self.obs.counter("serve.refit.failed_total", 1);
-                Err(ServeError::Sense(e))
-            }
-        }
-    }
-
-    /// The fit covering the full current log: the chain fit when nothing
-    /// is pending, else a cached *probe* refit — fresh, but leaving the
-    /// warm-start chain untouched (see [`StreamingEstimator::peek_estimate`]).
-    fn fresh_fit(&mut self) -> Result<Arc<EmFit>, ServeError> {
-        if self.est.pending() == 0 {
-            if let Some(fit) = &self.chain_fit {
-                return Ok(Arc::clone(fit));
-            }
-        }
-        if let Some((at, fit)) = &self.probe_fit {
-            if *at == self.est.claim_count() {
-                self.stats.probe_cache_hits += 1;
-                self.obs.counter("serve.cache.probe_hits_total", 1);
-                return Ok(Arc::clone(fit));
-            }
-        }
-        match self.est.peek_estimate() {
-            Ok((fit, stats)) => {
-                self.stats.probe_refits += 1;
-                self.obs.counter("serve.refit.probe_total", 1);
-                self.note_refit(&stats);
-                let fit = Arc::new(fit);
-                self.probe_fit = Some((self.est.claim_count(), Arc::clone(&fit)));
-                Ok(fit)
-            }
-            Err(e) => {
-                self.stats.failed_refits += 1;
-                self.obs.counter("serve.refit.failed_total", 1);
-                Err(ServeError::Sense(e))
-            }
-        }
-    }
-
-    /// Per-refit bookkeeping shared by chain and probe refits: warm and
-    /// delta-mode counters, plus the last refit's shape.
-    fn note_refit(&mut self, stats: &RefitStats) {
-        if stats.warm {
-            self.stats.warm_refits += 1;
-            self.obs.counter("serve.refit.warm_total", 1);
-        }
-        match stats.mode {
-            RefitOutcome::Full => {}
-            RefitOutcome::Delta => {
-                self.stats.delta_refits += 1;
-                self.obs.counter("serve.refit.delta_total", 1);
-            }
-            RefitOutcome::Fallback => {
-                self.stats.fallback_refits += 1;
-                self.obs.counter("serve.refit.fallback_total", 1);
-            }
-        }
-        self.stats.last_refit_iterations = Some(stats.iterations);
-        self.stats.last_touched_assertions = Some(stats.touched_assertions);
-        self.stats.last_touched_sources = Some(stats.touched_sources);
-        self.stats.last_ll_exact = Some(stats.ll_exact);
-    }
-
-    fn stats_snapshot(&self) -> ServeStats {
-        ServeStats {
-            total_claims: self.est.claim_count(),
-            pending_claims: self.est.pending(),
-            ..self.stats
-        }
-    }
-}
-
-/// Ranks every source by independent-claim precision, best first, and
-/// keeps the top `k`.
-fn rank_sources(fit: &EmFit, k: usize) -> Vec<SourceRank> {
-    let z = fit.theta.z();
-    let mut ranks: Vec<SourceRank> = fit
-        .theta
-        .sources()
-        .iter()
-        .enumerate()
-        .map(|(i, s)| SourceRank {
-            source: i as u32,
-            precision: z * s.a / (z * s.a + (1.0 - z) * s.b),
-            params: *s,
-        })
-        .collect();
-    ranks.sort_by(|x, y| {
-        y.precision
-            .partial_cmp(&x.precision)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(x.source.cmp(&y.source))
-    });
-    ranks.truncate(k);
-    ranks
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use socsense_core::Theta;
 
     fn service_over(n: u32, m: u32) -> QueryService {
         QueryService::spawn(n, m, FollowerGraph::new(n), ServeConfig::default()).unwrap()
@@ -845,44 +740,6 @@ mod tests {
         svc.shutdown().unwrap();
         assert!(matches!(client.stats(), Err(ServeError::Closed)));
         assert!(matches!(client.posterior(0), Err(ServeError::Closed)));
-    }
-
-    #[test]
-    fn top_sources_ranks_by_precision_and_clamps_k() {
-        let mut fit_theta = Theta::neutral(3);
-        fit_theta.set_source(
-            0,
-            socsense_core::SourceParams {
-                a: 0.9,
-                b: 0.1,
-                f: 0.5,
-                g: 0.5,
-            },
-        );
-        fit_theta.set_source(
-            2,
-            socsense_core::SourceParams {
-                a: 0.8,
-                b: 0.1,
-                f: 0.5,
-                g: 0.5,
-            },
-        );
-        let fit = EmFit {
-            theta: fit_theta,
-            posterior: vec![],
-            log_likelihood: 0.0,
-            iterations: 0,
-            converged: true,
-            ll_history: vec![],
-            log_odds: vec![],
-        };
-        let ranks = rank_sources(&fit, 10);
-        assert_eq!(ranks.len(), 3, "k larger than n is clamped");
-        assert_eq!(ranks[0].source, 0);
-        assert_eq!(ranks[1].source, 2);
-        assert!(ranks[0].precision > ranks[1].precision);
-        assert_eq!(rank_sources(&fit, 2).len(), 2);
     }
 
     #[test]

@@ -1,31 +1,27 @@
 //! One worker shard of the sharded serving tier: a FIFO of cluster
-//! operations and queries over per-cluster [`StreamingEstimator`]s.
+//! operations and queries over per-cluster serving slots.
 //!
 //! A shard owns the clusters the router's rendezvous hash assigned to
 //! it, each as an independent compacted sub-problem
-//! ([`ClusterWorld`]). All per-cluster serving state — the warm-start
-//! chain fit, the query-driven probe fit and its cache, the delta
-//! engine inside the estimator — mirrors the single-worker
-//! `QueryService` exactly, so a cluster's answers are a pure function
-//! of its membership and its batch history, never of which shard hosts
-//! it or when it was (re)built.
+//! ([`ClusterWorld`]) served by its own [`Slot`] — the same slot the
+//! serial worker runs over the global world, with the same chain fit,
+//! probe cache, counters, refit policy, and checkpoint. The shard adds
+//! only the global-to-local id remap. So a cluster's answers are a pure
+//! function of its membership and its batch history, never of which
+//! shard hosts it or when it was (re)built.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
-use socsense_core::{
-    bound_for_assertions_traced, BoundMethod, BoundResult, ClusterWorld, EmFit, EmFitBits,
-    RefitOutcome, RefitStats, SenseError, StreamingEstimator,
-};
+use socsense_core::{BoundMethod, BoundResult, ClusterWorld, SenseError, SourceParams};
 use socsense_graph::{FollowerGraph, TimedClaim};
 use socsense_obs::Obs;
 
-use crate::api::{ServeConfig, ServeError, SourceRank};
+use crate::api::{ServeConfig, ServeError};
 use crate::durable::ClusterSnapshot;
+use crate::slot::{Slot, SlotStats};
 
 /// A message from the router to one shard. FIFO delivery per shard is
 /// the consistency mechanism: an epoch marker or ingest enqueued before
@@ -75,8 +71,8 @@ pub(crate) enum ClusterOp {
     /// Remove a cluster merged away to another key.
     Drop { key: u32 },
     /// Install a cluster from a checkpoint (recovery): rebuild the
-    /// compacted world and restore the estimator, cached chain fit, and
-    /// counters bit-identically — no history replay.
+    /// compacted world and restore its slot bit-identically — no
+    /// history replay.
     Restore(Box<ClusterSnapshot>),
 }
 
@@ -92,6 +88,17 @@ pub(crate) struct ClusterAck {
     pub error: Option<SenseError>,
 }
 
+impl ClusterAck {
+    fn failed(key: u32, error: SenseError) -> Self {
+        Self {
+            key,
+            pending: 0,
+            refitted: false,
+            error: Some(error),
+        }
+    }
+}
+
 /// A query forwarded to one shard.
 // detlint: protocol
 pub(crate) enum ShardQuery {
@@ -99,7 +106,7 @@ pub(crate) enum ShardQuery {
     Posterior { key: u32, assertion: u32 },
     /// Posteriors of every assertion owned by this shard.
     Posteriors,
-    /// Precision ranks of every source owned by this shard.
+    /// Fitted parameters of every source owned by this shard.
     TopSources,
     /// Per-cluster bounds: `(key, global assertion ids)` groups.
     Bound {
@@ -117,70 +124,44 @@ pub(crate) enum ShardReply {
     Posterior(f64),
     /// `(global assertion, posterior)` pairs for owned assertions.
     Posteriors(Vec<(u32, f64)>),
-    /// Per-source entries (global ids), unranked; the router sorts.
-    TopSources(Vec<SourceRank>),
+    /// `(global source, fitted params, cluster prior z)` per owned
+    /// source, unranked; the router ranks.
+    TopSources(Vec<(u32, SourceParams, f64)>),
     /// `(key, bound, assertion count)` per requested group.
     Bound(Vec<(u32, BoundResult, usize)>),
-    Stats(ShardStatsPartial),
+    Stats(SlotStats),
     /// Checkpoint slices of every hosted cluster, ascending by key.
     Export(Vec<ClusterSnapshot>),
 }
 
-/// The most recent successful refit on a shard, ordered by
-/// `(epoch, key)` — within one ingest epoch clusters refit in key
-/// order, so the lexicographic maximum is "most recent".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub(crate) struct LastRefit {
-    pub epoch: u64,
-    pub key: u32,
-    pub iterations: usize,
-    pub touched_assertions: usize,
-    pub touched_sources: usize,
-    /// Whether the refit reported an exact log-likelihood. Last field
-    /// so the `(epoch, key)`-first lexicographic order is untouched.
-    pub ll_exact: bool,
-}
-
-/// Summable per-shard counter partials; the router folds them in shard
-/// order into one [`ServeStats`](crate::ServeStats).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ShardStatsPartial {
-    pub pending: usize,
-    pub chain_refits: u64,
-    pub probe_refits: u64,
-    pub probe_cache_hits: u64,
-    pub failed_refits: u64,
-    pub warm_refits: u64,
-    pub delta_refits: u64,
-    pub fallback_refits: u64,
-    pub last_refit: Option<LastRefit>,
-}
-
-/// Refit counters of one cluster. The replay-scoped half is reset by a
-/// `Build` (replaying history reconstructs it, keeping every counter a
-/// pure function of the cluster's batch history); the query-scoped half
-/// survives rebuilds, because queries are not replayed.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub(crate) struct SlotCounters {
-    chain_refits: u64,
-    warm_refits: u64,
-    delta_refits: u64,
-    fallback_refits: u64,
-    failed_refits: u64,
-    probe_refits: u64,
-    probe_cache_hits: u64,
-}
-
-/// One hosted cluster: compacted world, estimator, and cached fits.
+/// One hosted cluster: its compacted world and serving slot.
 struct ClusterSlot {
     world: ClusterWorld,
-    est: StreamingEstimator,
-    /// Fit of the last warm-start-chain refit.
-    chain_fit: Option<Arc<EmFit>>,
-    /// Query-driven probe fit, keyed on the claim count it covered.
-    probe_fit: Option<(usize, Arc<EmFit>)>,
-    counters: SlotCounters,
-    last_refit: Option<LastRefit>,
+    slot: Slot,
+}
+
+impl ClusterSlot {
+    /// Remaps a global-id sub-batch to local ids, ingests it, and
+    /// applies the slot's refit policy (the pending-claims debounce
+    /// counts this cluster's pending claims only). Returns whether the
+    /// chain advanced and the error, if any; a failed refit leaves the
+    /// claims ingested.
+    fn ingest(
+        &mut self,
+        claims: &[TimedClaim],
+        epoch: u64,
+        key: u32,
+    ) -> (bool, Option<SenseError>) {
+        let applied = self
+            .world
+            .localize_batch(claims)
+            .and_then(|local| self.slot.ingest(&local))
+            .and_then(|()| self.slot.refit_if_due(epoch, key));
+        match applied {
+            Ok(refitted) => (refitted, None),
+            Err(e) => (false, Some(e)),
+        }
+    }
 }
 
 /// The single-threaded owner of one shard's clusters.
@@ -195,6 +176,10 @@ pub(crate) struct ShardWorker {
     obs: Obs,
     /// Messages sent but not yet picked up (router increments).
     depth: Arc<AtomicUsize>,
+    /// `serve.shard.<idx>.queue.depth`, named once.
+    depth_gauge: String,
+    /// `serve.shard.<idx>.requests_total`, named once.
+    requests_counter: String,
 }
 
 impl ShardWorker {
@@ -213,22 +198,20 @@ impl ShardWorker {
             epoch: 0,
             obs,
             depth,
+            depth_gauge: format!("serve.shard.{idx}.queue.depth"),
+            requests_counter: format!("serve.shard.{idx}.requests_total"),
         }
     }
 
     pub(crate) fn run(mut self, rx: Receiver<ShardMsg>) {
         while let Ok(msg) = rx.recv() {
             let waiting = self.depth.fetch_sub(1, Ordering::Relaxed) - 1;
-            self.obs.gauge(
-                &format!("serve.shard.{}.queue.depth", self.idx),
-                waiting as f64,
-            );
+            self.obs.gauge(&self.depth_gauge, waiting as f64);
             match msg {
                 ShardMsg::Epoch(e) => self.epoch = e,
                 ShardMsg::Ingest { epoch, ops, reply } => {
                     self.epoch = epoch;
-                    self.obs
-                        .counter(&format!("serve.shard.{}.requests_total", self.idx), 1);
+                    self.obs.counter(&self.requests_counter, 1);
                     let acks = self.apply_ops(ops);
                     let _ = reply.send(ShardReturn {
                         shard: self.idx,
@@ -241,8 +224,7 @@ impl ShardWorker {
                     query,
                     reply,
                 } => {
-                    self.obs
-                        .counter(&format!("serve.shard.{}.requests_total", self.idx), 1);
+                    self.obs.counter(&self.requests_counter, 1);
                     let payload = if epoch == self.epoch {
                         self.answer(query)
                     } else {
@@ -282,60 +264,39 @@ impl ShardWorker {
         acks
     }
 
+    /// A fresh cluster over the given global members.
+    fn new_cluster(&self, sources: &[u32], assertions: &[u32]) -> Result<ClusterSlot, SenseError> {
+        let world = ClusterWorld::new(sources, assertions, &self.graph)?;
+        let slot = Slot::new(
+            world.source_count(),
+            world.assertion_count(),
+            world.graph().clone(),
+            &self.cfg,
+            self.obs.clone(),
+        )?;
+        Ok(ClusterSlot { world, slot })
+    }
+
     /// Installs a cluster from its checkpoint slice: same construction
-    /// path as [`build`](Self::build), but the estimator state, chain
-    /// fit, and counters come bit-exact from the snapshot instead of a
-    /// history replay.
+    /// path as [`build`](Self::build), but the slot state comes
+    /// bit-exact from the snapshot instead of a history replay.
     fn restore(&mut self, snap: ClusterSnapshot) -> ClusterAck {
         let key = snap.key;
-        let fail = |e: SenseError| ClusterAck {
-            key,
-            pending: 0,
-            refitted: false,
-            error: Some(e),
-        };
-        let world = match ClusterWorld::new(&snap.sources, &snap.assertions, &self.graph) {
-            Ok(w) => w,
-            Err(e) => return fail(e),
-        };
-        let mut est = match world.estimator(self.cfg.em) {
-            Ok(e) => e,
-            Err(e) => return fail(e),
-        };
-        if let Err(e) = est.set_warm_blend(self.cfg.warm_blend) {
-            return fail(e);
-        }
-        if let Err(e) = est.set_refit_mode(self.cfg.refit_mode) {
-            return fail(e);
-        }
-        est.set_obs(self.obs.clone());
-        if let Err(e) = est.restore_state(&snap.stream) {
-            return fail(e);
-        }
-        let chain_fit = match &snap.chain_fit {
-            Some(bits) => match bits.to_fit() {
-                Ok(fit) => Some(Arc::new(fit)),
-                Err(e) => return fail(e),
-            },
-            None => None,
-        };
-        let pending = est.pending();
-        self.clusters.insert(
-            key,
-            ClusterSlot {
-                world,
-                est,
-                chain_fit,
-                probe_fit: None,
-                counters: snap.counters,
-                last_refit: snap.last_refit,
-            },
-        );
-        ClusterAck {
-            key,
-            pending,
-            refitted: false,
-            error: None,
+        let restored = self
+            .new_cluster(&snap.sources, &snap.assertions)
+            .and_then(|mut cluster| cluster.slot.restore(&snap.slot).map(|()| cluster));
+        match restored {
+            Ok(cluster) => {
+                let pending = cluster.slot.pending();
+                self.clusters.insert(key, cluster);
+                ClusterAck {
+                    key,
+                    pending,
+                    refitted: false,
+                    error: None,
+                }
+            }
+            Err(e) => ClusterAck::failed(key, e),
         }
     }
 
@@ -351,58 +312,23 @@ impl ShardWorker {
         assertions: &[u32],
         batches: &[Vec<TimedClaim>],
     ) -> ClusterAck {
-        let preserved = self.clusters.remove(&key).map(|s| s.counters);
-        let fail = |e: SenseError| ClusterAck {
-            key,
-            pending: 0,
-            refitted: false,
-            error: Some(e),
+        let old = self.clusters.remove(&key);
+        let mut cluster = match self.new_cluster(sources, assertions) {
+            Ok(cluster) => cluster,
+            Err(e) => return ClusterAck::failed(key, e),
         };
-        let world = match ClusterWorld::new(sources, assertions, &self.graph) {
-            Ok(w) => w,
-            Err(e) => return fail(e),
-        };
-        let mut est = match world.estimator(self.cfg.em) {
-            Ok(e) => e,
-            Err(e) => return fail(e),
-        };
-        if let Err(e) = est.set_warm_blend(self.cfg.warm_blend) {
-            return fail(e);
+        if let Some(old) = &old {
+            cluster.slot.inherit_query_counters(&old.slot);
         }
-        if let Err(e) = est.set_refit_mode(self.cfg.refit_mode) {
-            return fail(e);
-        }
-        est.set_obs(self.obs.clone());
-        let mut slot = ClusterSlot {
-            world,
-            est,
-            chain_fit: None,
-            probe_fit: None,
-            counters: SlotCounters {
-                probe_refits: preserved.map_or(0, |c| c.probe_refits),
-                probe_cache_hits: preserved.map_or(0, |c| c.probe_cache_hits),
-                ..SlotCounters::default()
-            },
-            last_refit: None,
-        };
         let mut first_error = None;
         let mut last_refitted = false;
         for batch in batches {
-            let (refitted, err) = ingest_batch(
-                &mut slot,
-                batch,
-                self.cfg.refit_pending_claims,
-                key,
-                self.epoch,
-                &self.obs,
-            );
+            let (refitted, err) = cluster.ingest(batch, self.epoch, key);
             last_refitted = refitted;
-            if first_error.is_none() {
-                first_error = err;
-            }
+            first_error = first_error.or(err);
         }
-        let pending = slot.est.pending();
-        self.clusters.insert(key, slot);
+        let pending = cluster.slot.pending();
+        self.clusters.insert(key, cluster);
         ClusterAck {
             key,
             pending,
@@ -413,238 +339,96 @@ impl ShardWorker {
 
     fn append(&mut self, key: u32, claims: &[TimedClaim]) -> ClusterAck {
         let epoch = self.epoch;
-        let Some(slot) = self.clusters.get_mut(&key) else {
-            return ClusterAck {
-                key,
-                pending: 0,
-                refitted: false,
-                error: Some(SenseError::EmptyData),
-            };
+        let Some(cluster) = self.clusters.get_mut(&key) else {
+            return ClusterAck::failed(key, SenseError::EmptyData);
         };
-        let (refitted, error) = ingest_batch(
-            slot,
-            claims,
-            self.cfg.refit_pending_claims,
-            key,
-            epoch,
-            &self.obs,
-        );
+        let (refitted, error) = cluster.ingest(claims, epoch, key);
         ClusterAck {
             key,
-            pending: slot.est.pending(),
+            pending: cluster.slot.pending(),
             refitted,
             error,
         }
     }
 
+    fn cluster(&mut self, key: u32) -> Result<&mut ClusterSlot, ServeError> {
+        self.clusters
+            .get_mut(&key)
+            .ok_or(ServeError::Protocol("cluster not hosted on this shard"))
+    }
+
     fn answer(&mut self, query: ShardQuery) -> Result<ShardReply, ServeError> {
+        let epoch = self.epoch;
         match query {
             ShardQuery::Posterior { key, assertion } => {
-                let epoch = self.epoch;
-                let slot = self
-                    .clusters
-                    .get_mut(&key)
-                    .ok_or(ServeError::Protocol("cluster not hosted on this shard"))?;
-                let local = slot
+                let cluster = self.cluster(key)?;
+                let local = cluster
                     .world
                     .local_assertion(assertion)
                     .ok_or(ServeError::Protocol("assertion not in routed cluster"))?;
-                let fit = fresh_fit(slot, key, epoch, &self.obs)?;
+                let fit = cluster.slot.fresh_fit(epoch, key)?;
                 Ok(ShardReply::Posterior(fit.posterior[local as usize]))
             }
             ShardQuery::Posteriors => {
-                let epoch = self.epoch;
                 let mut out = Vec::new();
-                for (&key, slot) in &mut self.clusters {
-                    let fit = fresh_fit(slot, key, epoch, &self.obs)?;
+                for (&key, cluster) in &mut self.clusters {
+                    let fit = cluster.slot.fresh_fit(epoch, key)?;
                     for (local, p) in fit.posterior.iter().enumerate() {
-                        out.push((slot.world.global_assertion(local as u32), *p));
+                        out.push((cluster.world.global_assertion(local as u32), *p));
                     }
                 }
                 Ok(ShardReply::Posteriors(out))
             }
             ShardQuery::TopSources => {
-                let epoch = self.epoch;
                 let mut out = Vec::new();
-                for (&key, slot) in &mut self.clusters {
-                    let fit = fresh_fit(slot, key, epoch, &self.obs)?;
+                for (&key, cluster) in &mut self.clusters {
+                    let fit = cluster.slot.fresh_fit(epoch, key)?;
                     let z = fit.theta.z();
-                    for (local, s) in fit.theta.sources().iter().enumerate() {
-                        out.push(SourceRank {
-                            source: slot.world.global_sources()[local],
-                            precision: z * s.a / (z * s.a + (1.0 - z) * s.b),
-                            params: *s,
-                        });
-                    }
+                    let ids = cluster.world.global_sources();
+                    out.extend(
+                        ids.iter()
+                            .zip(fit.theta.sources())
+                            .map(|(&i, s)| (i, *s, z)),
+                    );
                 }
                 Ok(ShardReply::TopSources(out))
             }
             ShardQuery::Bound { groups, method } => {
-                let epoch = self.epoch;
                 let mut out = Vec::with_capacity(groups.len());
                 for (key, assertions) in groups {
-                    let slot = self
-                        .clusters
-                        .get_mut(&key)
-                        .ok_or(ServeError::Protocol("cluster not hosted on this shard"))?;
+                    let cluster = self.cluster(key)?;
                     let locals: Vec<u32> = assertions
                         .iter()
                         .map(|&j| {
-                            slot.world
+                            cluster
+                                .world
                                 .local_assertion(j)
                                 .ok_or(ServeError::Protocol("assertion not in routed cluster"))
                         })
                         .collect::<Result<_, _>>()?;
-                    let fit = fresh_fit(slot, key, epoch, &self.obs)?;
-                    let data = slot.est.snapshot();
-                    let bound = bound_for_assertions_traced(
-                        &data,
-                        &fit.theta,
-                        &method,
-                        &locals,
-                        self.cfg.parallelism,
-                        &self.obs,
-                    )?;
+                    let bound = cluster.slot.bound(&locals, &method, epoch, key)?;
                     out.push((key, bound, locals.len()));
                 }
                 Ok(ShardReply::Bound(out))
             }
             ShardQuery::Stats => {
-                let mut p = ShardStatsPartial::default();
-                for slot in self.clusters.values() {
-                    p.pending += slot.est.pending();
-                    p.chain_refits += slot.counters.chain_refits;
-                    p.probe_refits += slot.counters.probe_refits;
-                    p.probe_cache_hits += slot.counters.probe_cache_hits;
-                    p.failed_refits += slot.counters.failed_refits;
-                    p.warm_refits += slot.counters.warm_refits;
-                    p.delta_refits += slot.counters.delta_refits;
-                    p.fallback_refits += slot.counters.fallback_refits;
-                    p.last_refit = p.last_refit.max(slot.last_refit);
+                let mut stats = SlotStats::default();
+                for cluster in self.clusters.values() {
+                    stats.merge(cluster.slot.stats());
                 }
-                Ok(ShardReply::Stats(p))
+                Ok(ShardReply::Stats(stats))
             }
-            ShardQuery::Export => {
-                let mut out = Vec::with_capacity(self.clusters.len());
-                for (&key, slot) in &self.clusters {
-                    out.push(ClusterSnapshot {
+            ShardQuery::Export => Ok(ShardReply::Export(
+                self.clusters
+                    .iter()
+                    .map(|(&key, cluster)| ClusterSnapshot {
                         key,
-                        sources: slot.world.global_sources().to_vec(),
-                        assertions: slot.world.global_assertions().to_vec(),
-                        pending: slot.est.pending(),
-                        stream: slot.est.export_state(),
-                        chain_fit: slot.chain_fit.as_deref().map(EmFitBits::from_fit),
-                        counters: slot.counters,
-                        last_refit: slot.last_refit,
-                    });
-                }
-                Ok(ShardReply::Export(out))
-            }
-        }
-    }
-}
-
-/// Ingests one sub-batch into a cluster and applies the ingest-time
-/// refit policy — the exact `QueryService` worker behaviour scoped to
-/// one cluster (the pending-claims debounce counts this cluster's
-/// pending claims only).
-fn ingest_batch(
-    slot: &mut ClusterSlot,
-    claims: &[TimedClaim],
-    refit_pending_claims: usize,
-    key: u32,
-    epoch: u64,
-    obs: &Obs,
-) -> (bool, Option<SenseError>) {
-    let local = match slot.world.localize_batch(claims) {
-        Ok(l) => l,
-        Err(e) => return (false, Some(e)),
-    };
-    if let Err(e) = slot.est.ingest(&local) {
-        return (false, Some(e));
-    }
-    // The log changed: any cached probe is stale.
-    slot.probe_fit = None;
-    if refit_pending_claims > 0 && slot.est.pending() >= refit_pending_claims {
-        match slot.est.estimate_with_stats() {
-            Ok((fit, stats)) => {
-                slot.counters.chain_refits += 1;
-                obs.counter("serve.refit.chain_total", 1);
-                note_refit(slot, &stats, key, epoch, obs);
-                slot.chain_fit = Some(Arc::new(fit));
-                (true, None)
-            }
-            Err(e) => {
-                slot.counters.failed_refits += 1;
-                obs.counter("serve.refit.failed_total", 1);
-                (false, Some(e))
-            }
-        }
-    } else {
-        (false, None)
-    }
-}
-
-/// Per-refit bookkeeping shared by chain and probe refits.
-fn note_refit(slot: &mut ClusterSlot, stats: &RefitStats, key: u32, epoch: u64, obs: &Obs) {
-    if stats.warm {
-        slot.counters.warm_refits += 1;
-        obs.counter("serve.refit.warm_total", 1);
-    }
-    match stats.mode {
-        RefitOutcome::Full => {}
-        RefitOutcome::Delta => {
-            slot.counters.delta_refits += 1;
-            obs.counter("serve.refit.delta_total", 1);
-        }
-        RefitOutcome::Fallback => {
-            slot.counters.fallback_refits += 1;
-            obs.counter("serve.refit.fallback_total", 1);
-        }
-    }
-    slot.last_refit = Some(LastRefit {
-        epoch,
-        key,
-        iterations: stats.iterations,
-        touched_assertions: stats.touched_assertions,
-        touched_sources: stats.touched_sources,
-        ll_exact: stats.ll_exact,
-    });
-}
-
-/// The fit covering the cluster's full current log: the chain fit when
-/// nothing is pending, else a cached probe refit.
-fn fresh_fit(
-    slot: &mut ClusterSlot,
-    key: u32,
-    epoch: u64,
-    obs: &Obs,
-) -> Result<Arc<EmFit>, ServeError> {
-    if slot.est.pending() == 0 {
-        if let Some(fit) = &slot.chain_fit {
-            return Ok(Arc::clone(fit));
-        }
-    }
-    if let Some((at, fit)) = &slot.probe_fit {
-        if *at == slot.est.claim_count() {
-            slot.counters.probe_cache_hits += 1;
-            obs.counter("serve.cache.probe_hits_total", 1);
-            return Ok(Arc::clone(fit));
-        }
-    }
-    match slot.est.peek_estimate() {
-        Ok((fit, stats)) => {
-            slot.counters.probe_refits += 1;
-            obs.counter("serve.refit.probe_total", 1);
-            note_refit(slot, &stats, key, epoch, obs);
-            let fit = Arc::new(fit);
-            slot.probe_fit = Some((slot.est.claim_count(), Arc::clone(&fit)));
-            Ok(fit)
-        }
-        Err(e) => {
-            slot.counters.failed_refits += 1;
-            obs.counter("serve.refit.failed_total", 1);
-            Err(ServeError::Sense(e))
+                        sources: cluster.world.global_sources().to_vec(),
+                        assertions: cluster.world.global_assertions().to_vec(),
+                        slot: cluster.slot.checkpoint(),
+                    })
+                    .collect(),
+            )),
         }
     }
 }

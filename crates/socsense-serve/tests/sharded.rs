@@ -94,13 +94,23 @@ fn rank_bits(ranks: &[SourceRank]) -> Vec<(u32, u64, [u64; 4])> {
 /// the sharded tier at shard counts 1, 2, and 4 reproduces the
 /// unsharded `QueryService` bit for bit — acks, posteriors, source
 /// ranks, bounds, and operating statistics — in both full and delta
-/// refit modes.
+/// refit modes, and under a debounced (25) and a never-advancing (0)
+/// chain, where queries probe: probe refits, probe-cache hits, and
+/// pending counts must match too.
 #[test]
 fn single_cluster_world_matches_unsharded_service_bit_for_bit() {
     let configs = [
         ServeConfig::default(),
         ServeConfig {
             refit_mode: RefitMode::Delta(DeltaConfig::default()),
+            ..ServeConfig::default()
+        },
+        ServeConfig {
+            refit_pending_claims: 25,
+            ..ServeConfig::default()
+        },
+        ServeConfig {
+            refit_pending_claims: 0,
             ..ServeConfig::default()
         },
     ];
