@@ -26,11 +26,11 @@
 
 use serde::{Deserialize, Serialize};
 
-use socsense_matrix::logprob::{log_sum_exp2, normalize_log_pair, safe_ln, safe_ln_1m};
+use socsense_matrix::logprob::{safe_ln, safe_ln_1m};
 use socsense_matrix::parallel::{par_map_collect, par_map_reduce, Parallelism};
 
 use crate::data::ClaimData;
-use crate::em::{EmConfig, EmFit};
+use crate::em::{apply_m_step, EmConfig, EmFit};
 use crate::error::SenseError;
 use crate::likelihood::LikelihoodTables;
 use crate::model::{SourceParams, Theta};
@@ -221,14 +221,12 @@ impl DeltaEngine {
     ) -> Self {
         let n = data.source_count();
         let m = data.assertion_count();
-        let tables = LikelihoodTables::new(&fit.theta);
-        let ln_z = safe_ln(fit.theta.z());
-        let ln_1z = safe_ln_1m(fit.theta.z());
+        let tables = LikelihoodTables::for_data(&fit.theta, data);
         let ll_terms: Vec<f64> = (0..m)
             .map(|j| {
-                let (ln1, ln0) =
-                    tables.column_log_likelihood(data.sc().col(j as u32), data.d().col(j as u32));
-                log_sum_exp2(ln1 + ln_z, ln0 + ln_1z)
+                tables
+                    .column(data.sc().col(j as u32), data.d().col(j as u32))
+                    .log_marginal
             })
             .collect();
         let sc_rows: Vec<Vec<u32>> = (0..n).map(|i| data.sc().row(i as u32).to_vec()).collect();
@@ -415,9 +413,10 @@ impl DeltaEngine {
     /// untouched can contain one of their cells.
     ///
     /// Mirrors the full EM loop of `run_em_with` — E-step, M-step with
-    /// hierarchical shrinkage, `max |Δθ| < tol` convergence, and a final
-    /// cache pass under the final `θ` — except that the E-step touches
-    /// only `touched` and the M-step reads the incremental sums.
+    /// hierarchical shrinkage (the same `apply_m_step`), `max |Δθ| < tol`
+    /// convergence, and a pass under the final `θ` — except that the
+    /// E-step touches only `touched` and the M-step reads the
+    /// incremental sums.
     pub(crate) fn refit(
         &mut self,
         em: &EmConfig,
@@ -426,21 +425,21 @@ impl DeltaEngine {
         new_claims: usize,
     ) -> Result<DeltaRefitReport, SenseError> {
         let start = self.theta.clone();
+        let mut next = self.theta.clone();
         let mut iterations = 0;
         let mut converged = false;
         for _ in 0..em.max_iters {
             iterations += 1;
             self.scoped_e_step(em.parallelism, touched);
-            let next = self.m_step(em);
-            let delta = self.theta.max_abs_diff(&next)?;
-            self.theta = next;
+            let delta = self.m_step(em, &mut next);
+            std::mem::swap(&mut self.theta, &mut next);
             if delta < em.tol {
                 converged = true;
                 break;
             }
         }
-        // Final cache pass under the final θ (the full path recomputes
-        // its posterior the same way after the loop exits).
+        // Final cache pass under the final θ (the full path's last pass
+        // in its loop runs at that θ too).
         self.scoped_e_step(em.parallelism, touched);
 
         // Staleness accounting: the chain's logit-shift accumulator
@@ -617,9 +616,7 @@ impl DeltaEngine {
     /// to what the full warm path would report over the same data, at
     /// every parallelism level.
     fn exact_log_likelihood(&self, par: Parallelism) -> f64 {
-        let tables = LikelihoodTables::new(&self.theta);
-        let ln_z = safe_ln(self.theta.z());
-        let ln_1z = safe_ln_1m(self.theta.z());
+        let tables = self.tables();
         par_map_reduce(
             par,
             self.posterior.len(),
@@ -627,13 +624,23 @@ impl DeltaEngine {
             |range| {
                 let mut sum = 0.0;
                 for j in range {
-                    let (ln1, ln0) =
-                        tables.column_log_likelihood(&self.sc_cols[j], &self.d_cols[j]);
-                    sum += log_sum_exp2(ln1 + ln_z, ln0 + ln_1z);
+                    sum += tables
+                        .column(&self.sc_cols[j], &self.d_cols[j])
+                        .log_marginal;
                 }
                 sum
             },
             |a, b| a + b,
+        )
+    }
+
+    /// Likelihood tables for the current `θ` over the adjacency mirror,
+    /// holding only the terms its cells read.
+    fn tables(&self) -> LikelihoodTables {
+        LikelihoodTables::compact(
+            &self.theta,
+            |i| !self.sc_rows[i].is_empty(),
+            |i| !self.d_rows[i].is_empty(),
         )
     }
 
@@ -645,17 +652,14 @@ impl DeltaEngine {
     /// fixed-chunk helpers, and the (order-sensitive) sum updates apply
     /// serially in that same order — `Serial` ≡ `Threads(n)` bit for bit.
     fn scoped_e_step(&mut self, par: Parallelism, touched: &[u32]) {
-        let tables = LikelihoodTables::new(&self.theta);
-        let ln_z = safe_ln(self.theta.z());
-        let ln_1z = safe_ln_1m(self.theta.z());
-        let evals: Vec<(f64, f64)> = par_map_collect(par, touched.len(), |k| {
+        let tables = self.tables();
+        let evals = par_map_collect(par, touched.len(), |k| {
             let j = touched[k] as usize;
-            tables.column_log_likelihood(&self.sc_cols[j], &self.d_cols[j])
+            tables.column(&self.sc_cols[j], &self.d_cols[j])
         });
-        for (k, (ln1, ln0)) in evals.into_iter().enumerate() {
+        for (k, eval) in evals.into_iter().enumerate() {
             let j = touched[k] as usize;
-            let (w1, w0) = (ln1 + ln_z, ln0 + ln_1z);
-            let z_new = normalize_log_pair(w1, w0).0;
+            let z_new = eval.posterior;
             let z_old = self.posterior[j];
             let dz = z_new - z_old;
             if dz != 0.0 {
@@ -677,19 +681,18 @@ impl DeltaEngine {
                 }
                 self.posterior[j] = z_new;
             }
-            self.log_odds[j] = w1 - w0;
-            self.ll_terms[j] = log_sum_exp2(w1, w0);
+            self.log_odds[j] = eval.log_odds;
+            self.ll_terms[j] = eval.log_marginal;
         }
     }
 
     /// The dependency-split M-step (Eqs. 24–28) from the incremental
-    /// sums — same formula, population shrinkage, degenerate-denominator
-    /// fallback, and clamping as the full path's M-step, at `O(n)`.
-    fn m_step(&self, em: &EmConfig) -> Theta {
-        let n = self.sums.len();
+    /// sums, written into `next` by the full path's own update
+    /// ([`apply_m_step`]) at `O(n)`. Returns `max |Δθ|` from the
+    /// engine's `θ` to `next`.
+    fn m_step(&self, em: &EmConfig, next: &mut Theta) -> f64 {
         let m = self.posterior.len() as f64;
         let sum_y = m - self.sum_z;
-        let mut next = self.theta.clone();
         let counts: Vec<[f64; 8]> = self
             .sums
             .iter()
@@ -709,46 +712,7 @@ impl DeltaEngine {
                 ]
             })
             .collect();
-        let mut pop = [0.0f64; 8];
-        for c in &counts {
-            for (p, v) in pop.iter_mut().zip(c) {
-                *p += v;
-            }
-        }
-        let pop_rate = |k: usize| {
-            if pop[2 * k + 1] > 1e-12 {
-                pop[2 * k] / pop[2 * k + 1]
-            } else {
-                0.5
-            }
-        };
-        let pop_rates = [pop_rate(0), pop_rate(1), pop_rate(2), pop_rate(3)];
-        let s = em.smoothing;
-        for (i, c) in counts.iter().enumerate().take(n) {
-            let prev = *self.theta.source(i);
-            let fallback = [prev.a, prev.b, prev.f, prev.g];
-            let mut vals = [0.0f64; 4];
-            for k in 0..4 {
-                let (num, den) = (c[2 * k], c[2 * k + 1]);
-                vals[k] = if den + s > 1e-12 {
-                    (num + s * pop_rates[k]) / (den + s)
-                } else {
-                    fallback[k]
-                };
-            }
-            next.set_source(
-                i,
-                SourceParams {
-                    a: vals[0],
-                    b: vals[1],
-                    f: vals[2],
-                    g: vals[3],
-                },
-            );
-        }
-        next.set_z(self.sum_z / m);
-        next.clamp_in_place(em.eps);
-        next
+        apply_m_step(em, &self.theta, &counts, self.sum_z / m, next)
     }
 }
 

@@ -14,17 +14,25 @@
 //!
 //! Denominators are computed sparsely: `Σ_{j: D=0} Z_j = Σ_j Z_j - Σ_{j ∈
 //! D-row(i)} Z_j`, so one iteration costs `O(nnz(SC) + nnz(D) + n + m)`.
+//!
+//! Each `θ` the loop visits gets exactly one pass over the assertions.
+//! The pass at `θₜ₊₁` writes the posterior the next M-step reads and the
+//! log-odds, and sums the observed-data log-likelihood (Eq. 7) that
+//! `ll_history[t]` records, chunk by chunk like
+//! [`data_log_likelihood_with`](crate::data_log_likelihood_with). The
+//! pass at the final `θ` is therefore the fit's answer, and nothing runs
+//! after the loop. The M-step writes into buffers allocated once per run.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use socsense_matrix::parallel::{par_fill, par_map_collect, Parallelism};
+use socsense_matrix::parallel::{par_fill, par_fill_reduce, par_map_collect, Parallelism};
 use socsense_obs::Obs;
 
 use crate::data::ClaimData;
 use crate::error::SenseError;
-use crate::likelihood::{data_log_likelihood_with, LikelihoodTables};
+use crate::likelihood::{ColumnFit, LikelihoodTables};
 use crate::model::{SourceParams, Theta};
 
 /// How the EM parameters are initialised.
@@ -337,123 +345,28 @@ impl EmExt {
         // so only commutative emissions (counters, observations) are
         // made here — recorded totals stay deterministic.
         let _run_timer = self.obs.timer("em.run.seconds");
-        let n = data.source_count();
-        let m = data.assertion_count();
-        let eps = self.config.eps;
         let mut theta = start;
-        let mut posterior = vec![0.5; m];
+        // Buffers every iteration reuses: the pass's output per
+        // assertion, the M-step counts per source, and the next θ.
+        let mut columns = vec![ColumnFit::default(); data.assertion_count()];
+        let mut counts = vec![[0.0f64; 8]; data.source_count()];
+        let mut next = theta.clone();
         let mut ll_history = Vec::new();
         let mut converged = false;
         let mut iterations = 0;
         let mut last_delta = f64::INFINITY;
 
+        // E-step (Eq. 9) at the starting θ; its log-likelihood is not
+        // part of the history.
+        column_pass(data, &theta, par, &mut columns);
         for _ in 0..self.config.max_iters {
             iterations += 1;
-
-            // E-step (Eq. 9). Each posterior reads one column, so the
-            // fill parallelises over fixed index chunks.
-            let tables = LikelihoodTables::new(&theta);
-            par_fill(par, &mut posterior, |j| {
-                tables.column_posterior(data.sc().col(j as u32), data.d().col(j as u32))
-            });
-
-            // M-step (Eqs. 24–28), sparse form. Pass 1 accumulates the
-            // posterior-weighted claim counts and exposures per source
-            // (plus population totals); pass 2 applies the optional
-            // hierarchical shrinkage toward the population rates.
-            let sum_z: f64 = posterior.iter().sum();
-            let sum_y = m as f64 - sum_z;
-            let mut next = theta.clone();
-            // [num_a, den_a, num_b, den_b, num_f, den_f, num_g, den_g],
-            // one partial accumulator per source, computed in parallel
-            // and collected in source order.
-            let counts: Vec<[f64; 8]> = par_map_collect(par, n, |iu| {
-                let i = iu as u32;
-                let mut dep_z = 0.0;
-                let mut dep_cells = 0usize;
-                for &j in data.d().row(i) {
-                    dep_z += posterior[j as usize];
-                    dep_cells += 1;
-                }
-                let dep_y = dep_cells as f64 - dep_z;
-
-                let (mut num_a, mut num_b, mut num_f, mut num_g) = (0.0, 0.0, 0.0, 0.0);
-                // Merge SC-row with D-row to split claims by dependency.
-                let dep_row = data.d().row(i);
-                let mut dep_iter = dep_row.iter().peekable();
-                for &j in data.sc().row(i) {
-                    while dep_iter.peek().is_some_and(|&&dj| dj < j) {
-                        dep_iter.next();
-                    }
-                    let is_dep = dep_iter.peek() == Some(&&j);
-                    let zj = posterior[j as usize];
-                    if is_dep {
-                        num_f += zj;
-                        num_g += 1.0 - zj;
-                    } else {
-                        num_a += zj;
-                        num_b += 1.0 - zj;
-                    }
-                }
-
-                [
-                    num_a,
-                    sum_z - dep_z,
-                    num_b,
-                    sum_y - dep_y,
-                    num_f,
-                    dep_z,
-                    num_g,
-                    dep_y,
-                ]
-            });
-            // Population totals fold in source order — the same order
-            // the sequential loop summed them in.
-            let mut pop = [0.0f64; 8];
-            for c in &counts {
-                for (p, v) in pop.iter_mut().zip(c) {
-                    *p += v;
-                }
-            }
-            // Population rates per parameter (num totals over den totals).
-            let pop_rate = |k: usize| {
-                if pop[2 * k + 1] > 1e-12 {
-                    pop[2 * k] / pop[2 * k + 1]
-                } else {
-                    0.5
-                }
-            };
-            let pop_rates = [pop_rate(0), pop_rate(1), pop_rate(2), pop_rate(3)];
-            let s = self.config.smoothing;
-            for (i, c) in counts.iter().enumerate() {
-                let prev = *theta.source(i);
-                let fallback = [prev.a, prev.b, prev.f, prev.g];
-                let mut vals = [0.0f64; 4];
-                for k in 0..4 {
-                    let (num, den) = (c[2 * k], c[2 * k + 1]);
-                    vals[k] = if den + s > 1e-12 {
-                        (num + s * pop_rates[k]) / (den + s)
-                    } else {
-                        fallback[k]
-                    };
-                }
-                next.set_source(
-                    i,
-                    SourceParams {
-                        a: vals[0],
-                        b: vals[1],
-                        f: vals[2],
-                        g: vals[3],
-                    },
-                );
-            }
-            next.set_z(sum_z / m as f64);
-            next.clamp_in_place(eps);
-
-            let delta = theta.max_abs_diff(&next)?;
-            theta = next;
+            let delta = self.m_step(data, &theta, &columns, &mut counts, &mut next, par);
+            std::mem::swap(&mut theta, &mut next);
             last_delta = delta;
-            ll_history.push(data_log_likelihood_with(data, &theta, par)?);
+            // The pass at the new θ: the next E-step and this
+            // iteration's log-likelihood at once.
+            ll_history.push(column_pass(data, &theta, par, &mut columns));
             if delta < self.config.tol {
                 converged = true;
                 break;
@@ -473,34 +386,442 @@ impl EmExt {
             }
         }
 
-        // Final posterior (and its log-odds) under the final θ.
-        let tables = LikelihoodTables::new(&theta);
-        let mut log_odds = vec![0.0; m];
-        par_fill(par, &mut posterior, |j| {
-            tables.column_posterior(data.sc().col(j as u32), data.d().col(j as u32))
-        });
-        par_fill(par, &mut log_odds, |j| {
-            tables.column_log_odds(data.sc().col(j as u32), data.d().col(j as u32))
-        });
         // detlint: allow(P1) -- EM runs at least one iteration (max_iters >= 1 is config-validated), so the history is nonempty
         let log_likelihood = *ll_history.last().expect("at least one iteration ran");
         Ok(EmFit {
             theta,
-            posterior,
+            posterior: columns.iter().map(|c| c.posterior).collect(),
             log_likelihood,
             iterations,
             converged,
             ll_history,
-            log_odds,
+            log_odds: columns.iter().map(|c| c.log_odds).collect(),
         })
     }
+
+    /// M-step (Eqs. 24–28), sparse form: accumulates each source's
+    /// posterior-weighted claim counts and exposures into `counts`, then
+    /// writes `θₜ₊₁` into `next` via [`apply_m_step`]. Returns
+    /// `max |Δθ|` from `theta` to `next`.
+    fn m_step(
+        &self,
+        data: &ClaimData,
+        theta: &Theta,
+        columns: &[ColumnFit],
+        counts: &mut [[f64; 8]],
+        next: &mut Theta,
+        par: Parallelism,
+    ) -> f64 {
+        let m = columns.len() as f64;
+        let sum_z: f64 = columns.iter().map(|c| c.posterior).sum();
+        let sum_y = m - sum_z;
+        // Each source's counts read only its own rows, so the fill
+        // parallelises over fixed source chunks.
+        par_fill(par, counts, |iu| {
+            let i = iu as u32;
+            let mut dep_z = 0.0;
+            let mut dep_cells = 0usize;
+            for &j in data.d().row(i) {
+                dep_z += columns[j as usize].posterior;
+                dep_cells += 1;
+            }
+            let dep_y = dep_cells as f64 - dep_z;
+
+            let (mut num_a, mut num_b, mut num_f, mut num_g) = (0.0, 0.0, 0.0, 0.0);
+            // Merge SC-row with D-row to split claims by dependency.
+            let dep_row = data.d().row(i);
+            let mut dep_iter = dep_row.iter().peekable();
+            for &j in data.sc().row(i) {
+                while dep_iter.peek().is_some_and(|&&dj| dj < j) {
+                    dep_iter.next();
+                }
+                let is_dep = dep_iter.peek() == Some(&&j);
+                let zj = columns[j as usize].posterior;
+                if is_dep {
+                    num_f += zj;
+                    num_g += 1.0 - zj;
+                } else {
+                    num_a += zj;
+                    num_b += 1.0 - zj;
+                }
+            }
+
+            [
+                num_a,
+                sum_z - dep_z,
+                num_b,
+                sum_y - dep_y,
+                num_f,
+                dep_z,
+                num_g,
+                dep_y,
+            ]
+        });
+        apply_m_step(&self.config, theta, counts, sum_z / m, next)
+    }
+}
+
+/// One pass over the assertions under `theta`: writes every column's
+/// posterior (Eq. 9), log-odds and Eq. 7 term into `columns` and returns
+/// the observed-data log-likelihood. The Eq. 7 terms are summed within
+/// the fixed chunks and the chunk sums folded in chunk order from `0.0`,
+/// the same sum as
+/// [`data_log_likelihood_with`](crate::data_log_likelihood_with).
+fn column_pass(
+    data: &ClaimData,
+    theta: &Theta,
+    par: Parallelism,
+    columns: &mut [ColumnFit],
+) -> f64 {
+    let tables = LikelihoodTables::for_data(theta, data);
+    par_fill_reduce(
+        par,
+        columns,
+        0.0,
+        |range, out| {
+            let mut sum = 0.0;
+            for (cell, j) in out.iter_mut().zip(range) {
+                *cell = tables.column(data.sc().col(j as u32), data.d().col(j as u32));
+                sum += cell.log_marginal;
+            }
+            sum
+        },
+        |a, b| a + b,
+    )
+}
+
+/// The M-step's update from per-source sufficient statistics, shared by
+/// the full loop and the delta engine.
+///
+/// `counts[i]` is `[num_a, den_a, num_b, den_b, num_f, den_f, num_g,
+/// den_g]` for source `i`. Each rate becomes `(num + s·pop) / (den + s)`
+/// with the population rate `pop` (numerator totals over denominator
+/// totals, folded in source order) and `s = config.smoothing`; a rate
+/// whose `den + s` vanishes keeps its value from `theta`. The prior
+/// becomes `z`. Every value is clamped into `[eps, 1 − eps]` and written
+/// into `next`, which must cover as many sources as `theta`. Returns
+/// `max |Δθ|` from `theta` to `next`, taken over `z` first and then the
+/// sources in order, as [`Theta::max_abs_diff`] does.
+pub(crate) fn apply_m_step(
+    config: &EmConfig,
+    theta: &Theta,
+    counts: &[[f64; 8]],
+    z: f64,
+    next: &mut Theta,
+) -> f64 {
+    let mut pop = [0.0f64; 8];
+    for c in counts {
+        for (p, v) in pop.iter_mut().zip(c) {
+            *p += v;
+        }
+    }
+    // Population rates per parameter (num totals over den totals).
+    let pop_rate = |k: usize| {
+        if pop[2 * k + 1] > 1e-12 {
+            pop[2 * k] / pop[2 * k + 1]
+        } else {
+            0.5
+        }
+    };
+    let pop_rates = [pop_rate(0), pop_rate(1), pop_rate(2), pop_rate(3)];
+    let (s, eps) = (config.smoothing, config.eps);
+    let z = z.clamp(eps, 1.0 - eps);
+    next.set_z(z);
+    let mut delta = (theta.z() - z).abs();
+    for (i, c) in counts.iter().enumerate() {
+        let prev = *theta.source(i);
+        let fallback = [prev.a, prev.b, prev.f, prev.g];
+        let mut vals = [0.0f64; 4];
+        for k in 0..4 {
+            let (num, den) = (c[2 * k], c[2 * k + 1]);
+            vals[k] = if den + s > 1e-12 {
+                (num + s * pop_rates[k]) / (den + s)
+            } else {
+                fallback[k]
+            };
+        }
+        let p = SourceParams {
+            a: vals[0],
+            b: vals[1],
+            f: vals[2],
+            g: vals[3],
+        }
+        .clamped(eps);
+        delta = delta
+            .max((prev.a - p.a).abs())
+            .max((prev.b - p.b).abs())
+            .max((prev.f - p.f).abs())
+            .max((prev.g - p.g).abs());
+        next.set_source(i, p);
+    }
+    delta
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::likelihood::column_log_likelihood_reference;
     use crate::model::classify;
+    use proptest::prelude::*;
+    use socsense_matrix::logprob::{log_sum_exp2, normalize_log_pair, safe_ln, safe_ln_1m};
+    use socsense_matrix::parallel::par_map_reduce;
     use socsense_matrix::SparseBinaryMatrix;
+
+    /// The three-pass EM loop over the reference kernel, which the fused
+    /// loop must match bit for bit: per iteration an E-step, the M-step,
+    /// and a separate log-likelihood pass at the new θ; after the loop,
+    /// one posterior pass and one log-odds pass at the final θ.
+    fn reference_run(em: &EmExt, data: &ClaimData, start: Theta) -> EmFit {
+        let cfg = em.config();
+        let par = Parallelism::Serial;
+        let n = data.source_count();
+        let m = data.assertion_count();
+        let weights = |theta: &Theta, j: usize| {
+            let (ln1, ln0) = column_log_likelihood_reference(
+                theta,
+                data.sc().col(j as u32),
+                data.d().col(j as u32),
+            );
+            (ln1 + safe_ln(theta.z()), ln0 + safe_ln_1m(theta.z()))
+        };
+        let posteriors = |theta: &Theta| {
+            par_map_collect(par, m, |j| {
+                let (w1, w0) = weights(theta, j);
+                normalize_log_pair(w1, w0).0
+            })
+        };
+        let log_likelihood = |theta: &Theta| {
+            par_map_reduce(
+                par,
+                m,
+                0.0,
+                |range| {
+                    let mut sum = 0.0;
+                    for j in range {
+                        let (w1, w0) = weights(theta, j);
+                        sum += log_sum_exp2(w1, w0);
+                    }
+                    sum
+                },
+                |a, b| a + b,
+            )
+        };
+
+        let mut theta = start;
+        let mut ll_history = Vec::new();
+        let mut converged = false;
+        let mut iterations = 0;
+        for _ in 0..cfg.max_iters {
+            iterations += 1;
+            let posterior = posteriors(&theta);
+            let sum_z: f64 = posterior.iter().sum();
+            let sum_y = m as f64 - sum_z;
+            let mut next = theta.clone();
+            let counts: Vec<[f64; 8]> = par_map_collect(par, n, |iu| {
+                let i = iu as u32;
+                let mut dep_z = 0.0;
+                let mut dep_cells = 0usize;
+                for &j in data.d().row(i) {
+                    dep_z += posterior[j as usize];
+                    dep_cells += 1;
+                }
+                let dep_y = dep_cells as f64 - dep_z;
+                let (mut num_a, mut num_b, mut num_f, mut num_g) = (0.0, 0.0, 0.0, 0.0);
+                for &j in data.sc().row(i) {
+                    let zj = posterior[j as usize];
+                    if data.dependent(i, j) {
+                        num_f += zj;
+                        num_g += 1.0 - zj;
+                    } else {
+                        num_a += zj;
+                        num_b += 1.0 - zj;
+                    }
+                }
+                [
+                    num_a,
+                    sum_z - dep_z,
+                    num_b,
+                    sum_y - dep_y,
+                    num_f,
+                    dep_z,
+                    num_g,
+                    dep_y,
+                ]
+            });
+            let mut pop = [0.0f64; 8];
+            for c in &counts {
+                for (p, v) in pop.iter_mut().zip(c) {
+                    *p += v;
+                }
+            }
+            let pop_rate = |k: usize| {
+                if pop[2 * k + 1] > 1e-12 {
+                    pop[2 * k] / pop[2 * k + 1]
+                } else {
+                    0.5
+                }
+            };
+            let s = cfg.smoothing;
+            for (i, c) in counts.iter().enumerate() {
+                let prev = *theta.source(i);
+                let fallback = [prev.a, prev.b, prev.f, prev.g];
+                let mut vals = [0.0f64; 4];
+                for k in 0..4 {
+                    let (num, den) = (c[2 * k], c[2 * k + 1]);
+                    vals[k] = if den + s > 1e-12 {
+                        (num + s * pop_rate(k)) / (den + s)
+                    } else {
+                        fallback[k]
+                    };
+                }
+                let [a, b, f, g] = vals;
+                next.set_source(i, SourceParams { a, b, f, g });
+            }
+            next.set_z(sum_z / m as f64);
+            next.clamp_in_place(cfg.eps);
+            let delta = theta.max_abs_diff(&next).unwrap();
+            theta = next;
+            ll_history.push(log_likelihood(&theta));
+            if delta < cfg.tol {
+                converged = true;
+                break;
+            }
+        }
+        let posterior = posteriors(&theta);
+        let log_odds = (0..m)
+            .map(|j| {
+                let (w1, w0) = weights(&theta, j);
+                w1 - w0
+            })
+            .collect();
+        EmFit {
+            theta,
+            posterior,
+            log_likelihood: *ll_history.last().unwrap(),
+            iterations,
+            converged,
+            ll_history,
+            log_odds,
+        }
+    }
+
+    /// [`EmExt::fit`] over [`reference_run`]: every init in order, the
+    /// earliest best log-likelihood kept.
+    fn reference_fit(em: &EmExt, data: &ClaimData) -> EmFit {
+        let inits = match em.config().init {
+            InitStrategy::Auto => vec![InitStrategy::ClaimRateBiased, InitStrategy::DepBiased],
+            other => vec![other],
+        };
+        let mut best: Option<EmFit> = None;
+        for init in inits {
+            let fit = reference_run(em, data, em.initial_theta(data, init));
+            if best
+                .as_ref()
+                .is_none_or(|b| fit.log_likelihood > b.log_likelihood)
+            {
+                best = Some(fit);
+            }
+        }
+        best.unwrap()
+    }
+
+    /// Everything a fit serves, as bits.
+    type FitBits = (Vec<u64>, Vec<u64>, Vec<u64>, Vec<u64>, u64, usize, bool);
+
+    fn fit_bits(fit: &EmFit) -> FitBits {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let theta: Vec<f64> = fit
+            .theta
+            .sources()
+            .iter()
+            .flat_map(|s| [s.a, s.b, s.f, s.g])
+            .chain([fit.theta.z()])
+            .collect();
+        (
+            bits(&theta),
+            bits(&fit.posterior),
+            bits(&fit.log_odds),
+            bits(&fit.ll_history),
+            fit.log_likelihood.to_bits(),
+            fit.iterations,
+            fit.converged,
+        )
+    }
+
+    /// A random world of `n` claiming sources plus one that never
+    /// claims (but may hold dependent cells), with `D` cells only when
+    /// `with_d`. Up to 150 assertions, so the log-likelihood chunks hold
+    /// several terms each.
+    fn random_world() -> impl Strategy<Value = ClaimData> {
+        (1u32..8, 1u32..150, 0u32..2).prop_flat_map(|(n, m, with_d)| {
+            let sc = proptest::collection::vec((0..n, 0..m), 1..150);
+            let d = proptest::collection::vec((0..n + 1, 0..m), 0..(1 + 60 * with_d as usize));
+            (Just(n + 1), Just(m), sc, d).prop_map(|(rows, m, sc, d)| {
+                ClaimData::new(
+                    SparseBinaryMatrix::from_entries(rows, m, sc),
+                    SparseBinaryMatrix::from_entries(rows, m, d),
+                )
+                .expect("shapes match")
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// One pass per θ serves the same bits as the three-pass loop:
+        /// θ, posterior, log-odds, `ll_history`, log-likelihood,
+        /// iteration count and convergence, at every parallelism level.
+        /// Each world runs at smoothing 0 and 2 and at 1, 3 and 200
+        /// iterations, cold from `Auto` or `Random` or warm from a
+        /// random θ.
+        #[test]
+        #[cfg_attr(miri, ignore = "EM sweep is too slow under Miri")]
+        fn fused_loop_matches_the_three_pass_reference(
+            data in random_world(),
+            start in 0u32..3,
+            seed in 0u64..1000,
+        ) {
+            let warm_start = (start == 2).then(|| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                Theta::random(data.source_count(), &mut rng)
+            });
+            for smoothing in [0.0, 2.0] {
+                for max_iters in [1, 3, 200] {
+                    let config = EmConfig {
+                        smoothing,
+                        max_iters,
+                        init: if start == 0 {
+                            InitStrategy::Auto
+                        } else {
+                            InitStrategy::Random { seed }
+                        },
+                        ..EmConfig::default()
+                    };
+                    let want = match &warm_start {
+                        Some(theta) => reference_run(&EmExt::new(config), &data, theta.clone()),
+                        None => reference_fit(&EmExt::new(config), &data),
+                    };
+                    prop_assert_eq!(want.ll_history.len(), want.iterations);
+                    for par in [Parallelism::Serial, Parallelism::Threads(2), Parallelism::Threads(4)] {
+                        let em = EmExt::new(EmConfig { parallelism: par, ..config });
+                        let got = match &warm_start {
+                            Some(theta) => em.fit_warm(&data, theta.clone()).unwrap(),
+                            None => em.fit(&data).unwrap(),
+                        };
+                        prop_assert_eq!(
+                            fit_bits(&got),
+                            fit_bits(&want),
+                            "{:?}, smoothing {}, max_iters {}",
+                            par,
+                            smoothing,
+                            max_iters
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     /// 6 sources: 0..3 reliable (claim true assertions 0..4),
     /// 4..5 liars (claim false assertions 5..9).

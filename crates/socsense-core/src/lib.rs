@@ -73,7 +73,8 @@ pub use em::{EmConfig, EmExt, EmFit, InitStrategy};
 pub use error::SenseError;
 pub use likelihood::{
     assertion_log_likelihoods, assertion_log_likelihoods_with, assertion_posteriors,
-    assertion_posteriors_with, data_log_likelihood, data_log_likelihood_with, LikelihoodTables,
+    assertion_posteriors_with, data_log_likelihood, data_log_likelihood_with, ColumnFit,
+    LikelihoodTables,
 };
 pub use model::{classify, SourceParams, Theta};
 pub use state::{DeltaEngineState, EmFitBits, StreamingState, ThetaBits};

@@ -1,4 +1,4 @@
-//! Log-likelihood kernels (Eqs. 4, 5, and 9 of the paper).
+//! Log-likelihood kernels (Eqs. 4, 5, 7 and 9 of the paper).
 //!
 //! The naive evaluation of `P(SC_j | C_j; D, θ)` multiplies one Bernoulli
 //! factor per source per assertion — `O(n·m)` per EM iteration, which is
@@ -11,29 +11,46 @@
 //! 2. for every claim (column of `SC`), switch the silent factor to the
 //!    claiming one (`a_i`, `f_i`, `b_i`, or `g_i` according to `D`).
 //!
-//! Total cost per iteration is `O(nnz(SC) + nnz(D))`.
+//! Total cost per pass is `O(nnz(SC) + nnz(D))`. [`LikelihoodTables`]
+//! holds the six correction terms of each source in one row, and
+//! [`LikelihoodTables::column`] turns a column's pair of log-likelihoods
+//! into everything a pass over the assertions needs at once: the
+//! posterior (Eq. 9), the log-odds, and the column's term of the
+//! observed-data log-likelihood (Eq. 7). EM-Ext, the delta engine and the
+//! functions below all evaluate columns through it.
 
-use socsense_matrix::logprob::{log_sum_exp2, normalize_log_pair, safe_ln, safe_ln_1m};
+use socsense_matrix::logprob::{log_sum_exp2, safe_ln, safe_ln_1m};
 use socsense_matrix::parallel::{par_map_collect, par_map_reduce, Parallelism};
 
 use crate::data::ClaimData;
 use crate::error::SenseError;
 use crate::model::Theta;
 
+/// The corrections one source adds to the all-silent, all-independent
+/// pattern, each as a `[C = 1, C = 0]` pair of log-probability
+/// differences.
+#[derive(Debug, Clone, Copy)]
+struct SourceTerms {
+    /// An independent claim: `ln a − ln(1−a)` and `ln b − ln(1−b)`.
+    claim: [f64; 2],
+    /// A dependent cell: `ln(1−f) − ln(1−a)` and `ln(1−g) − ln(1−b)`.
+    dep: [f64; 2],
+    /// A dependent claim: `ln f − ln(1−f)` and `ln g − ln(1−g)`.
+    dep_claim: [f64; 2],
+}
+
 /// Precomputed per-source log-probability tables for one `θ`.
 ///
-/// Rebuild after every M-step; construction is `O(n)`.
+/// Rebuild after every M-step; construction is `O(n)`. Tables built by
+/// [`for_data`](Self::for_data) leave out the terms no cell of that data
+/// reads: a source with no claim never needs `ln a`, `ln b`, and one with
+/// no dependent cell never needs its four `f`/`g` logarithms.
 #[derive(Debug, Clone)]
 pub struct LikelihoodTables {
-    /// `ln a_i`, `ln (1-a_i)`, ... laid out per source.
-    ln_a: Vec<f64>,
-    ln_1a: Vec<f64>,
-    ln_b: Vec<f64>,
-    ln_1b: Vec<f64>,
-    ln_f: Vec<f64>,
-    ln_1f: Vec<f64>,
-    ln_g: Vec<f64>,
-    ln_1g: Vec<f64>,
+    /// One row of correction terms per source. Terms that were left out
+    /// hold NaN, so reading one poisons the result instead of passing
+    /// unnoticed.
+    terms: Vec<SourceTerms>,
     /// `Σ_i ln(1-a_i)` — all-silent all-independent pattern under `C = 1`.
     base1: f64,
     /// `Σ_i ln(1-b_i)` — same under `C = 0`.
@@ -42,44 +59,91 @@ pub struct LikelihoodTables {
     ln_1z: f64,
 }
 
+/// What one column contributes to a pass over the assertions under the
+/// tables' `θ` (see [`LikelihoodTables::column`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct ColumnFit {
+    /// `P(C_j = 1 | SC_j; D, θ)` (Eq. 9); `0.5` when both joint weights
+    /// are `−∞`.
+    pub posterior: f64,
+    /// `ln P(C_j=1|·) − ln P(C_j=0|·)`. Monotone in the posterior but
+    /// never saturates, so it remains a usable *ranking* key when
+    /// posteriors round to exactly 0.0 or 1.0 in `f64`.
+    pub log_odds: f64,
+    /// `ln( z·P(SC_j|C_j=1) + (1-z)·P(SC_j|C_j=0) )`, the column's term of
+    /// the observed-data log-likelihood (Eq. 7).
+    pub log_marginal: f64,
+}
+
 impl LikelihoodTables {
-    /// Builds the tables for `theta`.
+    /// Builds the tables for `theta`, every term of every source.
     pub fn new(theta: &Theta) -> Self {
-        let n = theta.source_count();
-        let mut t = Self {
-            ln_a: Vec::with_capacity(n),
-            ln_1a: Vec::with_capacity(n),
-            ln_b: Vec::with_capacity(n),
-            ln_1b: Vec::with_capacity(n),
-            ln_f: Vec::with_capacity(n),
-            ln_1f: Vec::with_capacity(n),
-            ln_g: Vec::with_capacity(n),
-            ln_1g: Vec::with_capacity(n),
-            base1: 0.0,
-            base0: 0.0,
+        Self::compact(theta, |_| true, |_| true)
+    }
+
+    /// Builds the tables for evaluating the columns of `data` under
+    /// `theta`, leaving out the terms no cell of `data` reads.
+    ///
+    /// Every column of `data` evaluates to the same bits as under
+    /// [`new`](Self::new).
+    pub fn for_data(theta: &Theta, data: &ClaimData) -> Self {
+        Self::compact(
+            theta,
+            |i| data.sc().row_nnz(i as u32) > 0,
+            |i| data.d().row_nnz(i as u32) > 0,
+        )
+    }
+
+    /// Builds the tables for `theta`, filling source `i`'s claim terms
+    /// only when `has_claims(i)` and its dependent-cell and
+    /// dependent-claim terms only when `has_deps(i)`. Each filled term is
+    /// the same subtraction [`new`](Self::new) performs, so every column
+    /// that reads only filled terms evaluates to the same bits.
+    pub(crate) fn compact(
+        theta: &Theta,
+        has_claims: impl Fn(usize) -> bool,
+        has_deps: impl Fn(usize) -> bool,
+    ) -> Self {
+        let mut base1 = 0.0;
+        let mut base0 = 0.0;
+        let terms = theta
+            .sources()
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let ln_1a = safe_ln_1m(s.a);
+                let ln_1b = safe_ln_1m(s.b);
+                base1 += ln_1a;
+                base0 += ln_1b;
+                let mut t = SourceTerms {
+                    claim: [f64::NAN; 2],
+                    dep: [f64::NAN; 2],
+                    dep_claim: [f64::NAN; 2],
+                };
+                if has_claims(i) {
+                    t.claim = [safe_ln(s.a) - ln_1a, safe_ln(s.b) - ln_1b];
+                }
+                if has_deps(i) {
+                    let ln_1f = safe_ln_1m(s.f);
+                    let ln_1g = safe_ln_1m(s.g);
+                    t.dep = [ln_1f - ln_1a, ln_1g - ln_1b];
+                    t.dep_claim = [safe_ln(s.f) - ln_1f, safe_ln(s.g) - ln_1g];
+                }
+                t
+            })
+            .collect();
+        Self {
+            terms,
+            base1,
+            base0,
             ln_z: safe_ln(theta.z()),
             ln_1z: safe_ln_1m(theta.z()),
-        };
-        for s in theta.sources() {
-            let ln_1a = safe_ln_1m(s.a);
-            let ln_1b = safe_ln_1m(s.b);
-            t.ln_a.push(safe_ln(s.a));
-            t.ln_1a.push(ln_1a);
-            t.ln_b.push(safe_ln(s.b));
-            t.ln_1b.push(ln_1b);
-            t.ln_f.push(safe_ln(s.f));
-            t.ln_1f.push(safe_ln_1m(s.f));
-            t.ln_g.push(safe_ln(s.g));
-            t.ln_1g.push(safe_ln_1m(s.g));
-            t.base1 += ln_1a;
-            t.base0 += ln_1b;
         }
-        t
     }
 
     /// Number of sources the tables cover.
     pub fn source_count(&self) -> usize {
-        self.ln_a.len()
+        self.terms.len()
     }
 
     /// `(ln P(SC_j | C_j = 1), ln P(SC_j | C_j = 0))` for column `j`,
@@ -92,9 +156,9 @@ impl LikelihoodTables {
         let mut ln0 = self.base0;
         // Correction 1: dependent cells flip the silent factor.
         for &i in dep_rows {
-            let i = i as usize;
-            ln1 += self.ln_1f[i] - self.ln_1a[i];
-            ln0 += self.ln_1g[i] - self.ln_1b[i];
+            let [d1, d0] = self.terms[i as usize].dep;
+            ln1 += d1;
+            ln0 += d0;
         }
         // Correction 2: claims flip silent -> claiming, split by D via a
         // linear merge of the two sorted row lists.
@@ -103,33 +167,38 @@ impl LikelihoodTables {
             while dep_iter.peek().is_some_and(|&&d| d < i) {
                 dep_iter.next();
             }
-            let is_dep = dep_iter.peek() == Some(&&i);
-            let iu = i as usize;
-            if is_dep {
-                ln1 += self.ln_f[iu] - self.ln_1f[iu];
-                ln0 += self.ln_g[iu] - self.ln_1g[iu];
+            let row = &self.terms[i as usize];
+            let [c1, c0] = if dep_iter.peek() == Some(&&i) {
+                row.dep_claim
             } else {
-                ln1 += self.ln_a[iu] - self.ln_1a[iu];
-                ln0 += self.ln_b[iu] - self.ln_1b[iu];
-            }
+                row.claim
+            };
+            ln1 += c1;
+            ln0 += c0;
         }
         (ln1, ln0)
     }
 
-    /// Posterior `P(C_j = 1 | SC_j; D, θ)` (Eq. 9) for one column.
-    pub fn column_posterior(&self, claimants: &[u32], dep_rows: &[u32]) -> f64 {
-        let (ln1, ln0) = self.column_log_likelihood(claimants, dep_rows);
-        normalize_log_pair(ln1 + self.ln_z, ln0 + self.ln_1z).0
-    }
-
-    /// Posterior log-odds `ln P(C_j=1|·) − ln P(C_j=0|·)` for one column.
+    /// Evaluates column `j` once for a pass over the assertions: its
+    /// posterior (Eq. 9), log-odds, and Eq. 7 term, from the joint
+    /// log-weights `w₁ = ln P(SC_j|C_j=1) + ln z` and
+    /// `w₀ = ln P(SC_j|C_j=0) + ln(1−z)` and their log-sum-exp.
     ///
-    /// Monotone in [`column_posterior`](Self::column_posterior) but never
-    /// saturates, so it remains a usable *ranking* key when posteriors
-    /// round to exactly 0.0 or 1.0 in `f64`.
-    pub fn column_log_odds(&self, claimants: &[u32], dep_rows: &[u32]) -> f64 {
+    /// Arguments as for [`column_log_likelihood`](Self::column_log_likelihood).
+    pub fn column(&self, claimants: &[u32], dep_rows: &[u32]) -> ColumnFit {
         let (ln1, ln0) = self.column_log_likelihood(claimants, dep_rows);
-        (ln1 + self.ln_z) - (ln0 + self.ln_1z)
+        let (w1, w0) = (ln1 + self.ln_z, ln0 + self.ln_1z);
+        let lse = log_sum_exp2(w1, w0);
+        let posterior = if w1 == f64::NEG_INFINITY && w0 == f64::NEG_INFINITY {
+            0.5
+        } else {
+            (w1 - lse).exp()
+        };
+        ColumnFit {
+            posterior,
+            log_odds: w1 - w0,
+            log_marginal: lse,
+        }
     }
 }
 
@@ -170,7 +239,7 @@ pub fn assertion_log_likelihoods_with(
     par: Parallelism,
 ) -> Result<Vec<(f64, f64)>, SenseError> {
     check_dims(data, theta)?;
-    let tables = LikelihoodTables::new(theta);
+    let tables = LikelihoodTables::for_data(theta, data);
     Ok(par_map_collect(par, data.assertion_count(), |j| {
         tables.column_log_likelihood(data.sc().col(j as u32), data.d().col(j as u32))
     }))
@@ -199,9 +268,11 @@ pub fn assertion_posteriors_with(
     par: Parallelism,
 ) -> Result<Vec<f64>, SenseError> {
     check_dims(data, theta)?;
-    let tables = LikelihoodTables::new(theta);
+    let tables = LikelihoodTables::for_data(theta, data);
     Ok(par_map_collect(par, data.assertion_count(), |j| {
-        tables.column_posterior(data.sc().col(j as u32), data.d().col(j as u32))
+        tables
+            .column(data.sc().col(j as u32), data.d().col(j as u32))
+            .posterior
     }))
 }
 
@@ -230,7 +301,7 @@ pub fn data_log_likelihood_with(
     par: Parallelism,
 ) -> Result<f64, SenseError> {
     check_dims(data, theta)?;
-    let tables = LikelihoodTables::new(theta);
+    let tables = LikelihoodTables::for_data(theta, data);
     Ok(par_map_reduce(
         par,
         data.assertion_count(),
@@ -238,9 +309,9 @@ pub fn data_log_likelihood_with(
         |range| {
             let mut sum = 0.0;
             for j in range {
-                let (ln1, ln0) =
-                    tables.column_log_likelihood(data.sc().col(j as u32), data.d().col(j as u32));
-                sum += log_sum_exp2(ln1 + tables.ln_z, ln0 + tables.ln_1z);
+                sum += tables
+                    .column(data.sc().col(j as u32), data.d().col(j as u32))
+                    .log_marginal;
             }
             sum
         },
@@ -262,11 +333,125 @@ pub(crate) fn column_log_likelihood_naive(data: &ClaimData, theta: &Theta, j: u3
     ln
 }
 
+/// The sparse kernel with every logarithm taken on the spot: the base
+/// sums in source order from `0.0`, then `ln(1−f) − ln(1−a)` per
+/// dependent cell and `ln x − ln(1−x)` per claim, each difference formed
+/// before it is added. Tests hold the table kernel to it bit for bit.
+#[cfg(test)]
+pub(crate) fn column_log_likelihood_reference(
+    theta: &Theta,
+    claimants: &[u32],
+    dep_rows: &[u32],
+) -> (f64, f64) {
+    let (mut ln1, mut ln0) = (0.0, 0.0);
+    for s in theta.sources() {
+        ln1 += safe_ln_1m(s.a);
+        ln0 += safe_ln_1m(s.b);
+    }
+    for &i in dep_rows {
+        let s = theta.source(i as usize);
+        ln1 += safe_ln_1m(s.f) - safe_ln_1m(s.a);
+        ln0 += safe_ln_1m(s.g) - safe_ln_1m(s.b);
+    }
+    let mut dep_iter = dep_rows.iter().peekable();
+    for &i in claimants {
+        while dep_iter.peek().is_some_and(|&&d| d < i) {
+            dep_iter.next();
+        }
+        let s = theta.source(i as usize);
+        if dep_iter.peek() == Some(&&i) {
+            ln1 += safe_ln(s.f) - safe_ln_1m(s.f);
+            ln0 += safe_ln(s.g) - safe_ln_1m(s.g);
+        } else {
+            ln1 += safe_ln(s.a) - safe_ln_1m(s.a);
+            ln0 += safe_ln(s.b) - safe_ln_1m(s.b);
+        }
+    }
+    (ln1, ln0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::SourceParams;
+    use proptest::prelude::*;
+    use socsense_matrix::logprob::normalize_log_pair;
     use socsense_matrix::SparseBinaryMatrix;
+
+    /// A random world of `n` claiming sources plus one that never claims
+    /// (but may hold dependent cells), with `D` cells only when
+    /// `with_d`, and a random θ.
+    fn random_world() -> impl Strategy<Value = (ClaimData, Theta)> {
+        (1u32..8, 1u32..100, 0u32..2).prop_flat_map(|(n, m, with_d)| {
+            let sc = vec((0..n, 0..m), 0..120);
+            let d = vec((0..n + 1, 0..m), 0..(1 + 40 * with_d as usize));
+            let params = vec(
+                (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+                n as usize + 1,
+            );
+            (Just(n + 1), Just(m), sc, d, params, 0.0f64..1.0).prop_map(
+                |(rows, m, sc, d, params, z)| {
+                    let sc = SparseBinaryMatrix::from_entries(rows, m, sc);
+                    let d = SparseBinaryMatrix::from_entries(rows, m, d);
+                    let sources = params
+                        .into_iter()
+                        .map(|(a, b, f, g)| SourceParams { a, b, f, g })
+                        .collect();
+                    let theta = Theta::new(sources, z).expect("rates drawn in [0, 1)");
+                    (ClaimData::new(sc, d).expect("shapes match"), theta)
+                },
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Compact tables read only filled terms: every column gives the
+        /// same bits as under full tables and as the on-the-spot
+        /// reference kernel, and `column` derives its three outputs from
+        /// them exactly as Eqs. 7 and 9 are written.
+        #[test]
+        fn compact_tables_match_full_tables_bit_for_bit((data, theta) in random_world()) {
+            let full = LikelihoodTables::new(&theta);
+            let compact = LikelihoodTables::for_data(&theta, &data);
+            let bits = |(a, b): (f64, f64)| (a.to_bits(), b.to_bits());
+            for j in 0..data.assertion_count() as u32 {
+                let (sc, d) = (data.sc().col(j), data.d().col(j));
+                let want = column_log_likelihood_reference(&theta, sc, d);
+                prop_assert_eq!(bits(compact.column_log_likelihood(sc, d)), bits(want));
+                prop_assert_eq!(bits(full.column_log_likelihood(sc, d)), bits(want));
+
+                let (w1, w0) = (want.0 + safe_ln(theta.z()), want.1 + safe_ln_1m(theta.z()));
+                let fit = compact.column(sc, d);
+                prop_assert_eq!(fit.posterior.to_bits(), normalize_log_pair(w1, w0).0.to_bits());
+                prop_assert_eq!(fit.log_odds.to_bits(), (w1 - w0).to_bits());
+                prop_assert_eq!(fit.log_marginal.to_bits(), log_sum_exp2(w1, w0).to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn compact_tables_poison_what_they_leave_out() {
+        // Source 0 claims but has no dependent cell, so tables compacted
+        // for this data leave out its dependent terms; a column that
+        // reads them anyway comes out NaN instead of plausibly wrong.
+        let data = ClaimData::new(
+            SparseBinaryMatrix::from_entries(2, 1, [(0, 0)]),
+            SparseBinaryMatrix::from_entries(2, 1, [(1, 0)]),
+        )
+        .unwrap();
+        let theta = Theta::neutral(2);
+        let compact = LikelihoodTables::for_data(&theta, &data);
+        let (ln1, ln0) = compact.column_log_likelihood(&[0], &[1]);
+        assert!(ln1.is_finite() && ln0.is_finite());
+        let (ln1, ln0) = compact.column_log_likelihood(&[0], &[0]);
+        assert!(ln1.is_nan() && ln0.is_nan());
+        assert!(LikelihoodTables::new(&theta)
+            .column_log_likelihood(&[0], &[0])
+            .0
+            .is_finite());
+    }
 
     fn small_data() -> ClaimData {
         // 4 sources, 3 assertions.

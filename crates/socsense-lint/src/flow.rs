@@ -116,6 +116,7 @@ const PAR_PRIMITIVES: &[&str] = &[
     "par_map_collect",
     "par_map_reduce",
     "par_fill",
+    "par_fill_reduce",
 ];
 
 /// The one module allowed to reduce floats over parallel results.

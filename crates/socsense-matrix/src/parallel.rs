@@ -26,11 +26,15 @@
 //!
 //! Workers are plain `std::thread::scope` threads over a shared
 //! `Mutex`-held job list — no unsafe, no external dependency, and no
-//! pool to keep alive between calls. Per-call spawn cost is trivial
-//! next to the numeric work these helpers exist for.
+//! pool to keep alive between calls. That makes every threaded call pay
+//! for opening a scope and spawning and joining its workers: about
+//! 60 µs per 2-thread call on a 2-vCPU host, as much as a serial EM
+//! iteration spends on several hundred assertions. This cost is why the
+//! serving tiers run EM at [`Parallelism::Serial`]. A call that resolves
+//! to one worker runs inline and spawns nothing.
 
 use std::ops::Range;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
@@ -55,12 +59,22 @@ impl Parallelism {
         let raw = match self {
             Parallelism::Serial => 1,
             Parallelism::Threads(n) => n.max(1),
-            Parallelism::Auto => std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1),
+            Parallelism::Auto => available_cores(),
         };
         raw.min(jobs.max(1))
     }
+}
+
+/// The core count [`Parallelism::Auto`] uses, asked of the OS once per
+/// process: `available_parallelism` reads the scheduler affinity and the
+/// cgroup quota on every call (15–25 µs on a 2-vCPU Linux host).
+fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Fixed number of chunks a length is split into (before the one-item
@@ -129,21 +143,54 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let len = out.len();
-    if len == 0 {
-        return;
+    par_fill_reduce(
+        par,
+        out,
+        (),
+        |range, slice| {
+            for (cell, i) in slice.iter_mut().zip(range) {
+                *cell = f(i);
+            }
+        },
+        |(), ()| (),
+    );
+}
+
+/// Fills `out` and reduces over it in one pass: `fill(range, slice)`
+/// writes `out[range]` (handed over as `slice`) and returns that chunk's
+/// partial result, and the partials fold left-to-right from `init`.
+///
+/// The chunks are those of [`chunk_ranges`]`(out.len())` and the fold
+/// runs in chunk order, so a chunk-local sum folded here has the same
+/// bits as the same sum through [`par_map_reduce`], at every level.
+/// With one worker the chunks run inline, in order, without allocating.
+pub fn par_fill_reduce<T, A, F, M>(
+    par: Parallelism,
+    out: &mut [T],
+    init: A,
+    fill: F,
+    mut merge: M,
+) -> A
+where
+    T: Send,
+    A: Send,
+    F: Fn(Range<usize>, &mut [T]) -> A + Sync,
+    M: FnMut(A, A) -> A,
+{
+    let size = chunk_len(out.len());
+    let chunks = out.chunks_mut(size).enumerate();
+    if par.worker_count(chunks.len()) <= 1 {
+        return chunks.fold(init, |acc, (c, slice)| {
+            let start = c * size;
+            merge(acc, fill(start..start + slice.len(), slice))
+        });
     }
-    let size = chunk_len(len);
-    let jobs: Vec<(usize, &mut [T])> = out
-        .chunks_mut(size)
-        .enumerate()
-        .map(|(c, slice)| (c * size, slice))
-        .collect();
-    run_indexed(par, jobs, &|(base, slice): (usize, &mut [T])| {
-        for (offset, cell) in slice.iter_mut().enumerate() {
-            *cell = f(base + offset);
-        }
-    });
+    let jobs: Vec<(usize, &mut [T])> = chunks.map(|(c, slice)| (c * size, slice)).collect();
+    run_indexed(par, jobs, &|(start, slice): (usize, &mut [T])| {
+        fill(start..start + slice.len(), slice)
+    })
+    .into_iter()
+    .fold(init, merge)
 }
 
 /// Executes `f` over `items`, returning results in item order. Workers
@@ -274,6 +321,44 @@ mod tests {
         let mut empty: Vec<u64> = Vec::new();
         par_fill(Parallelism::Threads(4), &mut empty, |i| i as u64);
         assert!(empty.is_empty());
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "large sweep is too slow under Miri")]
+    fn par_fill_reduce_fills_and_folds_like_par_map_reduce() {
+        let term = |i: usize| {
+            if i.is_multiple_of(3) {
+                1e16
+            } else {
+                1.0 + i as f64 * 1e-8
+            }
+        };
+        for len in [0, 1, 7, 64, 65, 1000, 4099] {
+            let expected = order_sensitive_sum(Parallelism::Serial, len);
+            for par in [
+                Parallelism::Serial,
+                Parallelism::Threads(2),
+                Parallelism::Threads(4),
+            ] {
+                let mut out = vec![0.0f64; len];
+                let sum = par_fill_reduce(
+                    par,
+                    &mut out,
+                    0.0,
+                    |range, slice| {
+                        let mut sum = 0.0;
+                        for (cell, i) in slice.iter_mut().zip(range) {
+                            *cell = term(i);
+                            sum += *cell;
+                        }
+                        sum
+                    },
+                    |a, b| a + b,
+                );
+                assert_eq!(sum.to_bits(), expected.to_bits(), "len {len}, {par:?}");
+                assert!(out.iter().enumerate().all(|(i, &v)| v == term(i)));
+            }
+        }
     }
 
     #[test]

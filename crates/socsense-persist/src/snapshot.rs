@@ -5,7 +5,7 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 
 use crate::error::PersistError;
-use crate::wal::rewrite_atomic;
+use crate::wal::{read_clean, rewrite_atomic};
 
 /// A directory of checkpoint files, one per snapshot sequence number.
 ///
@@ -13,7 +13,8 @@ use crate::wal::rewrite_atomic;
 /// CRC-guarded line format as the WAL) written atomically via
 /// tmp-then-rename. [`latest`](Self::latest) walks candidates
 /// newest-first and returns the first that validates, so one damaged
-/// file degrades to its predecessor instead of failing recovery.
+/// file degrades to its predecessor instead of failing recovery. Reads
+/// never write: a file that fails validation stays on disk as it is.
 #[derive(Debug)]
 pub struct SnapshotStore {
     dir: PathBuf,
@@ -85,18 +86,20 @@ impl SnapshotStore {
 
     /// The newest valid snapshot, if any: `(seq, payload)`.
     ///
-    /// Files that fail validation (torn by external interference,
-    /// unparseable) are skipped in favour of the next-newest candidate.
+    /// Files that fail validation (damaged by external interference, or
+    /// written in another format) are skipped in favour of the
+    /// next-newest candidate and left on disk unmodified.
     ///
     /// # Errors
     ///
-    /// [`PersistError::Io`] on filesystem failures while listing.
+    /// [`PersistError::Io`] on filesystem failures while listing or
+    /// reading.
     pub fn latest<T: Deserialize>(&self) -> Result<Option<(u64, T)>, PersistError> {
         for &seq in self.sequences()?.iter().rev() {
             let path = self.path_of(seq);
-            match crate::wal::recover::<T>(&path) {
-                Ok(rx) => {
-                    if let Some(payload) = rx.records.into_iter().next() {
+            match read_clean::<T>(&path) {
+                Ok(records) => {
+                    if let Some(payload) = records.and_then(|r| r.into_iter().next()) {
                         return Ok(Some((seq, payload)));
                     }
                 }
@@ -187,6 +190,47 @@ mod tests {
         let (seq, payload) = store.latest::<Snap>().unwrap().unwrap();
         assert_eq!(seq, 1);
         assert_eq!(payload, snap(1));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn unreadable_snapshots_are_skipped_and_left_byte_identical() {
+        #[derive(Debug, Serialize)]
+        struct OlderFormat {
+            seq: u64,
+            state: String,
+        }
+        let dir = tmp_dir("readonly");
+        let mut store = SnapshotStore::open(&dir).unwrap();
+        store.write(1, &snap(1)).unwrap();
+        // Snapshot 2 is CRC-valid but in another format; snapshot 3 has
+        // a flipped byte.
+        store
+            .write(
+                2,
+                &OlderFormat {
+                    seq: 2,
+                    state: "before a format change".into(),
+                },
+            )
+            .unwrap();
+        store.write(3, &snap(3)).unwrap();
+        let path = |seq: u64| dir.join(format!("snapshot-{seq:020}.json"));
+        let mut bytes = std::fs::read(path(3)).unwrap();
+        bytes[12] ^= 0x01;
+        std::fs::write(path(3), &bytes).unwrap();
+        let before: Vec<Vec<u8>> = (1..=3).map(|s| std::fs::read(path(s)).unwrap()).collect();
+
+        let (seq, payload) = store.latest::<Snap>().unwrap().unwrap();
+        assert_eq!(seq, 1);
+        assert_eq!(payload, snap(1));
+        for (s, want) in (1..=3).zip(&before) {
+            assert_eq!(
+                &std::fs::read(path(s)).unwrap(),
+                want,
+                "snapshot {s} changed"
+            );
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

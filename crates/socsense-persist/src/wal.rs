@@ -23,60 +23,59 @@ fn encode_line<T: Serialize>(record: &T) -> Vec<u8> {
     line
 }
 
-/// Parses and validates one line (without trailing newline).
-fn decode_line<T: Deserialize>(line: &[u8]) -> Result<T, &'static str> {
-    if line.len() < 10 || line[8] != b' ' {
-        return Err("malformed record framing");
+/// Why a line failed validation.
+enum BadLine {
+    /// The framing or the CRC does not check out: what a torn or
+    /// partially flushed append leaves behind.
+    Unverified(&'static str),
+    /// The CRC matches, so these are the bytes that were written, but
+    /// they do not decode as a record (another format, or a bug). No
+    /// crash produces this.
+    Undecodable,
+}
+
+impl BadLine {
+    fn what(&self) -> &'static str {
+        match self {
+            Self::Unverified(what) => what,
+            Self::Undecodable => "malformed record payload",
+        }
     }
-    let hex = std::str::from_utf8(&line[..8]).map_err(|_| "malformed crc field")?;
-    let stored = u32::from_str_radix(hex, 16).map_err(|_| "malformed crc field")?;
+}
+
+/// Parses and validates one line (without trailing newline).
+fn decode_line<T: Deserialize>(line: &[u8]) -> Result<T, BadLine> {
+    if line.len() < 10 || line[8] != b' ' {
+        return Err(BadLine::Unverified("malformed record framing"));
+    }
+    let stored = std::str::from_utf8(&line[..8])
+        .ok()
+        .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+        .ok_or(BadLine::Unverified("malformed crc field"))?;
     let json = &line[9..];
     if crc32(json) != stored {
-        return Err("crc mismatch");
+        return Err(BadLine::Unverified("crc mismatch"));
     }
-    let json = std::str::from_utf8(json).map_err(|_| "malformed record payload")?;
-    serde_json::from_str(json).map_err(|_| "malformed record payload")
+    let json = std::str::from_utf8(json).map_err(|_| BadLine::Undecodable)?;
+    serde_json::from_str(json).map_err(|_| BadLine::Undecodable)
 }
 
-/// The result of [`recover`]: the valid records plus whether a torn
-/// final line was truncated away.
-#[derive(Debug)]
-pub struct Recovery<T> {
-    /// Every valid record, in append order.
-    pub records: Vec<T>,
-    /// Whether a torn final line was found and truncated in place.
-    pub truncated_tail: bool,
-}
-
-/// Reads a WAL back, validating every record.
+/// Validates a whole log image: the clean records, plus the byte offset
+/// where a torn final line starts, if there is one.
 ///
-/// A missing file yields zero records. A final line that is incomplete
-/// or fails validation is a *torn append* (the only failure a crash of
-/// the sequential writer can produce): it is truncated away in place —
-/// so a subsequently opened [`WalWriter`] appends cleanly after the
-/// last valid record — and reported via
-/// [`truncated_tail`](Recovery::truncated_tail).
-///
-/// # Errors
-///
-/// [`PersistError::Corrupt`] when a record that is **not** the final
-/// line fails validation (that cannot be a torn append);
-/// [`PersistError::Io`] on filesystem failures.
-pub fn recover<T: Deserialize>(path: &Path) -> Result<Recovery<T>, PersistError> {
-    let mut file = match OpenOptions::new().read(true).write(true).open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok(Recovery {
-                records: Vec::new(),
-                truncated_tail: false,
-            });
-        }
-        Err(e) => return Err(PersistError::io(path, "open", e)),
+/// A final line that is incomplete (no newline) or fails its framing or
+/// CRC check is torn. Any other failing line is an error: an interior
+/// line cannot be a torn append, and a complete final line whose CRC
+/// matches holds exactly the bytes written.
+fn scan<T: Deserialize>(
+    path: &Path,
+    bytes: &[u8],
+) -> Result<(Vec<T>, Option<usize>), PersistError> {
+    let corrupt = |line, bad: BadLine| PersistError::Corrupt {
+        path: path.display().to_string(),
+        line,
+        what: bad.what(),
     };
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)
-        .map_err(|e| PersistError::io(path, "read", e))?;
-
     let mut records = Vec::new();
     let mut offset = 0usize;
     let mut line_no = 0usize;
@@ -93,33 +92,89 @@ pub fn recover<T: Deserialize>(path: &Path) -> Result<Recovery<T>, PersistError>
                 records.push(record);
                 offset += consumed;
             }
+            Err(bad @ BadLine::Undecodable) if complete => return Err(corrupt(line_no, bad)),
             // A valid-looking but newline-less final chunk is still a
-            // torn append (the newline never landed), as is any failing
-            // final line: truncate back to the last clean record.
-            _ if is_final => {
-                file.set_len(offset as u64)
-                    .map_err(|e| PersistError::io(path, "truncate", e))?;
-                file.sync_data()
-                    .map_err(|e| PersistError::io(path, "fsync", e))?;
-                return Ok(Recovery {
-                    records,
-                    truncated_tail: true,
-                });
-            }
+            // torn append (the newline never landed), as is a final line
+            // that fails its framing or CRC check.
+            _ if is_final => return Ok((records, Some(offset))),
             // detlint: allow(P1) -- the `_ if is_final` arm above consumes every incomplete-line case; a parsed record without a newline mid-file is impossible by the split logic
             Ok(_) => unreachable!("incomplete line can only be final"),
-            Err(what) => {
-                return Err(PersistError::Corrupt {
-                    path: path.display().to_string(),
-                    line: line_no,
-                    what,
-                });
-            }
+            Err(bad) => return Err(corrupt(line_no, bad)),
         }
+    }
+    Ok((records, None))
+}
+
+/// Reads a log without modifying it: every record, or `None` when the
+/// file is missing or its final line is torn. Snapshot reads use this;
+/// a snapshot is renamed into place whole, so a torn one is damage to
+/// skip, not a tail to repair.
+///
+/// # Errors
+///
+/// As [`recover`].
+pub(crate) fn read_clean<T: Deserialize>(path: &Path) -> Result<Option<Vec<T>>, PersistError> {
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(PersistError::io(path, "read", e)),
+    };
+    match scan(path, &bytes)? {
+        (records, None) => Ok(Some(records)),
+        (_, Some(_)) => Ok(None),
+    }
+}
+
+/// The result of [`recover`]: the valid records plus whether a torn
+/// final line was truncated away.
+#[derive(Debug)]
+pub struct Recovery<T> {
+    /// Every valid record, in append order.
+    pub records: Vec<T>,
+    /// Whether a torn final line was found and truncated in place.
+    pub truncated_tail: bool,
+}
+
+/// Reads a WAL back, validating every record.
+///
+/// A missing file yields zero records. A final line that is incomplete
+/// or fails its framing or CRC check is a *torn append* (the only
+/// failure a crash of the sequential writer can produce): it is
+/// truncated away in place — so a subsequently opened [`WalWriter`]
+/// appends cleanly after the last valid record — and reported via
+/// [`truncated_tail`](Recovery::truncated_tail).
+///
+/// # Errors
+///
+/// [`PersistError::Corrupt`] when a record that is **not** the final
+/// line fails validation (that cannot be a torn append), or when a
+/// complete line passes its CRC check but does not decode; the file is
+/// left untouched. [`PersistError::Io`] on filesystem failures.
+pub fn recover<T: Deserialize>(path: &Path) -> Result<Recovery<T>, PersistError> {
+    let mut file = match OpenOptions::new().read(true).write(true).open(path) {
+        Ok(f) => f,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            return Ok(Recovery {
+                records: Vec::new(),
+                truncated_tail: false,
+            });
+        }
+        Err(e) => return Err(PersistError::io(path, "open", e)),
+    };
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes)
+        .map_err(|e| PersistError::io(path, "read", e))?;
+    let (records, torn_at) = scan(path, &bytes)?;
+    if let Some(offset) = torn_at {
+        // Truncate back to the last clean record.
+        file.set_len(offset as u64)
+            .map_err(|e| PersistError::io(path, "truncate", e))?;
+        file.sync_data()
+            .map_err(|e| PersistError::io(path, "fsync", e))?;
     }
     Ok(Recovery {
         records,
-        truncated_tail: false,
+        truncated_tail: torn_at.is_some(),
     })
 }
 
@@ -380,6 +435,39 @@ mod tests {
         let rx: Recovery<Rec> = recover(&path).unwrap();
         assert!(rx.truncated_tail);
         assert_eq!(rx.records, vec![rec(0)]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn crc_valid_final_line_that_fails_to_decode_is_corrupt_and_kept() {
+        #[derive(Debug, Serialize)]
+        struct OtherFormat {
+            seq: u64,
+            payload: String,
+        }
+        let dir = tmp_dir("undecodable");
+        let path = dir.join("wal.jsonl");
+        let mut w = WalWriter::open(&path, 1).unwrap();
+        w.append(&rec(0)).unwrap();
+        // A complete line with a valid CRC whose payload is not a `Rec`:
+        // no torn append looks like this.
+        w.append(&OtherFormat {
+            seq: 1,
+            payload: "older format".into(),
+        })
+        .unwrap();
+        drop(w);
+        let before = std::fs::read(&path).unwrap();
+        let err = recover::<Rec>(&path).unwrap_err();
+        assert!(
+            matches!(err, PersistError::Corrupt { line: 2, .. }),
+            "{err}"
+        );
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            before,
+            "file must be untouched"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
