@@ -89,8 +89,8 @@ pub struct EmConfig {
     /// exactly (Eqs. 24–28). At Twitter scale most sources contribute a
     /// handful of observations per parameter; shrinkage trades a little
     /// bias for a large variance cut, which matters most for the
-    /// dependent-claim rates `f`/`g` (see DESIGN.md §4 and the
-    /// `em_smoothing` ablation bench).
+    /// dependent-claim rates `f`/`g` (see DESIGN.md §4 and `repro
+    /// ablations`).
     pub smoothing: f64,
     /// Worker threads for the E-step, M-step, and restart sweep.
     ///

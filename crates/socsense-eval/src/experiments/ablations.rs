@@ -1,7 +1,8 @@
 //! Accuracy-side ablations for the design choices DESIGN.md documents.
 //!
-//! Timing ablations live in the `socsense-bench` crate; these measure
-//! what each choice *buys*:
+//! These measure what each choice *buys* in accuracy; what decision
+//! pruning in the exact bound buys in work is pinned by the node-count
+//! tests in `socsense_core::bound::exact`:
 //!
 //! * **M-step shrinkage** — synthetic accuracy across pseudo-counts;
 //! * **Initialisation** — the neutral-vs-dep-biased basin question on

@@ -5,8 +5,8 @@
 //! ```
 //!
 //! Scans the workspace (root resolved via
-//! [`socsense_bench::workspace_root`], so the binary agrees with the
-//! perf-gate tooling when invoked from a crate subdirectory), prints
+//! [`socsense_lint::workspace_root`], so the binary scans the same tree
+//! when invoked from a crate subdirectory), prints
 //! findings as `file:line: rule(id): message` (or one JSON object with
 //! `--format json`), and exits `1` on any unsuppressed finding, `2` on
 //! usage or I/O errors.
@@ -14,7 +14,7 @@
 use std::process::ExitCode;
 
 use socsense_lint::report::{render_json, render_text};
-use socsense_lint::scan_workspace;
+use socsense_lint::{scan_workspace, workspace_root};
 
 fn run() -> Result<bool, String> {
     let mut root: Option<std::path::PathBuf> = None;
@@ -37,7 +37,7 @@ fn run() -> Result<bool, String> {
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    let root = root.unwrap_or_else(socsense_bench::workspace_root);
+    let root = root.unwrap_or_else(workspace_root);
     let report = scan_workspace(&root)?;
     if format == "json" {
         print!("{}", render_json(&report));

@@ -5,9 +5,8 @@
 //! character literals — so a rule pattern appearing inside a string or
 //! a doc comment can never fire — and returns the remaining source as
 //! a flat token stream with line numbers. It is deliberately not a
-//! parser: rules match token shapes (`ident . ident (`), which is the
-//! same trade the `socsense_bench::gate` TOML reader makes (the
-//! workspace vendors no `syn`).
+//! parser: rules match token shapes (`ident . ident (`), because the
+//! workspace vendors no `syn`.
 //!
 //! Comments are not discarded entirely: `// detlint: …` directives
 //! (contract declarations and scoped suppressions) are extracted into

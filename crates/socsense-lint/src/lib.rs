@@ -38,8 +38,7 @@
 //! An empty justification is itself an error. See `DESIGN.md` §9 for
 //! the rule catalogue and the relation to the runtime bit-identity
 //! tests and to the Miri/loom CI lanes, and [`rules`]/[`flow`] for
-//! the per-rule details. The `bench_lint` binary times the full scan
-//! for the `lint-throughput` perf gate.
+//! the per-rule details.
 //!
 //! The `detlint` binary exits nonzero on any unsuppressed finding:
 //!
@@ -62,3 +61,55 @@ pub mod tree;
 
 pub use rules::{check_file, declared_contract, Contract, FileInput, Finding};
 pub use scan::{scan_workspace, Report};
+
+use std::path::PathBuf;
+
+/// Absolute path of the workspace root: the directory `detlint
+/// --workspace` scans and the lint tests resolve repo-relative paths
+/// against, so both agree when invoked from a crate subdirectory
+/// instead of the root.
+///
+/// Resolution order:
+///
+/// 1. the nearest ancestor of the current directory whose `Cargo.toml`
+///    declares `[workspace]` — so running a tool from
+///    `crates/socsense-core/` finds the same root as running it from
+///    the checkout top;
+/// 2. otherwise the workspace this crate was compiled from
+///    (`CARGO_MANIFEST_DIR/../..`), which covers invocations from
+///    outside any checkout (e.g. an absolute-path binary run from `/`).
+pub fn workspace_root() -> PathBuf {
+    if let Ok(cwd) = std::env::current_dir() {
+        for dir in cwd.ancestors() {
+            let manifest = dir.join("Cargo.toml");
+            if let Ok(text) = std::fs::read_to_string(&manifest) {
+                if text.lines().any(|l| l.trim() == "[workspace]") {
+                    return dir.to_path_buf();
+                }
+            }
+        }
+    }
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crate manifest dir has a workspace two levels up")
+        .to_path_buf()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn workspace_root_agrees_from_subdirectories() {
+        // The test process runs somewhere inside the checkout, so the
+        // ancestor walk must find the directory that declares the
+        // workspace and contains this crate.
+        let root = workspace_root();
+        assert!(root.join("Cargo.toml").exists(), "{root:?}");
+        assert!(
+            root.join("crates/socsense-lint/Cargo.toml").exists(),
+            "{root:?} is not the workspace root"
+        );
+    }
+}

@@ -36,9 +36,9 @@ pub enum Contract {
     /// Full contract: D1–D5 all apply. Required for every crate on the
     /// serving path (`socsense-core` … `socsense-serve`).
     Deterministic,
-    /// Tooling contract: only the D5 header audit applies (benches,
-    /// eval harnesses, observability, and detlint itself — code whose
-    /// output never feeds a posterior).
+    /// Tooling contract: only the D5 header audit applies (eval
+    /// harnesses, observability, and detlint itself — code whose output
+    /// never feeds a posterior).
     Tooling,
 }
 

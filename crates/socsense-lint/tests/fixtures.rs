@@ -125,7 +125,7 @@ fn f() {
     }
 }
 "#;
-    let f = check(Contract::Tooling, "crates/socsense-bench/src/x.rs", src);
+    let f = check(Contract::Tooling, "crates/socsense-eval/src/x.rs", src);
     assert!(f.is_empty(), "{f:?}");
 }
 
@@ -358,8 +358,8 @@ fn contract_declarations_parse_and_default() {
     assert!(f.is_empty());
 
     let (c, f) = declared_contract(
-        "socsense-bench",
-        "crates/socsense-bench/src/lib.rs",
+        "socsense-eval",
+        "crates/socsense-eval/src/lib.rs",
         "// detlint: contract = tooling\n",
     );
     assert_eq!(c, Contract::Tooling);

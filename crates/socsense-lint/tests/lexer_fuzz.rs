@@ -72,7 +72,7 @@ fn assert_spans_sound(label: &str, src: &str) {
 
 fn workspace_rs_files() -> Vec<std::path::PathBuf> {
     let mut out = Vec::new();
-    let mut stack = vec![socsense_bench::workspace_root().join("crates")];
+    let mut stack = vec![socsense_lint::workspace_root().join("crates")];
     while let Some(dir) = stack.pop() {
         for entry in std::fs::read_dir(&dir).expect("reading workspace dir") {
             let path = entry.expect("dir entry").path();

@@ -30,7 +30,7 @@ fn as_bool(v: &Value) -> bool {
 
 #[test]
 fn live_workspace_has_zero_unsuppressed_findings() {
-    let root = socsense_bench::workspace_root();
+    let root = socsense_lint::workspace_root();
     let report = scan_workspace(&root).expect("scanning the live workspace");
     assert!(
         report.files_scanned > 50,
@@ -57,7 +57,7 @@ fn live_workspace_has_zero_unsuppressed_findings() {
 
 #[test]
 fn live_workspace_declares_every_expected_crate_deterministic() {
-    let root = socsense_bench::workspace_root();
+    let root = socsense_lint::workspace_root();
     let report = scan_workspace(&root).expect("scanning the live workspace");
     for name in socsense_lint::rules::EXPECT_DETERMINISTIC {
         let found = report
@@ -281,7 +281,7 @@ fn binary_accepts_justified_suppression_but_rejects_empty_one() {
 
 #[test]
 fn sharded_tier_modules_stay_under_the_deterministic_contract() {
-    let root = socsense_bench::workspace_root();
+    let root = socsense_lint::workspace_root();
     let report = scan_workspace(&root).expect("scanning the live workspace");
 
     // The sharded serving tier lives in socsense-serve; its contract
@@ -338,7 +338,7 @@ fn sharded_tier_modules_stay_under_the_deterministic_contract() {
 
 #[test]
 fn discovery_crate_stays_under_the_deterministic_contract() {
-    let root = socsense_bench::workspace_root();
+    let root = socsense_lint::workspace_root();
     let report = scan_workspace(&root).expect("scanning the live workspace");
 
     // Dependency discovery feeds D-hat straight into the pipeline, so it

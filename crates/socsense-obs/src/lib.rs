@@ -525,29 +525,6 @@ impl MetricsSink for Tee {
     }
 }
 
-// ---------------------------------------------------------------------
-// Bench helper
-// ---------------------------------------------------------------------
-
-/// Runs `f` once unrecorded (warm-up), then `reps` timed repetitions —
-/// each observed into the named histogram on `obs` — and returns the
-/// exact median of the timed runs in seconds. `reps` is clamped to at
-/// least 1.
-pub fn median_timed<T>(obs: &Obs, name: &str, reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let reps = reps.max(1);
-    let _ = f();
-    let mut times = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let start = Instant::now();
-        let _ = f();
-        let secs = start.elapsed().as_secs_f64();
-        obs.observe(name, secs);
-        times.push(secs);
-    }
-    times.sort_by(f64::total_cmp);
-    times[reps / 2]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -721,18 +698,5 @@ mod tests {
         let snap = rec.snapshot();
         assert_eq!(snap.counter("hits"), 4000);
         assert_eq!(snap.histogram("vals").unwrap().count, 4000);
-    }
-
-    #[test]
-    fn median_timed_records_each_rep() {
-        let (obs, rec) = Obs::recorder();
-        let mut calls = 0u32;
-        let median = median_timed(&obs, "bench.work.seconds", 5, || calls += 1);
-        assert_eq!(calls, 6, "1 warm-up + 5 timed reps");
-        assert!(median >= 0.0);
-        let h = rec.snapshot();
-        let h = h.histogram("bench.work.seconds").unwrap();
-        assert_eq!(h.count, 5);
-        assert!(h.min <= median && median <= h.max);
     }
 }

@@ -9,7 +9,7 @@ use rand::{Rng, SeedableRng};
 
 use socsense_core::{EmConfig, StreamingEstimator};
 use socsense_graph::{FollowerGraph, TimedClaim};
-use socsense_serve::{QueryService, ServeConfig, ServeError};
+use socsense_serve::{QueryService, ServeConfig, ServeError, ServeStats};
 
 const N: u32 = 10;
 const M: u32 = 20;
@@ -110,6 +110,45 @@ fn concurrent_queries_never_perturb_the_posterior() {
     assert_eq!(stats.chain_refits, batches.len() as u64);
     assert_eq!(stats.total_claims, batches.len() * 30);
     assert_eq!(stats.pending_claims, 0);
+}
+
+/// Refit health on a sequential default-config workload: every batch
+/// advances the chain once, every chain refit after the first
+/// warm-starts from the previous `θ̂`, none fails, and cached reads are
+/// answered from the chain fit without refitting. Sequential on
+/// purpose: a concurrent querier could probe before the first ingest.
+#[test]
+fn sequential_ingest_warm_starts_and_reads_never_refit() {
+    let batches = stream_batches(5, 30, 2016);
+    let svc = QueryService::spawn(N, M, FollowerGraph::new(N), ServeConfig::default()).unwrap();
+    let client = svc.handle();
+    let acks: Vec<_> = batches.iter().map(|b| client.ingest(b.clone())).collect();
+    let after_ingest = client.stats().unwrap();
+    assert_eq!(after_ingest.failed_refits, 0, "acks: {acks:?}");
+    assert_eq!(after_ingest.chain_refits, 5);
+    assert_eq!(after_ingest.warm_refits, 4, "only the first refit is cold");
+    assert!(acks.into_iter().all(|ack| ack.unwrap().refitted));
+
+    for j in 0..M {
+        client.posterior(j).unwrap();
+    }
+    client.posteriors().unwrap();
+    let after_reads = svc.shutdown().unwrap();
+    let refits = |s: &ServeStats| {
+        (
+            s.chain_refits,
+            s.probe_refits,
+            s.warm_refits,
+            s.failed_refits,
+            s.delta_refits,
+            s.fallback_refits,
+        )
+    };
+    assert_eq!(
+        refits(&after_ingest),
+        refits(&after_reads),
+        "cached reads must not refit"
+    );
 }
 
 /// In debounced mode the chain never advances mid-test, so the final
