@@ -412,11 +412,13 @@ impl DeltaEngine {
     /// excluded from the staleness shift, because no column left
     /// untouched can contain one of their cells.
     ///
-    /// Mirrors the full EM loop of `run_em_with` — E-step, M-step with
-    /// hierarchical shrinkage (the same `apply_m_step`), `max |Δθ| < tol`
-    /// convergence, and a pass under the final `θ` — except that the
-    /// E-step touches only `touched` and the M-step reads the
-    /// incremental sums.
+    /// Mirrors the plain (cold) EM loop of `run_em_with` — E-step,
+    /// M-step with hierarchical shrinkage (the same `apply_m_step`),
+    /// `max |Δθ| < tol` convergence, and a pass under the final `θ` —
+    /// except that the E-step touches only `touched` and the M-step
+    /// reads the incremental sums. It takes no SQUAREM cycles: a scoped
+    /// refit runs a handful of maps, and its fallback re-enters the full
+    /// warm path, which does.
     pub(crate) fn refit(
         &mut self,
         em: &EmConfig,
@@ -712,7 +714,7 @@ impl DeltaEngine {
                 ]
             })
             .collect();
-        apply_m_step(em, &self.theta, &counts, self.sum_z / m, next)
+        apply_m_step(em, &self.theta, &counts, self.sum_z / m, next).0
     }
 }
 

@@ -15,13 +15,26 @@
 //! Denominators are computed sparsely: `Σ_{j: D=0} Z_j = Σ_j Z_j - Σ_{j ∈
 //! D-row(i)} Z_j`, so one iteration costs `O(nnz(SC) + nnz(D) + n + m)`.
 //!
-//! Each `θ` the loop visits gets exactly one pass over the assertions.
-//! The pass at `θₜ₊₁` writes the posterior the next M-step reads and the
-//! log-odds, and sums the observed-data log-likelihood (Eq. 7) that
-//! `ll_history[t]` records, chunk by chunk like
+//! A *map* is one M-step, and `iterations` counts maps. A *pass* is one
+//! sweep over the assertions under a `θ`: it writes the posterior the
+//! next M-step reads and the log-odds, and sums the observed-data
+//! log-likelihood (Eq. 7) chunk by chunk like
 //! [`data_log_likelihood_with`](crate::data_log_likelihood_with). The
-//! pass at the final `θ` is therefore the fit's answer, and nothing runs
-//! after the loop. The M-step writes into buffers allocated once per run.
+//! pass at the final `θ` is the fit's answer, and nothing runs after the
+//! loop. The M-step writes into buffers allocated once per run.
+//!
+//! Cold fits ([`EmExt::fit`]) take one map and one pass per iteration.
+//! Warm fits ([`EmExt::fit_warm`]) step in SQUAREM cycles (Varadhan &
+//! Roland, Scand. J. Stat. 2008): two maps `θ₀ → θ₁ → θ₂`, the second
+//! without a pass, then one pass at the S3 extrapolation
+//! `θₓ = θ₀ − 2αr + α²v` (`r = θ₁ − θ₀`, `v = θ₂ − 2θ₁ + θ₀`,
+//! `α = −‖r‖/‖v‖ ≤ −1`). That pass is the safeguard: `θₓ` is kept, its
+//! pass serving as the next map's E-step, only if it scores at least as
+//! well as `θ₁` on the objective the shrinkage M-step ascends (Eq. 7 plus
+//! the log-prior of [`ShrinkagePrior`], at the first map's population
+//! rates; Eq. 7 itself at `smoothing` 0). Otherwise the cycle spends one
+//! more pass and goes on from `θ₂`. A run only ever stops at a map's
+//! output, so the served `θ` is never an extrapolated point.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,7 +45,7 @@ use socsense_obs::Obs;
 
 use crate::data::ClaimData;
 use crate::error::SenseError;
-use crate::likelihood::{ColumnFit, LikelihoodTables};
+use crate::likelihood::{ColumnFit, LikelihoodTables, ShrinkagePrior};
 use crate::model::{SourceParams, Theta};
 
 /// How the EM parameters are initialised.
@@ -149,12 +162,14 @@ pub struct EmFit {
     pub posterior: Vec<f64>,
     /// Final observed-data log-likelihood `ln P(SC; θ̂)`.
     pub log_likelihood: f64,
-    /// Iterations executed.
+    /// EM maps (M-steps) executed.
     pub iterations: usize,
-    /// Whether `max |Δθ| < tol` was reached before `max_iters`.
+    /// Whether a map moved `θ` by `max |Δθ| < tol` within `max_iters`.
     pub converged: bool,
-    /// Observed-data log-likelihood after every iteration (EM guarantees
-    /// this is non-decreasing up to the clamping margin).
+    /// Observed-data log-likelihood after every map, at the point the
+    /// loop went on from: the map's output, or, after the second map of
+    /// a warm run's SQUAREM cycle, the accepted extrapolation. At
+    /// `smoothing` 0 it is non-decreasing up to the clamping margin.
     pub ll_history: Vec<f64>,
     /// Posterior log-odds `ln P(C_j=1|·) − ln P(C_j=0|·)` per assertion:
     /// the saturation-free ranking key corresponding to `posterior`.
@@ -191,6 +206,8 @@ impl EmExt {
     /// Used by the streaming estimator: after new claims arrive, the
     /// previous `θ̂` is usually near the new optimum and convergence takes
     /// a fraction of a cold start's iterations. No restarts are run.
+    /// Warm runs step in safeguarded SQUAREM cycles (see the module
+    /// docs); the fit is still a plain map's output.
     ///
     /// # Errors
     ///
@@ -206,7 +223,7 @@ impl EmExt {
             });
         }
         self.obs.counter("em.warm_starts_total", 1);
-        self.run_em(data, theta)
+        self.run_em_with(data, theta, self.config.parallelism, true)
     }
 
     /// Validates the configuration without running anything. Exposed
@@ -327,48 +344,94 @@ impl EmExt {
         init: InitStrategy,
         par: Parallelism,
     ) -> Result<EmFit, SenseError> {
-        self.run_em_with(data, self.initial_theta(data, init), par)
+        self.run_em_with(data, self.initial_theta(data, init), par, false)
     }
 
-    /// The EM loop proper, from an explicit starting point.
-    fn run_em(&self, data: &ClaimData, start: Theta) -> Result<EmFit, SenseError> {
-        self.run_em_with(data, start, self.config.parallelism)
-    }
-
+    /// The EM loop proper, from an explicit starting point: one map and
+    /// one pass per iteration, or, when `accelerate` (warm runs only),
+    /// safeguarded SQUAREM cycles (see the module docs).
     fn run_em_with(
         &self,
         data: &ClaimData,
         start: Theta,
         par: Parallelism,
+        accelerate: bool,
     ) -> Result<EmFit, SenseError> {
         // Runs may execute inside the restart sweep's parallel region,
         // so only commutative emissions (counters, observations) are
         // made here — recorded totals stay deterministic.
         let _run_timer = self.obs.timer("em.run.seconds");
+        let (tol, max_iters, smoothing) = (
+            self.config.tol,
+            self.config.max_iters,
+            self.config.smoothing,
+        );
         let mut theta = start;
         // Buffers every iteration reuses: the pass's output per
-        // assertion, the M-step counts per source, and the next θ.
+        // assertion, the M-step counts per source, the next θ and, in a
+        // SQUAREM cycle, the second map's output θ₂.
         let mut columns = vec![ColumnFit::default(); data.assertion_count()];
         let mut counts = vec![[0.0f64; 8]; data.source_count()];
         let mut next = theta.clone();
+        let mut second: Option<Theta> = None;
         let mut ll_history = Vec::new();
         let mut converged = false;
         let mut iterations = 0;
         let mut last_delta = f64::INFINITY;
+        let (mut passes, mut extrapolations, mut rejected) = (1u64, 0u64, 0u64);
 
         // E-step (Eq. 9) at the starting θ; its log-likelihood is not
         // part of the history.
-        column_pass(data, &theta, par, &mut columns);
-        for _ in 0..self.config.max_iters {
+        column_pass(data, &theta, None, par, &mut columns);
+        while iterations < max_iters {
             iterations += 1;
-            let delta = self.m_step(data, &theta, &columns, &mut counts, &mut next, par);
+            let (delta, rates) = self.m_step(data, &theta, &columns, &mut counts, &mut next, par);
             std::mem::swap(&mut theta, &mut next);
             last_delta = delta;
+            converged = delta < tol;
+            // A SQUAREM cycle goes on from here with θ₀ = `next` and
+            // θ₁ = `theta`; its merit takes the prior at this map's
+            // population rates.
+            let cycle = accelerate && !converged && iterations < max_iters;
+            let prior = (cycle && smoothing > 0.0).then_some(ShrinkagePrior { smoothing, rates });
             // The pass at the new θ: the next E-step and this
             // iteration's log-likelihood at once.
-            ll_history.push(column_pass(data, &theta, par, &mut columns));
-            if delta < self.config.tol {
-                converged = true;
+            let at_map = column_pass(data, &theta, prior.as_ref(), par, &mut columns);
+            passes += 1;
+            ll_history.push(at_map.log_likelihood);
+            if converged {
+                break;
+            }
+            if !cycle {
+                continue;
+            }
+
+            // The second map, θ₁ → θ₂, reads θ₁'s pass and skips its own.
+            let second = second.get_or_insert_with(|| theta.clone());
+            iterations += 1;
+            let (delta, _) = self.m_step(data, &theta, &columns, &mut counts, second, par);
+            last_delta = delta;
+            converged = delta < tol;
+            if !converged
+                && iterations < max_iters
+                && extrapolate(&mut next, &theta, second, self.config.eps)
+            {
+                extrapolations += 1;
+                let trial = column_pass(data, &next, prior.as_ref(), par, &mut columns);
+                passes += 1;
+                if trial.merit() >= at_map.merit() {
+                    std::mem::swap(&mut theta, &mut next);
+                    ll_history.push(trial.log_likelihood);
+                    continue;
+                }
+                rejected += 1;
+            }
+            // The run goes on from (or stops at) θ₂, which needs its
+            // own pass.
+            std::mem::swap(&mut theta, second);
+            ll_history.push(column_pass(data, &theta, None, par, &mut columns).log_likelihood);
+            passes += 1;
+            if converged {
                 break;
             }
         }
@@ -376,6 +439,10 @@ impl EmExt {
         if self.obs.enabled() {
             self.obs.counter("em.runs_total", 1);
             self.obs.counter("em.iterations_total", iterations as u64);
+            self.obs.counter("em.passes_total", passes);
+            self.obs.counter("em.extrapolations_total", extrapolations);
+            self.obs
+                .counter("em.extrapolations_rejected_total", rejected);
             if converged {
                 self.obs.counter("em.runs_converged_total", 1);
             }
@@ -402,7 +469,7 @@ impl EmExt {
     /// M-step (Eqs. 24–28), sparse form: accumulates each source's
     /// posterior-weighted claim counts and exposures into `counts`, then
     /// writes `θₜ₊₁` into `next` via [`apply_m_step`]. Returns
-    /// `max |Δθ|` from `theta` to `next`.
+    /// `max |Δθ|` from `theta` to `next` and the population rates.
     fn m_step(
         &self,
         data: &ClaimData,
@@ -411,7 +478,7 @@ impl EmExt {
         counts: &mut [[f64; 8]],
         next: &mut Theta,
         par: Parallelism,
-    ) -> f64 {
+    ) -> (f64, [f64; 4]) {
         let m = columns.len() as f64;
         let sum_z: f64 = columns.iter().map(|c| c.posterior).sum();
         let sum_y = m - sum_z;
@@ -461,20 +528,42 @@ impl EmExt {
     }
 }
 
+/// What a [`column_pass`] sums besides the columns it writes.
+#[derive(Debug, Clone, Copy)]
+struct Pass {
+    /// The observed-data log-likelihood (Eq. 7).
+    log_likelihood: f64,
+    /// The log-prior under the pass's [`ShrinkagePrior`], `0.0` without
+    /// one.
+    log_prior: f64,
+}
+
+impl Pass {
+    /// The SQUAREM safeguard's merit: the objective the shrinkage M-step
+    /// ascends.
+    fn merit(&self) -> f64 {
+        self.log_likelihood + self.log_prior
+    }
+}
+
 /// One pass over the assertions under `theta`: writes every column's
-/// posterior (Eq. 9), log-odds and Eq. 7 term into `columns` and returns
-/// the observed-data log-likelihood. The Eq. 7 terms are summed within
-/// the fixed chunks and the chunk sums folded in chunk order from `0.0`,
-/// the same sum as
-/// [`data_log_likelihood_with`](crate::data_log_likelihood_with).
+/// posterior (Eq. 9), log-odds and Eq. 7 term into `columns` and sums
+/// the observed-data log-likelihood, plus the log-prior of `theta` when
+/// a `prior` is given. The Eq. 7 terms are summed within the fixed
+/// chunks and the chunk sums folded in chunk order from `0.0`, the same
+/// sum as [`data_log_likelihood_with`](crate::data_log_likelihood_with).
 fn column_pass(
     data: &ClaimData,
     theta: &Theta,
+    prior: Option<&ShrinkagePrior>,
     par: Parallelism,
     columns: &mut [ColumnFit],
-) -> f64 {
-    let tables = LikelihoodTables::for_data(theta, data);
-    par_fill_reduce(
+) -> Pass {
+    let tables = match prior {
+        Some(prior) => LikelihoodTables::with_prior(theta, data, prior),
+        None => LikelihoodTables::for_data(theta, data),
+    };
+    let log_likelihood = par_fill_reduce(
         par,
         columns,
         0.0,
@@ -487,7 +576,65 @@ fn column_pass(
             sum
         },
         |a, b| a + b,
-    )
+    );
+    Pass {
+        log_likelihood,
+        log_prior: tables.log_prior(),
+    }
+}
+
+/// SQUAREM's S3 extrapolation from the two maps `θ₀ → θ₁ → θ₂`: with
+/// `r = θ₁ − θ₀` and `v = θ₂ − 2θ₁ + θ₀` (as `(θ₂ − θ₁) − r`), the step
+/// `α = −‖r‖/‖v‖` and `θₓ = θ₀ − 2αr + α²v`, clamped into
+/// `[eps, 1 − eps]`. The norms run over `z` and then every source's
+/// `a, b, f, g`, in order. When `α < −1` it overwrites `theta0` with
+/// `θₓ` and returns `true`; otherwise (`α = −1` is the plain second map)
+/// it leaves `theta0` alone and returns `false`.
+fn extrapolate(theta0: &mut Theta, theta1: &Theta, theta2: &Theta, eps: f64) -> bool {
+    let rv = |x0: f64, x1: f64, x2: f64| {
+        let r = x1 - x0;
+        (r, (x2 - x1) - r)
+    };
+    let (mut rr, mut vv) = (0.0, 0.0);
+    let mut add = |x0: f64, x1: f64, x2: f64| {
+        let (r, v) = rv(x0, x1, x2);
+        rr += r * r;
+        vv += v * v;
+    };
+    add(theta0.z(), theta1.z(), theta2.z());
+    for ((p0, p1), p2) in theta0
+        .sources()
+        .iter()
+        .zip(theta1.sources())
+        .zip(theta2.sources())
+    {
+        add(p0.a, p1.a, p2.a);
+        add(p0.b, p1.b, p2.b);
+        add(p0.f, p1.f, p2.f);
+        add(p0.g, p1.g, p2.g);
+    }
+    let alpha = -(rr.sqrt() / vv.sqrt());
+    if !(alpha < -1.0 && alpha.is_finite()) {
+        return false;
+    }
+    let step = |x0: f64, x1: f64, x2: f64| {
+        let (r, v) = rv(x0, x1, x2);
+        (x0 - 2.0 * alpha * r + alpha * alpha * v).clamp(eps, 1.0 - eps)
+    };
+    theta0.set_z(step(theta0.z(), theta1.z(), theta2.z()));
+    for (i, (p1, p2)) in theta1.sources().iter().zip(theta2.sources()).enumerate() {
+        let p0 = *theta0.source(i);
+        theta0.set_source(
+            i,
+            SourceParams {
+                a: step(p0.a, p1.a, p2.a),
+                b: step(p0.b, p1.b, p2.b),
+                f: step(p0.f, p1.f, p2.f),
+                g: step(p0.g, p1.g, p2.g),
+            },
+        );
+    }
+    true
 }
 
 /// The M-step's update from per-source sufficient statistics, shared by
@@ -501,14 +648,15 @@ fn column_pass(
 /// becomes `z`. Every value is clamped into `[eps, 1 − eps]` and written
 /// into `next`, which must cover as many sources as `theta`. Returns
 /// `max |Δθ|` from `theta` to `next`, taken over `z` first and then the
-/// sources in order, as [`Theta::max_abs_diff`] does.
+/// sources in order, as [`Theta::max_abs_diff`] does, and the population
+/// rates of `a`, `b`, `f` and `g`.
 pub(crate) fn apply_m_step(
     config: &EmConfig,
     theta: &Theta,
     counts: &[[f64; 8]],
     z: f64,
     next: &mut Theta,
-) -> f64 {
+) -> (f64, [f64; 4]) {
     let mut pop = [0.0f64; 8];
     for c in counts {
         for (p, v) in pop.iter_mut().zip(c) {
@@ -554,7 +702,7 @@ pub(crate) fn apply_m_step(
             .max((prev.g - p.g).abs());
         next.set_source(i, p);
     }
-    delta
+    (delta, pop_rates)
 }
 
 #[cfg(test)]
@@ -568,10 +716,13 @@ mod tests {
     use socsense_matrix::SparseBinaryMatrix;
 
     /// The three-pass EM loop over the reference kernel, which the fused
-    /// loop must match bit for bit: per iteration an E-step, the M-step,
-    /// and a separate log-likelihood pass at the new θ; after the loop,
-    /// one posterior pass and one log-odds pass at the final θ.
-    fn reference_run(em: &EmExt, data: &ClaimData, start: Theta) -> EmFit {
+    /// loop must match bit for bit: per map an E-step, the M-step, and a
+    /// separate log-likelihood pass at the new θ; after the loop, one
+    /// posterior pass and one log-odds pass at the final θ. With `warm`
+    /// it runs the SQUAREM cycle: the second map of a cycle skips its
+    /// log-likelihood, and the extrapolation and its merit are computed
+    /// on the spot over a flat parameter vector.
+    fn reference_run(em: &EmExt, data: &ClaimData, start: Theta, warm: bool) -> EmFit {
         let cfg = em.config();
         let par = Parallelism::Serial;
         let n = data.source_count();
@@ -607,13 +758,9 @@ mod tests {
             )
         };
 
-        let mut theta = start;
-        let mut ll_history = Vec::new();
-        let mut converged = false;
-        let mut iterations = 0;
-        for _ in 0..cfg.max_iters {
-            iterations += 1;
-            let posterior = posteriors(&theta);
+        // One EM map from θ: the E-step, then Eqs. 24–28 with shrinkage.
+        let map = |theta: &Theta| {
+            let posterior = posteriors(theta);
             let sum_z: f64 = posterior.iter().sum();
             let sum_y = m as f64 - sum_z;
             let mut next = theta.clone();
@@ -680,10 +827,102 @@ mod tests {
             next.set_z(sum_z / m as f64);
             next.clamp_in_place(cfg.eps);
             let delta = theta.max_abs_diff(&next).unwrap();
-            theta = next;
+            (
+                next,
+                delta,
+                [pop_rate(0), pop_rate(1), pop_rate(2), pop_rate(3)],
+            )
+        };
+        // The log-prior the merit adds at smoothing s > 0: for every rate
+        // x of every source, ln(1−x) + w·(ln x − ln(1−x)), summed in
+        // source order and scaled by s.
+        let log_prior = |theta: &Theta, rates: [f64; 4]| {
+            let mut total = 0.0;
+            for p in theta.sources() {
+                let mut term = 0.0;
+                for (x, w) in [p.a, p.b, p.f, p.g].into_iter().zip(rates) {
+                    term += safe_ln_1m(x) + w * (safe_ln(x) - safe_ln_1m(x));
+                }
+                total += term;
+            }
+            cfg.smoothing * total
+        };
+        let flat = |theta: &Theta| {
+            let mut v = vec![theta.z()];
+            for p in theta.sources() {
+                v.extend([p.a, p.b, p.f, p.g]);
+            }
+            v
+        };
+        // S3: α = −‖r‖/‖v‖, kept only when below −1.
+        let squarem_point = |t0: &Theta, t1: &Theta, t2: &Theta| {
+            let (x0, x1, x2) = (flat(t0), flat(t1), flat(t2));
+            let r: Vec<f64> = x0.iter().zip(&x1).map(|(a, b)| b - a).collect();
+            let v: Vec<f64> = (0..x0.len()).map(|k| (x2[k] - x1[k]) - r[k]).collect();
+            let rr: f64 = r.iter().fold(0.0, |acc, r| acc + r * r);
+            let vv: f64 = v.iter().fold(0.0, |acc, v| acc + v * v);
+            let alpha = -(rr.sqrt() / vv.sqrt());
+            if !(alpha < -1.0 && alpha.is_finite()) {
+                return None;
+            }
+            let x: Vec<f64> = (0..x0.len())
+                .map(|k| {
+                    (x0[k] - 2.0 * alpha * r[k] + alpha * alpha * v[k])
+                        .clamp(cfg.eps, 1.0 - cfg.eps)
+                })
+                .collect();
+            let sources = x[1..]
+                .chunks(4)
+                .map(|c| SourceParams {
+                    a: c[0],
+                    b: c[1],
+                    f: c[2],
+                    g: c[3],
+                })
+                .collect();
+            Some(Theta::new(sources, x[0]).unwrap())
+        };
+
+        let mut theta = start;
+        let mut ll_history = Vec::new();
+        let mut converged = false;
+        let mut iterations = 0;
+        while iterations < cfg.max_iters {
+            iterations += 1;
+            let (theta1, delta, rates) = map(&theta);
+            let theta0 = std::mem::replace(&mut theta, theta1);
+            converged = delta < cfg.tol;
+            let ll1 = log_likelihood(&theta);
+            ll_history.push(ll1);
+            if converged {
+                break;
+            }
+            if !warm || iterations == cfg.max_iters {
+                continue;
+            }
+            let merit = |theta: &Theta, ll: f64| {
+                if cfg.smoothing > 0.0 {
+                    ll + log_prior(theta, rates)
+                } else {
+                    ll
+                }
+            };
+            iterations += 1;
+            let (theta2, delta, _) = map(&theta);
+            converged = delta < cfg.tol;
+            if !converged && iterations < cfg.max_iters {
+                if let Some(x) = squarem_point(&theta0, &theta, &theta2) {
+                    let llx = log_likelihood(&x);
+                    if merit(&x, llx) >= merit(&theta, ll1) {
+                        theta = x;
+                        ll_history.push(llx);
+                        continue;
+                    }
+                }
+            }
+            theta = theta2;
             ll_history.push(log_likelihood(&theta));
-            if delta < cfg.tol {
-                converged = true;
+            if converged {
                 break;
             }
         }
@@ -714,7 +953,7 @@ mod tests {
         };
         let mut best: Option<EmFit> = None;
         for init in inits {
-            let fit = reference_run(em, data, em.initial_theta(data, init));
+            let fit = reference_run(em, data, em.initial_theta(data, init), false);
             if best
                 .as_ref()
                 .is_none_or(|b| fit.log_likelihood > b.log_likelihood)
@@ -799,7 +1038,7 @@ mod tests {
                         ..EmConfig::default()
                     };
                     let want = match &warm_start {
-                        Some(theta) => reference_run(&EmExt::new(config), &data, theta.clone()),
+                        Some(theta) => reference_run(&EmExt::new(config), &data, theta.clone(), true),
                         None => reference_fit(&EmExt::new(config), &data),
                     };
                     prop_assert_eq!(want.ll_history.len(), want.iterations);
@@ -1048,27 +1287,72 @@ mod tests {
         assert_eq!(snap.histogram("em.fit.seconds").unwrap().count, 1);
         assert!(snap.histogram("em.run.final_delta").unwrap().max < 1e-6);
         assert!(snap.histogram("em.run.ll_improvement").unwrap().min >= 0.0);
-        assert!(snap.counter("em.iterations_total") >= 2);
+        let iterations = snap.counter("em.iterations_total");
+        assert!(iterations >= 2);
+        // Cold runs take one pass per map plus one at the start.
+        assert_eq!(snap.counter("em.passes_total"), 2 + iterations);
+        assert_eq!(snap.counter("em.extrapolations_total"), 0);
+
+        // A warm fit from a random θ, traced the same way.
+        let start = Theta::random(data.source_count(), &mut StdRng::seed_from_u64(3));
+        let plain = EmExt::new(EmConfig::default())
+            .fit_warm(&data, start.clone())
+            .unwrap();
+        let (obs, rec) = Obs::recorder();
+        let traced = EmExt::new(EmConfig::default())
+            .with_obs(obs)
+            .fit_warm(&data, start)
+            .unwrap();
+        assert_eq!(fit_bits(&plain), fit_bits(&traced));
+        let snap = rec.snapshot();
+        assert_eq!(snap.counter("em.warm_starts_total"), 1);
+        assert_eq!(snap.counter("em.runs_total"), 1);
+        assert_eq!(snap.counter("em.runs_converged_total"), 1);
+        assert_eq!(
+            snap.counter("em.iterations_total"),
+            traced.iterations as u64
+        );
+        let (tried, rejected) = (
+            snap.counter("em.extrapolations_total"),
+            snap.counter("em.extrapolations_rejected_total"),
+        );
+        assert!(
+            tried >= 1 && rejected <= tried,
+            "{tried} tried, {rejected} rejected"
+        );
+        // A rejected extrapolation costs one pass more than the map it
+        // replaced; every other map costs one.
+        assert_eq!(
+            snap.counter("em.passes_total"),
+            1 + traced.iterations as u64 + rejected
+        );
     }
 
     #[test]
     #[cfg_attr(miri, ignore = "EM sweep is too slow under Miri")]
     fn recorded_totals_are_parallelism_invariant() {
         let (data, _) = separable_data();
+        let start = Theta::random(data.source_count(), &mut StdRng::seed_from_u64(3));
         let totals_at = |par| {
             let (obs, rec) = Obs::recorder();
-            EmExt::new(EmConfig {
+            let em = EmExt::new(EmConfig {
                 restarts: 2,
                 parallelism: par,
                 ..EmConfig::default()
             })
-            .with_obs(obs)
-            .fit(&data)
-            .unwrap();
+            .with_obs(obs);
+            em.fit(&data).unwrap();
+            em.fit_warm(&data, start.clone()).unwrap();
             let snap = rec.snapshot();
             (
-                snap.counter("em.runs_total"),
-                snap.counter("em.iterations_total"),
+                [
+                    "em.runs_total",
+                    "em.iterations_total",
+                    "em.passes_total",
+                    "em.extrapolations_total",
+                    "em.extrapolations_rejected_total",
+                ]
+                .map(|name| snap.counter(name)),
                 snap.histogram("em.run.iterations").unwrap().sum,
             )
         };
@@ -1076,6 +1360,43 @@ mod tests {
             totals_at(Parallelism::Serial),
             totals_at(Parallelism::Threads(4))
         );
+    }
+
+    /// The EM test Miri runs: a warm fit small enough for the
+    /// interpreter that still takes one accepted and one rejected
+    /// extrapolation, so the SQUAREM cycle's buffer swaps run under it.
+    #[test]
+    fn tiny_warm_fit_accepts_and_rejects_extrapolations() {
+        // Sources 0 and 1 claim assertions 0 and 1, source 1 copying on
+        // assertion 1; source 0 alone claims 2 and source 2 alone 3 and 4.
+        let sc = SparseBinaryMatrix::from_entries(
+            3,
+            5,
+            [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 3), (2, 4)],
+        );
+        let d = SparseBinaryMatrix::from_entries(3, 5, [(1, 1)]);
+        let data = ClaimData::new(sc, d).unwrap();
+        let start = Theta::random(3, &mut StdRng::seed_from_u64(2));
+        let (obs, rec) = Obs::recorder();
+        let fit = EmExt::new(EmConfig {
+            max_iters: 6,
+            parallelism: Parallelism::Serial,
+            ..EmConfig::default()
+        })
+        .with_obs(obs)
+        .fit_warm(&data, start)
+        .unwrap();
+        let snap = rec.snapshot();
+        assert_eq!(snap.counter("em.extrapolations_total"), 2);
+        assert_eq!(snap.counter("em.extrapolations_rejected_total"), 1);
+        assert_eq!((fit.iterations, fit.ll_history.len()), (6, 6));
+        assert_eq!(snap.counter("em.passes_total"), 1 + 6 + 1);
+        // The run stopped at a map's output, and its last pass is the
+        // answer served for that θ.
+        let served =
+            crate::likelihood::assertion_posteriors_with(&data, &fit.theta, Parallelism::Serial)
+                .unwrap();
+        assert_eq!(served, fit.posterior);
     }
 
     #[test]

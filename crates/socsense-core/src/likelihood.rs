@@ -17,7 +17,10 @@
 //! into everything a pass over the assertions needs at once: the
 //! posterior (Eq. 9), the log-odds, and the column's term of the
 //! observed-data log-likelihood (Eq. 7). EM-Ext, the delta engine and the
-//! functions below all evaluate columns through it.
+//! functions below all evaluate columns through it. Built with a
+//! [`ShrinkagePrior`], the tables also sum the log-prior that turns Eq. 7
+//! into the objective the shrinkage M-step ascends, which EM-Ext's warm
+//! runs use to safeguard their extrapolations.
 
 use socsense_matrix::logprob::{log_sum_exp2, safe_ln, safe_ln_1m};
 use socsense_matrix::parallel::{par_map_collect, par_map_reduce, Parallelism};
@@ -57,6 +60,35 @@ pub struct LikelihoodTables {
     base0: f64,
     ln_z: f64,
     ln_1z: f64,
+    /// The log-prior of `θ` under the tables' [`ShrinkagePrior`]; `0.0`
+    /// when built without one.
+    log_prior: f64,
+}
+
+/// The Beta prior behind the M-step's shrinkage: each rate update
+/// `(num + s·w)/(den + s)` maximises the expected complete-data
+/// log-likelihood plus `s·[w·ln x + (1−w)·ln(1−x)]` for the rate `x`, at
+/// the population rate `w` of its kind. Summed over every rate of every
+/// source, that term turns Eq. 7 into the objective the M-step ascends.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ShrinkagePrior {
+    /// The pseudo-count `s` ([`EmConfig::smoothing`](crate::EmConfig::smoothing)).
+    pub smoothing: f64,
+    /// The population rates `w` of `a`, `b`, `f` and `g`.
+    pub rates: [f64; 4],
+}
+
+impl ShrinkagePrior {
+    /// One source's prior term before scaling by `s`: the sum over its
+    /// rates `x` (in `a, b, f, g` order) of `ln(1−x) + w·(ln x − ln(1−x))`,
+    /// from each rate's `ln(1−x)` and log-odds `ln x − ln(1−x)`.
+    pub(crate) fn source_term(&self, ln_1m: [f64; 4], log_odds: [f64; 4]) -> f64 {
+        let mut sum = 0.0;
+        for ((ln_1m, w), log_odds) in ln_1m.into_iter().zip(self.rates).zip(log_odds) {
+            sum += ln_1m + w * log_odds;
+        }
+        sum
+    }
 }
 
 /// What one column contributes to a pass over the assertions under the
@@ -94,6 +126,19 @@ impl LikelihoodTables {
         )
     }
 
+    /// [`for_data`](Self::for_data) plus the log-prior of `theta` under
+    /// `prior`, read back by [`log_prior`](Self::log_prior). Every
+    /// source's terms are filled, since the prior reads them all; columns
+    /// evaluate to the same bits as under [`new`](Self::new).
+    pub(crate) fn with_prior(theta: &Theta, data: &ClaimData, prior: &ShrinkagePrior) -> Self {
+        Self::build(
+            theta,
+            |i| data.sc().row_nnz(i as u32) > 0,
+            |i| data.d().row_nnz(i as u32) > 0,
+            Some(prior),
+        )
+    }
+
     /// Builds the tables for `theta`, filling source `i`'s claim terms
     /// only when `has_claims(i)` and its dependent-cell and
     /// dependent-claim terms only when `has_deps(i)`. Each filled term is
@@ -104,8 +149,23 @@ impl LikelihoodTables {
         has_claims: impl Fn(usize) -> bool,
         has_deps: impl Fn(usize) -> bool,
     ) -> Self {
+        Self::build(theta, has_claims, has_deps, None)
+    }
+
+    /// [`compact`](Self::compact), also summing the log-prior when a
+    /// `prior` is given: `s` times the per-source
+    /// [`ShrinkagePrior::source_term`]s, folded in source order from
+    /// `0.0`. The prior reuses the logarithms the terms take, so with one
+    /// every term of every source is filled.
+    fn build(
+        theta: &Theta,
+        has_claims: impl Fn(usize) -> bool,
+        has_deps: impl Fn(usize) -> bool,
+        prior: Option<&ShrinkagePrior>,
+    ) -> Self {
         let mut base1 = 0.0;
         let mut base0 = 0.0;
+        let mut prior_sum = 0.0;
         let terms = theta
             .sources()
             .iter()
@@ -120,14 +180,20 @@ impl LikelihoodTables {
                     dep: [f64::NAN; 2],
                     dep_claim: [f64::NAN; 2],
                 };
-                if has_claims(i) {
+                if prior.is_some() || has_claims(i) {
                     t.claim = [safe_ln(s.a) - ln_1a, safe_ln(s.b) - ln_1b];
                 }
-                if has_deps(i) {
-                    let ln_1f = safe_ln_1m(s.f);
-                    let ln_1g = safe_ln_1m(s.g);
-                    t.dep = [ln_1f - ln_1a, ln_1g - ln_1b];
-                    t.dep_claim = [safe_ln(s.f) - ln_1f, safe_ln(s.g) - ln_1g];
+                let mut ln_1fg = [f64::NAN; 2];
+                if prior.is_some() || has_deps(i) {
+                    ln_1fg = [safe_ln_1m(s.f), safe_ln_1m(s.g)];
+                    t.dep = [ln_1fg[0] - ln_1a, ln_1fg[1] - ln_1b];
+                    t.dep_claim = [safe_ln(s.f) - ln_1fg[0], safe_ln(s.g) - ln_1fg[1]];
+                }
+                if let Some(p) = prior {
+                    prior_sum += p.source_term(
+                        [ln_1a, ln_1b, ln_1fg[0], ln_1fg[1]],
+                        [t.claim[0], t.claim[1], t.dep_claim[0], t.dep_claim[1]],
+                    );
                 }
                 t
             })
@@ -138,7 +204,15 @@ impl LikelihoodTables {
             base0,
             ln_z: safe_ln(theta.z()),
             ln_1z: safe_ln_1m(theta.z()),
+            log_prior: prior.map_or(0.0, |p| p.smoothing * prior_sum),
         }
+    }
+
+    /// The log-prior of the tables' `θ` under the [`ShrinkagePrior`]
+    /// they were built with ([`with_prior`](Self::with_prior)); `0.0`
+    /// for tables built without one.
+    pub(crate) fn log_prior(&self) -> f64 {
+        self.log_prior
     }
 
     /// Number of sources the tables cover.

@@ -7,8 +7,11 @@
 //! data has accumulated. [`StreamingEstimator`] keeps the claim log, the
 //! follow relation, and the last `θ̂`; each [`estimate`] call rebuilds the
 //! (cheap, sparse) `SC`/`D` matrices and **warm-starts** EM from the
-//! previous parameters via [`EmExt::fit_warm`], typically converging in a
-//! handful of iterations.
+//! previous parameters via [`EmExt::fit_warm`]. A warm run steps in
+//! safeguarded SQUAREM cycles (two EM maps, then one extrapolation that
+//! is kept only if the shrinkage objective does not drop), so it
+//! converges in a fraction of a cold start's maps; the served fit is
+//! still a plain map's output.
 //!
 //! [`estimate`]: StreamingEstimator::estimate
 

@@ -116,22 +116,23 @@ proptest! {
     /// EM always terminates with a valid θ, posteriors in range, and a
     /// non-decreasing likelihood trace.
     #[test]
-    fn em_is_stable_on_arbitrary_data((data, _) in random_problem()) {
+    fn em_is_stable_on_arbitrary_data((data, theta) in random_problem()) {
         // smoothing = 0 is the paper's exact EM, for which the monotone
-        // log-likelihood guarantee below holds.
-        let fit = EmExt::new(EmConfig { max_iters: 60, smoothing: 0.0, ..EmConfig::default() })
-            .fit(&data)
-            .unwrap();
-        prop_assert!((0.0..=1.0).contains(&fit.theta.z()));
-        for s in fit.theta.sources() {
-            prop_assert!((0.0..=1.0).contains(&s.a) && (0.0..=1.0).contains(&s.b));
-            prop_assert!((0.0..=1.0).contains(&s.f) && (0.0..=1.0).contains(&s.g));
-        }
-        for &p in &fit.posterior {
-            prop_assert!((0.0..=1.0).contains(&p));
-        }
-        for w in fit.ll_history.windows(2) {
-            prop_assert!(w[1] >= w[0] - 1e-6, "LL decreased {} -> {}", w[0], w[1]);
+        // log-likelihood guarantee below holds; the warm fit from the
+        // drawn θ checks that SQUAREM's safeguard keeps it.
+        let em = EmExt::new(EmConfig { max_iters: 60, smoothing: 0.0, ..EmConfig::default() });
+        for fit in [em.fit(&data).unwrap(), em.fit_warm(&data, theta).unwrap()] {
+            prop_assert!((0.0..=1.0).contains(&fit.theta.z()));
+            for s in fit.theta.sources() {
+                prop_assert!((0.0..=1.0).contains(&s.a) && (0.0..=1.0).contains(&s.b));
+                prop_assert!((0.0..=1.0).contains(&s.f) && (0.0..=1.0).contains(&s.g));
+            }
+            for &p in &fit.posterior {
+                prop_assert!((0.0..=1.0).contains(&p));
+            }
+            for w in fit.ll_history.windows(2) {
+                prop_assert!(w[1] >= w[0] - 1e-6, "LL decreased {} -> {}", w[0], w[1]);
+            }
         }
     }
 

@@ -33,11 +33,20 @@ pub(crate) struct WalRecord {
     pub claims: Vec<TimedClaim>,
 }
 
+/// The checkpoint format this build writes and reads, stamped into
+/// every [`WorkerSnapshot`] and [`RouterSnapshot`]. Bump it whenever
+/// their encoding changes, [`SlotCheckpoint`] included: recovery refuses
+/// a checkpoint of any other format, or one without a stamp, instead of
+/// skipping it.
+pub(crate) const CHECKPOINT_FORMAT: u64 = 1;
+
 /// The unsharded worker's checkpoint: its slot plus the request count.
 /// The ingest sequence position it covers is the snapshot's own
 /// sequence number.
 #[derive(Serialize, Deserialize)]
 pub(crate) struct WorkerSnapshot {
+    /// [`CHECKPOINT_FORMAT`] when written.
+    pub format: u64,
     pub slot: SlotCheckpoint,
     pub requests_served: u64,
 }
@@ -58,6 +67,8 @@ pub(crate) struct ClusterSnapshot {
 /// cluster's state, in ascending key order.
 #[derive(Serialize, Deserialize)]
 pub(crate) struct RouterSnapshot {
+    /// [`CHECKPOINT_FORMAT`] when written.
+    pub format: u64,
     pub epoch: u64,
     pub total_claims: usize,
     pub requests_served: u64,
@@ -109,17 +120,22 @@ impl DurableLog {
     /// there: the newest valid snapshot and every valid WAL record. A
     /// torn final WAL line — the signature of a crash mid-append — is
     /// truncated away and counted on `serve.wal.truncated_tail_total`.
+    /// A snapshot of another checkpoint format is refused (see
+    /// [`decode_checkpoint`]) before any file is touched.
     pub fn open<S: Deserialize>(
         cfg: &PersistConfig,
         obs: &Obs,
     ) -> Result<(Self, Recovered<S>), ServeError> {
+        let snaps = SnapshotStore::open(&cfg.data_dir.join("snapshots"))?;
+        let snapshot = match snaps.latest::<serde_json::Value>()? {
+            Some((seq, payload)) => Some((seq, decode_checkpoint(seq, payload)?)),
+            None => None,
+        };
         let wal_path = cfg.data_dir.join("wal.jsonl");
         let rx = recover::<WalRecord>(&wal_path)?;
         if rx.truncated_tail {
             obs.counter("serve.wal.truncated_tail_total", 1);
         }
-        let snaps = SnapshotStore::open(&cfg.data_dir.join("snapshots"))?;
-        let snapshot = snaps.latest::<S>()?;
         if snapshot.is_some() {
             obs.counter("serve.snapshot.restores_total", 1);
         }
@@ -191,6 +207,37 @@ impl DurableLog {
         }
         Ok(())
     }
+}
+
+/// Decodes checkpoint `seq` once its format stamp reads
+/// [`CHECKPOINT_FORMAT`]. A checkpoint of any other format, or one
+/// without a stamp, is refused with an error naming both formats: its
+/// WAL was truncated when it was written, so skipping it would lose the
+/// state it holds.
+fn decode_checkpoint<S: Deserialize>(
+    seq: u64,
+    payload: serde_json::Value,
+) -> Result<S, ServeError> {
+    let stamp = payload
+        .as_object()
+        .and_then(|fields| fields.get("format"))
+        .map(|format| serde_json::from_value::<u64>(format.clone()));
+    let found = match stamp {
+        Some(Ok(CHECKPOINT_FORMAT)) => {
+            return serde_json::from_value(payload).map_err(|e| {
+                ServeError::Persist(format!(
+                    "snapshot {seq} is stamped checkpoint format {CHECKPOINT_FORMAT} but does \
+                     not decode: {e}"
+                ))
+            });
+        }
+        Some(Ok(other)) => format!("checkpoint format {other}"),
+        _ => "an unstamped checkpoint format".to_string(),
+    };
+    Err(ServeError::Persist(format!(
+        "snapshot {seq} is in {found}, but this build reads checkpoint format \
+         {CHECKPOINT_FORMAT}; recovery refuses it and leaves the data directory as it is"
+    )))
 }
 
 /// One entry of a cluster's claim history: `(ingest epoch, position in

@@ -48,7 +48,9 @@ use socsense_obs::{Obs, Recorder};
 use crate::api::{
     ClusterAssignment, IngestAck, PersistConfig, ServeConfig, ServeError, ServeStats, ShardTopology,
 };
-use crate::durable::{dense_from, DurableLog, HistoryBackend, HistoryEntry, RouterSnapshot};
+use crate::durable::{
+    dense_from, DurableLog, HistoryBackend, HistoryEntry, RouterSnapshot, CHECKPOINT_FORMAT,
+};
 use crate::service::{panic_message, recorded, Backend, FrontEnd, Request, Response, ServeHandle};
 use crate::shard::{
     ClusterAck, ClusterOp, ShardMsg, ShardQuery, ShardReply, ShardReturn, ShardWorker,
@@ -624,6 +626,7 @@ impl Router {
         }
         clusters.sort_by_key(|c| c.key);
         let snap = RouterSnapshot {
+            format: CHECKPOINT_FORMAT,
             epoch: self.epoch,
             total_claims: self.total_claims,
             requests_served: self.requests_served,

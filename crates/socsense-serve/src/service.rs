@@ -14,7 +14,7 @@ use socsense_obs::{MetricsSnapshot, Obs, Recorder, Tee};
 use crate::api::{
     IngestAck, PersistConfig, ServeConfig, ServeError, ServeStats, ShardTopology, SourceRank,
 };
-use crate::durable::{dense_from, DurableLog, WorkerSnapshot};
+use crate::durable::{dense_from, DurableLog, WorkerSnapshot, CHECKPOINT_FORMAT};
 use crate::slot::{rank_sources, Slot};
 
 /// Renders a worker thread's panic payload for
@@ -578,6 +578,7 @@ impl Worker {
             return Ok(());
         }
         let snap = WorkerSnapshot {
+            format: CHECKPOINT_FORMAT,
             slot: self.slot.checkpoint(),
             requests_served: self.requests_served,
         };

@@ -7,6 +7,7 @@
 //! service resumes them from the checkpoint, not from the control's
 //! full query history. Served numbers are the contract.
 
+use std::collections::BTreeMap;
 use std::fs::OpenOptions;
 use std::path::{Path, PathBuf};
 
@@ -15,8 +16,9 @@ use rand::{Rng, SeedableRng};
 
 use socsense_core::{DeltaConfig, RefitMode};
 use socsense_graph::{FollowerGraph, TimedClaim};
+use socsense_persist::SnapshotStore;
 use socsense_serve::{
-    PersistConfig, QueryService, ServeConfig, ServeHandle, ShardedService, SourceRank,
+    PersistConfig, QueryService, ServeConfig, ServeError, ServeHandle, ShardedService, SourceRank,
 };
 
 const N: u32 = 6;
@@ -307,4 +309,101 @@ fn sharded_restart_with_different_shard_count_is_bit_identical() {
     b.shutdown().unwrap();
     control.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every file under `dir`, by path, with its bytes.
+fn dir_bytes(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    let mut files = BTreeMap::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(path) = pending.pop() {
+        if path.is_dir() {
+            for entry in std::fs::read_dir(&path).unwrap() {
+                pending.push(entry.unwrap().path());
+            }
+        } else {
+            files.insert(path.clone(), std::fs::read(&path).unwrap());
+        }
+    }
+    files
+}
+
+/// Rewrites the newest checkpoint under `dir` with its format stamp set
+/// to `format`, or removed when `None`, as a build of another checkpoint
+/// format would have written it.
+fn restamp_checkpoint(dir: &Path, format: Option<u64>) {
+    let mut store = SnapshotStore::open(&dir.join("snapshots")).unwrap();
+    let (seq, mut payload) = store
+        .latest::<serde_json::Value>()
+        .unwrap()
+        .expect("the run wrote a checkpoint");
+    let serde_json::Value::Object(fields) = &mut payload else {
+        panic!("a checkpoint is a JSON object");
+    };
+    match format {
+        Some(format) => fields.insert("format".into(), serde_json::json!(format)),
+        None => fields.remove("format"),
+    };
+    store.write(seq, &payload).unwrap();
+}
+
+/// A checkpoint of another format stops recovery with an error naming
+/// both formats, on either tier, and leaves the data directory byte for
+/// byte as it was: the WAL the checkpoint truncated cannot rebuild it.
+#[test]
+fn checkpoint_of_another_format_is_refused_and_left_as_is() {
+    let mut batches = vec![bootstrap_batch()];
+    batches.extend(random_batches(5, 12, 42, 1000));
+    for shards in [None, Some(2)] {
+        let tier = if shards.is_some() {
+            "sharded"
+        } else {
+            "serial"
+        };
+        let dir = tmp_dir(&format!("format-{tier}"));
+        let cfg = persisted(&ServeConfig::default(), &dir, 4);
+        // Spawns the tier over `dir`, ingests `feed` and shuts it down.
+        let run = |feed: &[Vec<TimedClaim>]| -> Result<(), ServeError> {
+            match shards {
+                None => {
+                    let service = QueryService::spawn(N, M, follow_graph(), cfg.clone())?;
+                    for batch in feed {
+                        service.handle().ingest(batch.clone())?;
+                    }
+                    service.shutdown().map(drop)
+                }
+                Some(shards) => {
+                    let service = ShardedService::spawn(N, M, follow_graph(), cfg.clone(), shards)?;
+                    for batch in feed {
+                        service.handle().ingest(batch.clone())?;
+                    }
+                    service.shutdown().map(drop)
+                }
+            }
+        };
+        run(&batches).unwrap();
+
+        for (stamp, named) in [
+            (Some(7), "checkpoint format 7"),
+            (None, "an unstamped checkpoint format"),
+        ] {
+            restamp_checkpoint(&dir, stamp);
+            let before = dir_bytes(&dir);
+            let err = run(&[])
+                .expect_err("recovery refuses another format")
+                .to_string();
+            assert!(
+                err.contains(named) && err.contains("reads checkpoint format 1"),
+                "{tier}: the refusal names both formats: {err}"
+            );
+            assert!(
+                dir_bytes(&dir) == before,
+                "{tier}: the refused data directory changed"
+            );
+        }
+
+        // Stamped back, the same directory recovers.
+        restamp_checkpoint(&dir, Some(1));
+        run(&[]).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
