@@ -16,7 +16,6 @@
 
 mod exact;
 mod gibbs;
-mod importance;
 mod mismatch;
 
 use serde::{Deserialize, Serialize};
@@ -27,7 +26,6 @@ use socsense_obs::Obs;
 use exact::exact_bound_counted;
 pub use exact::{exact_bound, exact_bound_from_table, exact_bound_with, MAX_EXACT_SOURCES};
 pub use gibbs::{gibbs_bound, GibbsConfig, GibbsEstimator, GibbsOutcome};
-pub use importance::{importance_bound, ImportanceConfig, ImportanceOutcome};
 pub use mismatch::mismatched_decision_error;
 
 use crate::data::ClaimData;

@@ -21,7 +21,15 @@
 //! log-likelihood (Eq. 7) chunk by chunk like
 //! [`data_log_likelihood_with`](crate::data_log_likelihood_with). The
 //! pass at the final `θ` is the fit's answer, and nothing runs after the
-//! loop. The M-step writes into buffers allocated once per run.
+//! loop.
+//!
+//! Each fit lays its data out once ([`ClaimLayout`]) and shares the
+//! layout across its starts. A pass rebuilds the likelihood tables in
+//! one buffer per run, evaluates one column per group of equal columns,
+//! and copies each group's result out to its columns while it sums Eq. 7
+//! over all of them in the fixed chunk order. The M-step gathers each
+//! source's sums from the layout's lists and writes into buffers
+//! allocated once per run.
 //!
 //! Cold fits ([`EmExt::fit`]) take one map and one pass per iteration.
 //! Warm fits ([`EmExt::fit_warm`]) step in SQUAREM cycles (Varadhan &
@@ -45,7 +53,7 @@ use socsense_obs::Obs;
 
 use crate::data::ClaimData;
 use crate::error::SenseError;
-use crate::likelihood::{ColumnFit, LikelihoodTables, ShrinkagePrior};
+use crate::likelihood::{ClaimLayout, ColumnFit, LikelihoodTables, ShrinkagePrior};
 use crate::model::{SourceParams, Theta};
 
 /// How the EM parameters are initialised.
@@ -222,8 +230,9 @@ impl EmExt {
                 actual: theta.source_count(),
             });
         }
+        let layout = ClaimLayout::new(data)?;
         self.obs.counter("em.warm_starts_total", 1);
-        self.run_em_with(data, theta, self.config.parallelism, true)
+        self.run_em_with(&layout, theta, self.config.parallelism, true)
     }
 
     /// Validates the configuration without running anything. Exposed
@@ -258,6 +267,7 @@ impl EmExt {
     pub fn fit(&self, data: &ClaimData) -> Result<EmFit, SenseError> {
         self.check_config()?;
         let timer = self.obs.timer("em.fit.seconds");
+        let layout = ClaimLayout::new(data)?;
         let deterministic: Vec<InitStrategy> = match self.config.init {
             InitStrategy::Auto => vec![InitStrategy::ClaimRateBiased, InitStrategy::DepBiased],
             other => vec![other],
@@ -280,7 +290,7 @@ impl EmExt {
         self.obs
             .counter("em.fit.restarts_total", self.config.restarts as u64);
         let fits = par_map_collect(self.config.parallelism, inits.len(), |k| {
-            self.fit_once(data, inits[k], inner)
+            self.run_em_with(&layout, self.initial_theta(data, inits[k]), inner, false)
         });
         // Keep-best folds in init order with a strict `>`, so the
         // *earliest* init wins exact log-likelihood ties — the same
@@ -338,21 +348,12 @@ impl EmExt {
         }
     }
 
-    fn fit_once(
-        &self,
-        data: &ClaimData,
-        init: InitStrategy,
-        par: Parallelism,
-    ) -> Result<EmFit, SenseError> {
-        self.run_em_with(data, self.initial_theta(data, init), par, false)
-    }
-
-    /// The EM loop proper, from an explicit starting point: one map and
-    /// one pass per iteration, or, when `accelerate` (warm runs only),
-    /// safeguarded SQUAREM cycles (see the module docs).
+    /// The EM loop proper over `layout`'s data, from an explicit starting
+    /// point: one map and one pass per iteration, or, when `accelerate`
+    /// (warm runs only), safeguarded SQUAREM cycles (see the module docs).
     fn run_em_with(
         &self,
-        data: &ClaimData,
+        layout: &ClaimLayout,
         start: Theta,
         par: Parallelism,
         accelerate: bool,
@@ -367,25 +368,25 @@ impl EmExt {
             self.config.smoothing,
         );
         let mut theta = start;
-        // Buffers every iteration reuses: the pass's output per
-        // assertion, the M-step counts per source, the next θ and, in a
+        // Buffers every iteration reuses: the passes' tables and
+        // outputs, the M-step counts per source, the next θ and, in a
         // SQUAREM cycle, the second map's output θ₂.
-        let mut columns = vec![ColumnFit::default(); data.assertion_count()];
-        let mut counts = vec![[0.0f64; 8]; data.source_count()];
+        let mut passes = Passes::new(layout, par);
+        let mut counts = vec![[0.0f64; 8]; layout.source_count()];
         let mut next = theta.clone();
         let mut second: Option<Theta> = None;
         let mut ll_history = Vec::new();
         let mut converged = false;
         let mut iterations = 0;
         let mut last_delta = f64::INFINITY;
-        let (mut passes, mut extrapolations, mut rejected) = (1u64, 0u64, 0u64);
+        let (mut extrapolations, mut rejected) = (0u64, 0u64);
 
         // E-step (Eq. 9) at the starting θ; its log-likelihood is not
         // part of the history.
-        column_pass(data, &theta, None, par, &mut columns);
+        passes.run(&theta, None);
         while iterations < max_iters {
             iterations += 1;
-            let (delta, rates) = self.m_step(data, &theta, &columns, &mut counts, &mut next, par);
+            let (delta, rates) = self.m_step(&passes, &theta, &mut counts, &mut next);
             std::mem::swap(&mut theta, &mut next);
             last_delta = delta;
             converged = delta < tol;
@@ -396,8 +397,7 @@ impl EmExt {
             let prior = (cycle && smoothing > 0.0).then_some(ShrinkagePrior { smoothing, rates });
             // The pass at the new θ: the next E-step and this
             // iteration's log-likelihood at once.
-            let at_map = column_pass(data, &theta, prior.as_ref(), par, &mut columns);
-            passes += 1;
+            let at_map = passes.run(&theta, prior.as_ref());
             ll_history.push(at_map.log_likelihood);
             if converged {
                 break;
@@ -409,7 +409,7 @@ impl EmExt {
             // The second map, θ₁ → θ₂, reads θ₁'s pass and skips its own.
             let second = second.get_or_insert_with(|| theta.clone());
             iterations += 1;
-            let (delta, _) = self.m_step(data, &theta, &columns, &mut counts, second, par);
+            let (delta, _) = self.m_step(&passes, &theta, &mut counts, second);
             last_delta = delta;
             converged = delta < tol;
             if !converged
@@ -417,8 +417,7 @@ impl EmExt {
                 && extrapolate(&mut next, &theta, second, self.config.eps)
             {
                 extrapolations += 1;
-                let trial = column_pass(data, &next, prior.as_ref(), par, &mut columns);
-                passes += 1;
+                let trial = passes.run(&next, prior.as_ref());
                 if trial.merit() >= at_map.merit() {
                     std::mem::swap(&mut theta, &mut next);
                     ll_history.push(trial.log_likelihood);
@@ -429,8 +428,7 @@ impl EmExt {
             // The run goes on from (or stops at) θ₂, which needs its
             // own pass.
             std::mem::swap(&mut theta, second);
-            ll_history.push(column_pass(data, &theta, None, par, &mut columns).log_likelihood);
-            passes += 1;
+            ll_history.push(passes.run(&theta, None).log_likelihood);
             if converged {
                 break;
             }
@@ -439,7 +437,10 @@ impl EmExt {
         if self.obs.enabled() {
             self.obs.counter("em.runs_total", 1);
             self.obs.counter("em.iterations_total", iterations as u64);
-            self.obs.counter("em.passes_total", passes);
+            self.obs.counter("em.passes_total", passes.passes);
+            self.obs
+                .counter("em.column_evals_total", passes.column_evals);
+            self.obs.counter("em.logs_total", passes.logs);
             self.obs.counter("em.extrapolations_total", extrapolations);
             self.obs
                 .counter("em.extrapolations_rejected_total", rejected);
@@ -455,62 +456,58 @@ impl EmExt {
 
         // detlint: allow(P1) -- EM runs at least one iteration (max_iters >= 1 is config-validated), so the history is nonempty
         let log_likelihood = *ll_history.last().expect("at least one iteration ran");
+        let log_odds = layout
+            .group_of()
+            .iter()
+            .map(|&g| passes.fits[g as usize].log_odds)
+            .collect();
         Ok(EmFit {
             theta,
-            posterior: columns.iter().map(|c| c.posterior).collect(),
+            posterior: passes.posterior,
             log_likelihood,
             iterations,
             converged,
             ll_history,
-            log_odds: columns.iter().map(|c| c.log_odds).collect(),
+            log_odds,
         })
     }
 
     /// M-step (Eqs. 24–28), sparse form: accumulates each source's
-    /// posterior-weighted claim counts and exposures into `counts`, then
-    /// writes `θₜ₊₁` into `next` via [`apply_m_step`]. Returns
-    /// `max |Δθ|` from `theta` to `next` and the population rates.
+    /// posterior-weighted claim counts and exposures into `counts` from
+    /// the last pass's posteriors, then writes `θₜ₊₁` into `next` via
+    /// [`apply_m_step`]. Returns `max |Δθ|` from `theta` to `next` and
+    /// the population rates.
     fn m_step(
         &self,
-        data: &ClaimData,
+        passes: &Passes<'_>,
         theta: &Theta,
-        columns: &[ColumnFit],
         counts: &mut [[f64; 8]],
         next: &mut Theta,
-        par: Parallelism,
     ) -> (f64, [f64; 4]) {
-        let m = columns.len() as f64;
-        let sum_z: f64 = columns.iter().map(|c| c.posterior).sum();
+        let (layout, posterior) = (passes.layout, &passes.posterior);
+        let m = posterior.len() as f64;
+        let sum_z: f64 = posterior.iter().sum();
         let sum_y = m - sum_z;
-        // Each source's counts read only its own rows, so the fill
+        // Each source's counts read only its own lists, so the fill
         // parallelises over fixed source chunks.
-        par_fill(par, counts, |iu| {
-            let i = iu as u32;
+        par_fill(passes.par, counts, |i| {
+            let (dep_row, independent, dependent) = layout.source_cells(i);
             let mut dep_z = 0.0;
-            let mut dep_cells = 0usize;
-            for &j in data.d().row(i) {
-                dep_z += columns[j as usize].posterior;
-                dep_cells += 1;
+            for &j in dep_row {
+                dep_z += posterior[j as usize];
             }
-            let dep_y = dep_cells as f64 - dep_z;
-
-            let (mut num_a, mut num_b, mut num_f, mut num_g) = (0.0, 0.0, 0.0, 0.0);
-            // Merge SC-row with D-row to split claims by dependency.
-            let dep_row = data.d().row(i);
-            let mut dep_iter = dep_row.iter().peekable();
-            for &j in data.sc().row(i) {
-                while dep_iter.peek().is_some_and(|&&dj| dj < j) {
-                    dep_iter.next();
-                }
-                let is_dep = dep_iter.peek() == Some(&&j);
-                let zj = columns[j as usize].posterior;
-                if is_dep {
-                    num_f += zj;
-                    num_g += 1.0 - zj;
-                } else {
-                    num_a += zj;
-                    num_b += 1.0 - zj;
-                }
+            let dep_y = dep_row.len() as f64 - dep_z;
+            let (mut num_a, mut num_b) = (0.0, 0.0);
+            for &j in independent {
+                let zj = posterior[j as usize];
+                num_a += zj;
+                num_b += 1.0 - zj;
+            }
+            let (mut num_f, mut num_g) = (0.0, 0.0);
+            for &j in dependent {
+                let zj = posterior[j as usize];
+                num_f += zj;
+                num_g += 1.0 - zj;
             }
 
             [
@@ -528,7 +525,7 @@ impl EmExt {
     }
 }
 
-/// What a [`column_pass`] sums besides the columns it writes.
+/// What a pass ([`Passes::run`]) sums besides the columns it writes.
 #[derive(Debug, Clone, Copy)]
 struct Pass {
     /// The observed-data log-likelihood (Eq. 7).
@@ -546,40 +543,78 @@ impl Pass {
     }
 }
 
-/// One pass over the assertions under `theta`: writes every column's
-/// posterior (Eq. 9), log-odds and Eq. 7 term into `columns` and sums
-/// the observed-data log-likelihood, plus the log-prior of `theta` when
-/// a `prior` is given. The Eq. 7 terms are summed within the fixed
-/// chunks and the chunk sums folded in chunk order from `0.0`, the same
-/// sum as [`data_log_likelihood_with`](crate::data_log_likelihood_with).
-fn column_pass(
-    data: &ClaimData,
-    theta: &Theta,
-    prior: Option<&ShrinkagePrior>,
+/// One run's passes over the assertions: the fit's claim layout, and
+/// the buffers every pass refills in place.
+struct Passes<'a> {
+    layout: &'a ClaimLayout,
     par: Parallelism,
-    columns: &mut [ColumnFit],
-) -> Pass {
-    let tables = match prior {
-        Some(prior) => LikelihoodTables::with_prior(theta, data, prior),
-        None => LikelihoodTables::for_data(theta, data),
-    };
-    let log_likelihood = par_fill_reduce(
-        par,
-        columns,
-        0.0,
-        |range, out| {
-            let mut sum = 0.0;
-            for (cell, j) in out.iter_mut().zip(range) {
-                *cell = tables.column(data.sc().col(j as u32), data.d().col(j as u32));
-                sum += cell.log_marginal;
-            }
-            sum
-        },
-        |a, b| a + b,
-    );
-    Pass {
-        log_likelihood,
-        log_prior: tables.log_prior(),
+    tables: LikelihoodTables,
+    /// The last pass's fit of each group of equal columns.
+    fits: Vec<ColumnFit>,
+    /// The last pass's posterior of each column, which the next M-step
+    /// reads.
+    posterior: Vec<f64>,
+    /// Passes run, distinct columns evaluated, and logarithms the table
+    /// builds took.
+    passes: u64,
+    column_evals: u64,
+    logs: u64,
+}
+
+impl<'a> Passes<'a> {
+    fn new(layout: &'a ClaimLayout, par: Parallelism) -> Self {
+        Self {
+            layout,
+            par,
+            tables: LikelihoodTables::empty(),
+            fits: vec![ColumnFit::default(); layout.group_count()],
+            posterior: vec![0.0; layout.assertion_count()],
+            passes: 0,
+            column_evals: 0,
+            logs: 0,
+        }
+    }
+
+    /// One pass under `theta`: evaluates one column per group (Eq. 9 and
+    /// Eq. 7's term), in fixed chunks over the groups, then copies each
+    /// group's posterior out to its columns and sums the observed-data
+    /// log-likelihood, plus the log-prior of `theta` when a `prior` is
+    /// given. The Eq. 7 terms of all `m` columns are summed within the
+    /// fixed chunks of `0..m` and the chunk sums folded in chunk order
+    /// from `0.0`, the same sum as
+    /// [`data_log_likelihood_with`](crate::data_log_likelihood_with).
+    /// The copy-out is a light gather and runs inline, so a pass spawns
+    /// workers once.
+    fn run(&mut self, theta: &Theta, prior: Option<&ShrinkagePrior>) -> Pass {
+        let layout = self.layout;
+        self.tables.refill(theta, layout, prior);
+        let tables = &self.tables;
+        par_fill(self.par, &mut self.fits, |g| {
+            tables.slots_column(layout.group_slots(g))
+        });
+        let (fits, group_of) = (&self.fits, layout.group_of());
+        let log_likelihood = par_fill_reduce(
+            Parallelism::Serial,
+            &mut self.posterior,
+            0.0,
+            |range, out| {
+                let mut sum = 0.0;
+                for (z, j) in out.iter_mut().zip(range) {
+                    let fit = &fits[group_of[j] as usize];
+                    *z = fit.posterior;
+                    sum += fit.log_marginal;
+                }
+                sum
+            },
+            |a, b| a + b,
+        );
+        self.passes += 1;
+        self.column_evals += fits.len() as u64;
+        self.logs += tables.logs();
+        Pass {
+            log_likelihood,
+            log_prior: tables.log_prior(),
+        }
     }
 }
 
@@ -987,22 +1022,36 @@ mod tests {
         )
     }
 
-    /// A random world of `n` claiming sources plus one that never
-    /// claims (but may hold dependent cells), with `D` cells only when
-    /// `with_d`. Up to 150 assertions, so the log-likelihood chunks hold
-    /// several terms each.
+    /// A random world of `n` claiming sources, one that never claims
+    /// (but may hold dependent cells) and a run of two or three that
+    /// hold no cell at all, with `D` cells only when `with_d`. Up to 150
+    /// assertions, so the log-likelihood chunks hold several terms each,
+    /// then copies of up to 15 of them, so some columns are equal.
     fn random_world() -> impl Strategy<Value = ClaimData> {
-        (1u32..8, 1u32..150, 0u32..2).prop_flat_map(|(n, m, with_d)| {
-            let sc = proptest::collection::vec((0..n, 0..m), 1..150);
-            let d = proptest::collection::vec((0..n + 1, 0..m), 0..(1 + 60 * with_d as usize));
-            (Just(n + 1), Just(m), sc, d).prop_map(|(rows, m, sc, d)| {
-                ClaimData::new(
-                    SparseBinaryMatrix::from_entries(rows, m, sc),
-                    SparseBinaryMatrix::from_entries(rows, m, d),
+        (1u32..8, 1u32..150, 0u32..2, 2u32..4, 0u32..16).prop_flat_map(
+            |(n, m, with_d, idle, copies)| {
+                let sc = proptest::collection::vec((0..n, 0..m), 1..150);
+                let d = proptest::collection::vec((0..n + 1, 0..m), 0..(1 + 60 * with_d as usize));
+                (Just(n + 1 + idle), Just(m), Just(copies.min(m)), sc, d).prop_map(
+                    |(rows, m, copies, sc, d)| {
+                        // Column m + k repeats column k's cells.
+                        let with_copies = |cells: Vec<(u32, u32)>| {
+                            let repeated: Vec<(u32, u32)> = cells
+                                .iter()
+                                .filter(|&&(_, j)| j < copies)
+                                .map(|&(i, j)| (i, m + j))
+                                .collect();
+                            cells.into_iter().chain(repeated).collect::<Vec<_>>()
+                        };
+                        ClaimData::new(
+                            SparseBinaryMatrix::from_entries(rows, m + copies, with_copies(sc)),
+                            SparseBinaryMatrix::from_entries(rows, m + copies, with_copies(d)),
+                        )
+                        .expect("shapes match")
+                    },
                 )
-                .expect("shapes match")
-            })
-        })
+            },
+        )
     }
 
     proptest! {
@@ -1290,8 +1339,19 @@ mod tests {
         let iterations = snap.counter("em.iterations_total");
         assert!(iterations >= 2);
         // Cold runs take one pass per map plus one at the start.
-        assert_eq!(snap.counter("em.passes_total"), 2 + iterations);
+        let passes = snap.counter("em.passes_total");
+        assert_eq!(passes, 2 + iterations);
         assert_eq!(snap.counter("em.extrapolations_total"), 0);
+        // Two distinct columns (0..5 and 5..10), one evaluation each per
+        // pass. A build takes `ln z`, `ln(1−z)` and the first source's
+        // four logarithms; the sources of each block share their rates,
+        // so the others reuse them.
+        assert_eq!(snap.counter("em.column_evals_total"), 2 * passes);
+        let logs = snap.counter("em.logs_total");
+        assert!(
+            (6 * passes..(4 * 6 + 2) * passes).contains(&logs),
+            "{logs} logarithms over {passes} passes"
+        );
 
         // A warm fit from a random θ, traced the same way.
         let start = Theta::random(data.source_count(), &mut StdRng::seed_from_u64(3));
@@ -1322,9 +1382,14 @@ mod tests {
         );
         // A rejected extrapolation costs one pass more than the map it
         // replaced; every other map costs one.
-        assert_eq!(
-            snap.counter("em.passes_total"),
-            1 + traced.iterations as u64 + rejected
+        let passes = snap.counter("em.passes_total");
+        assert_eq!(passes, 1 + traced.iterations as u64 + rejected);
+        assert_eq!(snap.counter("em.column_evals_total"), 2 * passes);
+        // Merit passes fill all six logarithms of every source.
+        let logs = snap.counter("em.logs_total");
+        assert!(
+            (6 * passes..(6 * 6 + 2) * passes).contains(&logs),
+            "{logs} logarithms over {passes} passes"
         );
     }
 
@@ -1349,6 +1414,8 @@ mod tests {
                     "em.runs_total",
                     "em.iterations_total",
                     "em.passes_total",
+                    "em.column_evals_total",
+                    "em.logs_total",
                     "em.extrapolations_total",
                     "em.extrapolations_rejected_total",
                 ]
@@ -1397,6 +1464,41 @@ mod tests {
             crate::likelihood::assertion_posteriors_with(&data, &fit.theta, Parallelism::Serial)
                 .unwrap();
         assert_eq!(served, fit.posterior);
+    }
+
+    /// The layout's test Miri runs: a warm fit over two equal columns
+    /// and two sources without a cell, so grouping, the copy-out and the
+    /// logarithm reuse all run under the interpreter, against the
+    /// three-pass reference.
+    #[test]
+    fn tiny_warm_fit_over_equal_columns_matches_the_reference() {
+        // Sources 0 and 1 claim assertions 0 and 1 alike, source 1
+        // copying; source 0 alone claims 2. Sources 2 and 3 hold nothing.
+        let sc = SparseBinaryMatrix::from_entries(4, 3, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]);
+        let d = SparseBinaryMatrix::from_entries(4, 3, [(1, 0), (1, 1)]);
+        let data = ClaimData::new(sc, d).unwrap();
+        let start = Theta::random(4, &mut StdRng::seed_from_u64(5));
+        let em = EmExt::new(EmConfig {
+            max_iters: 6,
+            parallelism: Parallelism::Serial,
+            ..EmConfig::default()
+        });
+        let (obs, rec) = Obs::recorder();
+        let fit = em
+            .clone()
+            .with_obs(obs)
+            .fit_warm(&data, start.clone())
+            .unwrap();
+        let snap = rec.snapshot();
+        assert_eq!(
+            snap.counter("em.column_evals_total"),
+            2 * snap.counter("em.passes_total"),
+            "premise: assertions 0 and 1 are one group"
+        );
+        assert_eq!(
+            fit_bits(&fit),
+            fit_bits(&reference_run(&em, &data, start, true))
+        );
     }
 
     #[test]

@@ -12,15 +12,29 @@
 //!    claiming one (`a_i`, `f_i`, `b_i`, or `g_i` according to `D`).
 //!
 //! Total cost per pass is `O(nnz(SC) + nnz(D))`. [`LikelihoodTables`]
-//! holds the six correction terms of each source in one row, and
-//! [`LikelihoodTables::column`] turns a column's pair of log-likelihoods
-//! into everything a pass over the assertions needs at once: the
-//! posterior (Eq. 9), the log-odds, and the column's term of the
-//! observed-data log-likelihood (Eq. 7). EM-Ext, the delta engine and the
-//! functions below all evaluate columns through it. Built with a
-//! [`ShrinkagePrior`], the tables also sum the log-prior that turns Eq. 7
-//! into the objective the shrinkage M-step ascends, which EM-Ext's warm
-//! runs use to safeguard their extrapolations.
+//! holds three `[C = 1, C = 0]` correction pairs per source in one flat
+//! array, and a column is the list of *slots* into it that its cells
+//! read: its `D` cells first, then its claimants, each an independent or
+//! a dependent claim. One accumulation adds a slot list to the base sums,
+//! and [`LikelihoodTables::column`] turns the resulting pair of
+//! log-likelihoods into everything a pass over the assertions needs at
+//! once: the posterior (Eq. 9), the log-odds, and the column's term of
+//! the observed-data log-likelihood (Eq. 7).
+//!
+//! Callers that hold the sorted `SC` and `D` columns (the functions
+//! below and the delta engine) pass them to `column`, which merges them
+//! into slots on the fly. EM-Ext builds a [`ClaimLayout`] once per fit
+//! instead: every distinct column's slot list, each column's group of
+//! equal columns, and each source's `D` row and claims split by `D`. Its
+//! passes evaluate one column per group through the same accumulation,
+//! and its M-step gathers from the source lists without a merge.
+//!
+//! A table build takes each logarithm once per source, and fewer where a
+//! source's rate has the same bits as the previous source's: it reuses
+//! that source's `ln x` and `ln(1−x)`. Built with a [`ShrinkagePrior`],
+//! the tables also sum the log-prior that turns Eq. 7 into the objective
+//! the shrinkage M-step ascends, which EM-Ext's warm runs use to
+//! safeguard their extrapolations.
 
 use socsense_matrix::logprob::{log_sum_exp2, safe_ln, safe_ln_1m};
 use socsense_matrix::parallel::{par_map_collect, par_map_reduce, Parallelism};
@@ -29,17 +43,39 @@ use crate::data::ClaimData;
 use crate::error::SenseError;
 use crate::model::Theta;
 
-/// The corrections one source adds to the all-silent, all-independent
-/// pattern, each as a `[C = 1, C = 0]` pair of log-probability
-/// differences.
-#[derive(Debug, Clone, Copy)]
-struct SourceTerms {
-    /// An independent claim: `ln a − ln(1−a)` and `ln b − ln(1−b)`.
-    claim: [f64; 2],
-    /// A dependent cell: `ln(1−f) − ln(1−a)` and `ln(1−g) − ln(1−b)`.
-    dep: [f64; 2],
-    /// A dependent claim: `ln f − ln(1−f)` and `ln g − ln(1−g)`.
-    dep_claim: [f64; 2],
+/// The slot of source `i`'s independent-claim pair, `ln a − ln(1−a)` and
+/// `ln b − ln(1−b)`. Source `i`'s three pairs sit at `3i + kind`.
+const CLAIM: usize = 0;
+/// The slot of a dependent-cell pair, `ln(1−f) − ln(1−a)` and
+/// `ln(1−g) − ln(1−b)`.
+const DEP: usize = 1;
+/// The slot of a dependent-claim pair, `ln f − ln(1−f)` and
+/// `ln g − ln(1−g)`.
+const DEP_CLAIM: usize = 2;
+
+/// Not computed: a left-out term holds NaN, so reading one poisons the
+/// result instead of passing unnoticed.
+const LEFT_OUT: [f64; 2] = [f64::NAN; 2];
+
+/// Each of the sorted `items`, with whether the sorted `marks` hold it
+/// too, by a linear merge of the two lists.
+fn marked<'a>(items: &'a [u32], marks: &'a [u32]) -> impl Iterator<Item = (u32, bool)> + 'a {
+    let mut marks = marks.iter().peekable();
+    items.iter().map(move |&x| {
+        while marks.peek().is_some_and(|&&m| m < x) {
+            marks.next();
+        }
+        (x, marks.peek() == Some(&&x))
+    })
+}
+
+/// The slots a column reads, given its sorted claimants and `D` rows, in
+/// the order the kernel adds them: every `D` cell, then every claimant
+/// as an independent or a dependent claim.
+fn merged_slots<'a>(claimants: &'a [u32], dep_rows: &'a [u32]) -> impl Iterator<Item = usize> + 'a {
+    let claims = marked(claimants, dep_rows)
+        .map(|(i, dependent)| 3 * i as usize + if dependent { DEP_CLAIM } else { CLAIM });
+    dep_rows.iter().map(|&i| 3 * i as usize + DEP).chain(claims)
 }
 
 /// Precomputed per-source log-probability tables for one `θ`.
@@ -50,10 +86,9 @@ struct SourceTerms {
 /// no dependent cell never needs its four `f`/`g` logarithms.
 #[derive(Debug, Clone)]
 pub struct LikelihoodTables {
-    /// One row of correction terms per source. Terms that were left out
-    /// hold NaN, so reading one poisons the result instead of passing
-    /// unnoticed.
-    terms: Vec<SourceTerms>,
+    /// Three correction pairs per source, at the slots `3i + kind`;
+    /// left-out pairs hold NaN.
+    terms: Vec<[f64; 2]>,
     /// `Σ_i ln(1-a_i)` — all-silent all-independent pattern under `C = 1`.
     base1: f64,
     /// `Σ_i ln(1-b_i)` — same under `C = 0`.
@@ -63,6 +98,8 @@ pub struct LikelihoodTables {
     /// The log-prior of `θ` under the tables' [`ShrinkagePrior`]; `0.0`
     /// when built without one.
     log_prior: f64,
+    /// The logarithms the last build took.
+    logs: u64,
 }
 
 /// The Beta prior behind the M-step's shrinkage: each rate update
@@ -107,6 +144,47 @@ pub struct ColumnFit {
     pub log_marginal: f64,
 }
 
+/// One rate's two logarithms, kept for the next source while its rate
+/// has the same bits. After a map, every source with no claim and no `D`
+/// cell shares `a` and `b`, and every source without a `D` cell shares
+/// `f` and `g`, so table builds meet long runs of equal rates.
+#[derive(Debug, Default)]
+struct RateLogs {
+    bits: u64,
+    ln_1m: Option<f64>,
+    ln: Option<f64>,
+}
+
+impl RateLogs {
+    /// Forgets the kept logarithms unless `x` has the kept rate's bits.
+    fn at(&mut self, x: f64) -> &mut Self {
+        if x.to_bits() != self.bits {
+            *self = Self {
+                bits: x.to_bits(),
+                ln_1m: None,
+                ln: None,
+            };
+        }
+        self
+    }
+
+    /// `ln(1−x)`, counting it in `logs` when it is taken.
+    fn ln_1m(&mut self, x: f64, logs: &mut u64) -> f64 {
+        *self.at(x).ln_1m.get_or_insert_with(|| {
+            *logs += 1;
+            safe_ln_1m(x)
+        })
+    }
+
+    /// `ln x`, counting it in `logs` when it is taken.
+    fn ln(&mut self, x: f64, logs: &mut u64) -> f64 {
+        *self.at(x).ln.get_or_insert_with(|| {
+            *logs += 1;
+            safe_ln(x)
+        })
+    }
+}
+
 impl LikelihoodTables {
     /// Builds the tables for `theta`, every term of every source.
     pub fn new(theta: &Theta) -> Self {
@@ -126,19 +204,6 @@ impl LikelihoodTables {
         )
     }
 
-    /// [`for_data`](Self::for_data) plus the log-prior of `theta` under
-    /// `prior`, read back by [`log_prior`](Self::log_prior). Every
-    /// source's terms are filled, since the prior reads them all; columns
-    /// evaluate to the same bits as under [`new`](Self::new).
-    pub(crate) fn with_prior(theta: &Theta, data: &ClaimData, prior: &ShrinkagePrior) -> Self {
-        Self::build(
-            theta,
-            |i| data.sc().row_nnz(i as u32) > 0,
-            |i| data.d().row_nnz(i as u32) > 0,
-            Some(prior),
-        )
-    }
-
     /// Builds the tables for `theta`, filling source `i`'s claim terms
     /// only when `has_claims(i)` and its dependent-cell and
     /// dependent-claim terms only when `has_deps(i)`. Each filled term is
@@ -149,75 +214,120 @@ impl LikelihoodTables {
         has_claims: impl Fn(usize) -> bool,
         has_deps: impl Fn(usize) -> bool,
     ) -> Self {
-        Self::build(theta, has_claims, has_deps, None)
+        let mut tables = Self::empty();
+        tables.fill(theta, has_claims, has_deps, None);
+        tables
     }
 
-    /// [`compact`](Self::compact), also summing the log-prior when a
-    /// `prior` is given: `s` times the per-source
+    /// Tables over no source, for a buffer that [`refill`](Self::refill)
+    /// fills.
+    pub(crate) fn empty() -> Self {
+        Self {
+            terms: Vec::new(),
+            base1: 0.0,
+            base0: 0.0,
+            ln_z: 0.0,
+            ln_1z: 0.0,
+            log_prior: 0.0,
+            logs: 0,
+        }
+    }
+
+    /// Rebuilds the tables in place for evaluating `layout`'s columns
+    /// under `theta`, as [`for_data`](Self::for_data) builds them for the
+    /// layout's data. With a `prior`, also sums the log-prior of `theta`,
+    /// read back by [`log_prior`](Self::log_prior); every source's terms
+    /// are then filled, since the prior reads them all.
+    pub(crate) fn refill(
+        &mut self,
+        theta: &Theta,
+        layout: &ClaimLayout,
+        prior: Option<&ShrinkagePrior>,
+    ) {
+        self.fill(
+            theta,
+            |i| layout.has_claims(i),
+            |i| layout.has_deps(i),
+            prior,
+        );
+    }
+
+    /// Fills the tables for `theta` in place, as
+    /// [`compact`](Self::compact) builds them, also summing the log-prior
+    /// when a `prior` is given: `s` times the per-source
     /// [`ShrinkagePrior::source_term`]s, folded in source order from
     /// `0.0`. The prior reuses the logarithms the terms take, so with one
-    /// every term of every source is filled.
-    fn build(
+    /// every term of every source is filled. Each logarithm is reused
+    /// from the previous source when its rate has the same bits.
+    fn fill(
+        &mut self,
         theta: &Theta,
         has_claims: impl Fn(usize) -> bool,
         has_deps: impl Fn(usize) -> bool,
         prior: Option<&ShrinkagePrior>,
-    ) -> Self {
-        let mut base1 = 0.0;
-        let mut base0 = 0.0;
-        let mut prior_sum = 0.0;
-        let terms = theta
+    ) {
+        let mut logs = 0;
+        let mut rates: [RateLogs; 4] = Default::default();
+        let [a, b, f, g] = &mut rates;
+        let (mut base1, mut base0, mut prior_sum) = (0.0, 0.0, 0.0);
+        self.terms.resize(3 * theta.source_count(), LEFT_OUT);
+        for (i, (s, row)) in theta
             .sources()
             .iter()
+            .zip(self.terms.chunks_exact_mut(3))
             .enumerate()
-            .map(|(i, s)| {
-                let ln_1a = safe_ln_1m(s.a);
-                let ln_1b = safe_ln_1m(s.b);
-                base1 += ln_1a;
-                base0 += ln_1b;
-                let mut t = SourceTerms {
-                    claim: [f64::NAN; 2],
-                    dep: [f64::NAN; 2],
-                    dep_claim: [f64::NAN; 2],
-                };
-                if prior.is_some() || has_claims(i) {
-                    t.claim = [safe_ln(s.a) - ln_1a, safe_ln(s.b) - ln_1b];
-                }
-                let mut ln_1fg = [f64::NAN; 2];
-                if prior.is_some() || has_deps(i) {
-                    ln_1fg = [safe_ln_1m(s.f), safe_ln_1m(s.g)];
-                    t.dep = [ln_1fg[0] - ln_1a, ln_1fg[1] - ln_1b];
-                    t.dep_claim = [safe_ln(s.f) - ln_1fg[0], safe_ln(s.g) - ln_1fg[1]];
-                }
-                if let Some(p) = prior {
-                    prior_sum += p.source_term(
-                        [ln_1a, ln_1b, ln_1fg[0], ln_1fg[1]],
-                        [t.claim[0], t.claim[1], t.dep_claim[0], t.dep_claim[1]],
-                    );
-                }
-                t
-            })
-            .collect();
-        Self {
-            terms,
-            base1,
-            base0,
-            ln_z: safe_ln(theta.z()),
-            ln_1z: safe_ln_1m(theta.z()),
-            log_prior: prior.map_or(0.0, |p| p.smoothing * prior_sum),
+        {
+            let ln_1a = a.ln_1m(s.a, &mut logs);
+            let ln_1b = b.ln_1m(s.b, &mut logs);
+            base1 += ln_1a;
+            base0 += ln_1b;
+            let mut claim = LEFT_OUT;
+            if prior.is_some() || has_claims(i) {
+                claim = [a.ln(s.a, &mut logs) - ln_1a, b.ln(s.b, &mut logs) - ln_1b];
+            }
+            let (mut ln_1fg, mut dep, mut dep_claim) = (LEFT_OUT, LEFT_OUT, LEFT_OUT);
+            if prior.is_some() || has_deps(i) {
+                ln_1fg = [f.ln_1m(s.f, &mut logs), g.ln_1m(s.g, &mut logs)];
+                dep = [ln_1fg[0] - ln_1a, ln_1fg[1] - ln_1b];
+                dep_claim = [
+                    f.ln(s.f, &mut logs) - ln_1fg[0],
+                    g.ln(s.g, &mut logs) - ln_1fg[1],
+                ];
+            }
+            if let Some(p) = prior {
+                prior_sum += p.source_term(
+                    [ln_1a, ln_1b, ln_1fg[0], ln_1fg[1]],
+                    [claim[0], claim[1], dep_claim[0], dep_claim[1]],
+                );
+            }
+            row[CLAIM] = claim;
+            row[DEP] = dep;
+            row[DEP_CLAIM] = dep_claim;
         }
+        self.base1 = base1;
+        self.base0 = base0;
+        self.ln_z = safe_ln(theta.z());
+        self.ln_1z = safe_ln_1m(theta.z());
+        self.log_prior = prior.map_or(0.0, |p| p.smoothing * prior_sum);
+        self.logs = logs + 2;
     }
 
     /// The log-prior of the tables' `θ` under the [`ShrinkagePrior`]
-    /// they were built with ([`with_prior`](Self::with_prior)); `0.0`
-    /// for tables built without one.
+    /// they were filled with ([`refill`](Self::refill)); `0.0` for
+    /// tables built without one.
     pub(crate) fn log_prior(&self) -> f64 {
         self.log_prior
     }
 
+    /// The logarithms the last build took, `ln z` and `ln(1−z)`
+    /// included.
+    pub(crate) fn logs(&self) -> u64 {
+        self.logs
+    }
+
     /// Number of sources the tables cover.
     pub fn source_count(&self) -> usize {
-        self.terms.len()
+        self.terms.len() / 3
     }
 
     /// `(ln P(SC_j | C_j = 1), ln P(SC_j | C_j = 0))` for column `j`,
@@ -226,31 +336,7 @@ impl LikelihoodTables {
     /// `claimants` must be the sorted rows of `SC[:, j]` and `dep_rows` the
     /// sorted rows of `D[:, j]`.
     pub fn column_log_likelihood(&self, claimants: &[u32], dep_rows: &[u32]) -> (f64, f64) {
-        let mut ln1 = self.base1;
-        let mut ln0 = self.base0;
-        // Correction 1: dependent cells flip the silent factor.
-        for &i in dep_rows {
-            let [d1, d0] = self.terms[i as usize].dep;
-            ln1 += d1;
-            ln0 += d0;
-        }
-        // Correction 2: claims flip silent -> claiming, split by D via a
-        // linear merge of the two sorted row lists.
-        let mut dep_iter = dep_rows.iter().peekable();
-        for &i in claimants {
-            while dep_iter.peek().is_some_and(|&&d| d < i) {
-                dep_iter.next();
-            }
-            let row = &self.terms[i as usize];
-            let [c1, c0] = if dep_iter.peek() == Some(&&i) {
-                row.dep_claim
-            } else {
-                row.claim
-            };
-            ln1 += c1;
-            ln0 += c0;
-        }
-        (ln1, ln0)
+        self.accumulate(merged_slots(claimants, dep_rows))
     }
 
     /// Evaluates column `j` once for a pass over the assertions: its
@@ -260,7 +346,28 @@ impl LikelihoodTables {
     ///
     /// Arguments as for [`column_log_likelihood`](Self::column_log_likelihood).
     pub fn column(&self, claimants: &[u32], dep_rows: &[u32]) -> ColumnFit {
-        let (ln1, ln0) = self.column_log_likelihood(claimants, dep_rows);
+        self.fit(self.column_log_likelihood(claimants, dep_rows))
+    }
+
+    /// [`column`](Self::column) for a column given by its
+    /// [`ClaimLayout`] slots.
+    pub(crate) fn slots_column(&self, slots: &[u32]) -> ColumnFit {
+        self.fit(self.accumulate(slots.iter().map(|&s| s as usize)))
+    }
+
+    /// The kernel: the base sums plus each slot's pair, in slot order.
+    fn accumulate(&self, slots: impl Iterator<Item = usize>) -> (f64, f64) {
+        let (mut ln1, mut ln0) = (self.base1, self.base0);
+        for slot in slots {
+            let [t1, t0] = self.terms[slot];
+            ln1 += t1;
+            ln0 += t0;
+        }
+        (ln1, ln0)
+    }
+
+    /// A column's [`ColumnFit`] from its pair of log-likelihoods.
+    fn fit(&self, (ln1, ln0): (f64, f64)) -> ColumnFit {
         let (w1, w0) = (ln1 + self.ln_z, ln0 + self.ln_1z);
         let lse = log_sum_exp2(w1, w0);
         let posterior = if w1 == f64::NEG_INFINITY && w0 == f64::NEG_INFINITY {
@@ -273,6 +380,156 @@ impl LikelihoodTables {
             log_odds: w1 - w0,
             log_marginal: lse,
         }
+    }
+}
+
+/// The most sources a [`ClaimLayout`] indexes: its slots `3i + kind` are
+/// `u32`s.
+const MAX_LAYOUT_SOURCES: usize = u32::MAX as usize / 3;
+
+/// `SC` and `D` arranged for EM-Ext's passes, built once per fit.
+///
+/// * Columns with the same slot list form a *group*. The layout keeps
+///   one slot list per group, in the order of the groups' first columns,
+///   and the group of every column, so a pass evaluates each distinct
+///   column once. Groups are found by sorting the columns by their slot
+///   lists.
+/// * Per source, it keeps the `D` row, the independent claims and the
+///   dependent claims as three sorted lists, so the M-step gathers each
+///   sum from its own list without merging `SC` and `D` rows.
+#[derive(Debug, Clone)]
+pub(crate) struct ClaimLayout {
+    /// Group `g`'s slots are `group_slots[group_start[g]..group_start[g + 1]]`.
+    group_start: Vec<usize>,
+    group_slots: Vec<u32>,
+    /// The group of each column.
+    group_of: Vec<u32>,
+    /// Source `i`'s `D` row, independent claims and dependent claims are
+    /// the three runs of `row_cols` that `row_start[3i..3i + 4]` bound.
+    row_start: Vec<usize>,
+    row_cols: Vec<u32>,
+}
+
+impl ClaimLayout {
+    /// Lays out `data`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SenseError::DimensionMismatch`] when `data` has more
+    /// sources than `u32` slots can index (`u32::MAX / 3`).
+    pub(crate) fn new(data: &ClaimData) -> Result<Self, SenseError> {
+        let (n, m) = (data.source_count(), data.assertion_count());
+        if n > MAX_LAYOUT_SOURCES {
+            return Err(SenseError::DimensionMismatch {
+                what: "source count vs the most a claim layout indexes",
+                expected: MAX_LAYOUT_SOURCES,
+                actual: n,
+            });
+        }
+        // Every column's slots; `n` is in range, so each fits a `u32`.
+        let mut col_start = Vec::with_capacity(m + 1);
+        col_start.push(0);
+        let mut col_slots = Vec::with_capacity(data.sc().nnz() + data.d().nnz());
+        for j in 0..m as u32 {
+            col_slots.extend(merged_slots(data.sc().col(j), data.d().col(j)).map(|s| s as u32));
+            col_start.push(col_slots.len());
+        }
+        let col = |j: u32| &col_slots[col_start[j as usize]..col_start[j as usize + 1]];
+
+        // A stable sort by slot list puts equal columns next to each
+        // other, each run led by its first column. Point every column at
+        // that leader, then number the leaders in column order.
+        let mut order: Vec<u32> = (0..m as u32).collect();
+        order.sort_by(|&x, &y| col(x).cmp(col(y)));
+        let mut group_of = vec![0u32; m];
+        for run in order.chunk_by(|&x, &y| col(x) == col(y)) {
+            for &j in run {
+                group_of[j as usize] = run[0];
+            }
+        }
+        let mut group_start = vec![0];
+        let mut group_slots = Vec::new();
+        for j in 0..m {
+            let leader = group_of[j] as usize;
+            group_of[j] = if leader == j {
+                group_slots.extend_from_slice(col(j as u32));
+                group_start.push(group_slots.len());
+                (group_start.len() - 2) as u32
+            } else {
+                group_of[leader]
+            };
+        }
+
+        let mut row_start = Vec::with_capacity(3 * n + 1);
+        row_start.push(0);
+        let mut row_cols = Vec::with_capacity(data.sc().nnz() + data.d().nnz());
+        let mut dependent = Vec::new();
+        for i in 0..n as u32 {
+            let dep_row = data.d().row(i);
+            row_cols.extend_from_slice(dep_row);
+            row_start.push(row_cols.len());
+            dependent.clear();
+            for (j, is_dep) in marked(data.sc().row(i), dep_row) {
+                if is_dep {
+                    dependent.push(j);
+                } else {
+                    row_cols.push(j);
+                }
+            }
+            row_start.push(row_cols.len());
+            row_cols.extend_from_slice(&dependent);
+            row_start.push(row_cols.len());
+        }
+        Ok(Self {
+            group_start,
+            group_slots,
+            group_of,
+            row_start,
+            row_cols,
+        })
+    }
+
+    /// Number of sources `n`.
+    pub(crate) fn source_count(&self) -> usize {
+        (self.row_start.len() - 1) / 3
+    }
+
+    /// Number of assertions `m`.
+    pub(crate) fn assertion_count(&self) -> usize {
+        self.group_of.len()
+    }
+
+    /// Number of distinct columns.
+    pub(crate) fn group_count(&self) -> usize {
+        self.group_start.len() - 1
+    }
+
+    /// The slots of every column in group `g`.
+    pub(crate) fn group_slots(&self, g: usize) -> &[u32] {
+        &self.group_slots[self.group_start[g]..self.group_start[g + 1]]
+    }
+
+    /// The group of every column.
+    pub(crate) fn group_of(&self) -> &[u32] {
+        &self.group_of
+    }
+
+    /// Source `i`'s `D` row, independent claims and dependent claims,
+    /// each sorted.
+    pub(crate) fn source_cells(&self, i: usize) -> (&[u32], &[u32], &[u32]) {
+        let run =
+            |k: usize| &self.row_cols[self.row_start[3 * i + k]..self.row_start[3 * i + k + 1]];
+        (run(0), run(1), run(2))
+    }
+
+    /// Whether source `i` claims anything.
+    fn has_claims(&self, i: usize) -> bool {
+        self.row_start[3 * i + 1] < self.row_start[3 * i + 3]
+    }
+
+    /// Whether source `i` has a `D` cell.
+    fn has_deps(&self, i: usize) -> bool {
+        self.row_start[3 * i] < self.row_start[3 * i + 1]
     }
 }
 
@@ -452,49 +709,81 @@ mod tests {
     use socsense_matrix::logprob::normalize_log_pair;
     use socsense_matrix::SparseBinaryMatrix;
 
-    /// A random world of `n` claiming sources plus one that never claims
-    /// (but may hold dependent cells), with `D` cells only when
-    /// `with_d`, and a random θ.
+    /// A random world of `n` claiming sources, one that never claims
+    /// (but may hold dependent cells) and a run of two or three that
+    /// hold no cell and share one set of rates, with `D` cells only when
+    /// `with_d`, and a random θ. Up to 100 assertions, then copies of up
+    /// to 15 of them, so some columns are equal.
     fn random_world() -> impl Strategy<Value = (ClaimData, Theta)> {
-        (1u32..8, 1u32..100, 0u32..2).prop_flat_map(|(n, m, with_d)| {
-            let sc = vec((0..n, 0..m), 0..120);
-            let d = vec((0..n + 1, 0..m), 0..(1 + 40 * with_d as usize));
-            let params = vec(
-                (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
-                n as usize + 1,
-            );
-            (Just(n + 1), Just(m), sc, d, params, 0.0f64..1.0).prop_map(
-                |(rows, m, sc, d, params, z)| {
-                    let sc = SparseBinaryMatrix::from_entries(rows, m, sc);
-                    let d = SparseBinaryMatrix::from_entries(rows, m, d);
-                    let sources = params
-                        .into_iter()
-                        .map(|(a, b, f, g)| SourceParams { a, b, f, g })
-                        .collect();
-                    let theta = Theta::new(sources, z).expect("rates drawn in [0, 1)");
-                    (ClaimData::new(sc, d).expect("shapes match"), theta)
-                },
-            )
-        })
+        (1u32..8, 1u32..100, 0u32..2, 2u32..4, 0u32..16).prop_flat_map(
+            |(n, m, with_d, idle, copies)| {
+                let sc = vec((0..n, 0..m), 0..120);
+                let d = vec((0..n + 1, 0..m), 0..(1 + 40 * with_d as usize));
+                let rates = (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0);
+                let params = vec(rates.clone(), n as usize + 1);
+                (
+                    (Just(n + 1), Just(idle), Just(m), Just(copies.min(m))),
+                    sc,
+                    d,
+                    params,
+                    rates,
+                    0.0f64..1.0,
+                )
+                    .prop_map(
+                        |((claimers, idle, m, copies), sc, d, params, shared, z)| {
+                            // Column m + k repeats column k's cells.
+                            let with_copies = |cells: Vec<(u32, u32)>| {
+                                let repeated: Vec<(u32, u32)> = cells
+                                    .iter()
+                                    .filter(|&&(_, j)| j < copies)
+                                    .map(|&(i, j)| (i, m + j))
+                                    .collect();
+                                cells.into_iter().chain(repeated).collect::<Vec<_>>()
+                            };
+                            let (rows, cols) = (claimers + idle, m + copies);
+                            let sc = SparseBinaryMatrix::from_entries(rows, cols, with_copies(sc));
+                            let d = SparseBinaryMatrix::from_entries(rows, cols, with_copies(d));
+                            let sources = params
+                                .into_iter()
+                                .chain(std::iter::repeat_n(shared, idle as usize))
+                                .map(|(a, b, f, g)| SourceParams { a, b, f, g })
+                                .collect();
+                            let theta = Theta::new(sources, z).expect("rates drawn in [0, 1)");
+                            (ClaimData::new(sc, d).expect("shapes match"), theta)
+                        },
+                    )
+            },
+        )
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Compact tables read only filled terms: every column gives the
-        /// same bits as under full tables and as the on-the-spot
+        /// same bits as under full tables, as through the claim layout's
+        /// group slots over refilled tables, and as the on-the-spot
         /// reference kernel, and `column` derives its three outputs from
         /// them exactly as Eqs. 7 and 9 are written.
         #[test]
         fn compact_tables_match_full_tables_bit_for_bit((data, theta) in random_world()) {
             let full = LikelihoodTables::new(&theta);
             let compact = LikelihoodTables::for_data(&theta, &data);
+            let layout = ClaimLayout::new(&data).unwrap();
+            let mut laid = LikelihoodTables::empty();
+            laid.refill(&theta, &layout, None);
             let bits = |(a, b): (f64, f64)| (a.to_bits(), b.to_bits());
             for j in 0..data.assertion_count() as u32 {
                 let (sc, d) = (data.sc().col(j), data.d().col(j));
                 let want = column_log_likelihood_reference(&theta, sc, d);
                 prop_assert_eq!(bits(compact.column_log_likelihood(sc, d)), bits(want));
                 prop_assert_eq!(bits(full.column_log_likelihood(sc, d)), bits(want));
+                let slots = layout.group_slots(layout.group_of()[j as usize] as usize);
+                let laid_ln = laid.accumulate(slots.iter().map(|&s| s as usize));
+                prop_assert_eq!(bits(laid_ln), bits(want));
+                let fit_bits = |f: ColumnFit| {
+                    [f.posterior.to_bits(), f.log_odds.to_bits(), f.log_marginal.to_bits()]
+                };
+                prop_assert_eq!(fit_bits(laid.slots_column(slots)), fit_bits(compact.column(sc, d)));
 
                 let (w1, w0) = (want.0 + safe_ln(theta.z()), want.1 + safe_ln_1m(theta.z()));
                 let fit = compact.column(sc, d);

@@ -8,10 +8,8 @@
 //!   assertions, but only on the order of one claim per source), so the
 //!   workhorse type is [`SparseBinaryMatrix`]: an immutable CSR + CSC dual
 //!   index built once from an entry list via [`SparseBinaryMatrixBuilder`].
-//! * **Dense floating-point state** — per-assertion posteriors, per-source
-//!   parameter tables and the like, served by [`DenseMatrix`].
 //!
-//! On top of those live two numeric helpers used throughout the estimator
+//! On top of that live two numeric helpers used throughout the estimator
 //! and bound code: [`logprob`] (log-space probability arithmetic, so that
 //! products over hundreds of Bernoulli factors never underflow) and
 //! [`FixedBitSet`] (compact claim-pattern bit sets for the exact-bound
@@ -39,7 +37,6 @@
 #![warn(missing_docs)]
 
 mod bitset;
-mod dense;
 mod error;
 pub mod logprob;
 pub mod parallel;
@@ -47,7 +44,6 @@ mod sparse;
 mod unionfind;
 
 pub use bitset::FixedBitSet;
-pub use dense::DenseMatrix;
 pub use error::MatrixError;
 pub use parallel::Parallelism;
 pub use sparse::{EntriesIter, SparseBinaryMatrix, SparseBinaryMatrixBuilder};

@@ -1,0 +1,56 @@
+//! What each EM-Ext pass skips, pinned as deterministic work counts on
+//! the stream of `tests/warm_refits.rs`: a pass evaluates one column per
+//! group of equal columns, and a table build reuses the previous
+//! source's logarithms when its rate has the same bits.
+
+use socsense::core::{EmConfig, Obs, StreamingEstimator};
+use socsense::graph::TimedClaim;
+use socsense::matrix::Parallelism;
+use socsense::twitter::{ScenarioConfig, TwitterDataset};
+
+/// The stream's 12 refits run 650 passes over 185 assertions: 120,250
+/// column evaluations at one per column, 52,126 at one per group.
+const COLUMN_EVAL_CAP: u64 = 65_000;
+
+/// Without reuse the table builds take 1,144,882 logarithms, every one
+/// the compact tables read; with it, 959,530.
+const LOG_CAP: u64 = 1_080_000;
+
+#[test]
+fn passes_evaluate_each_distinct_column_and_rate_once() {
+    let ds = TwitterDataset::simulate(&ScenarioConfig::ukraine().scaled(0.05), 2015).unwrap();
+    let mut est = StreamingEstimator::new(
+        ds.source_count(),
+        ds.assertion_count(),
+        ds.graph.clone(),
+        EmConfig {
+            parallelism: Parallelism::Serial,
+            ..EmConfig::default()
+        },
+    )
+    .unwrap();
+    let (obs, rec) = Obs::recorder();
+    est.set_obs(obs);
+    let claims: Vec<TimedClaim> = ds.timed_claims();
+    for batch in claims.chunks(claims.len().div_ceil(12)) {
+        est.ingest(batch).unwrap();
+        est.estimate_with_stats().unwrap();
+    }
+    let snap = rec.snapshot();
+    let passes = snap.counter("em.passes_total");
+    let evals = snap.counter("em.column_evals_total");
+    let logs = snap.counter("em.logs_total");
+    let every_column = passes * ds.assertion_count() as u64;
+    assert!(
+        COLUMN_EVAL_CAP < every_column,
+        "premise: the cap sits below one evaluation per column ({every_column})"
+    );
+    assert!(
+        evals <= COLUMN_EVAL_CAP,
+        "{evals} column evaluations over {passes} passes, above {COLUMN_EVAL_CAP}"
+    );
+    assert!(
+        logs <= LOG_CAP,
+        "{logs} logarithms over {passes} passes, above {LOG_CAP}"
+    );
+}
