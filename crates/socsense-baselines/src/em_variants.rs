@@ -1,9 +1,24 @@
 //! The EM-family algorithms: EM-Ext (this paper), EM (IPSN 2012), and
 //! EM-Social (IPSN 2014).
+//!
+//! EM-Ext generalises the other two, so each finder is one
+//! [`EmExt::fit`] with the caller's configuration, on transformed data:
+//!
+//! | finder | EM-Ext on |
+//! |---|---|
+//! | [`EmExtFinder`] | `(SC, D)` |
+//! | [`EmIndependent`] | `(SC, ∅)` ([`ClaimData::assuming_independence`]) |
+//! | [`EmSocial`], [`DropMode::ExcludeCells`] | `(SC∖D, D)` |
+//! | [`EmSocial`], [`DropMode::AsSilence`] | `(SC∖D, ∅)` |
+//!
+//! With `D` empty the `f`/`g` rates are inert and EM-Ext is the IPSN'12
+//! estimator. On `(SC∖D, D)` every `D` cell is a silence, so the M-step
+//! sets each source's `f` and `g` to `ε` (at any positive smoothing), and
+//! the silent factors `1 − f` and `1 − g` then cancel from every
+//! posterior: the dependent cells weigh nothing, as IPSN'14 reads a
+//! repeated claim.
 
-use socsense_core::{ClaimData, EmConfig, EmExt, Obs, SenseError, SourceParams, Theta};
-use socsense_matrix::logprob::{normalize_log_pair, safe_ln, safe_ln_1m};
-use socsense_matrix::parallel::par_map_collect;
+use socsense_core::{ClaimData, EmConfig, EmExt, EmFit, Obs, SenseError};
 use socsense_matrix::SparseBinaryMatrix;
 
 use crate::FactFinder;
@@ -34,11 +49,9 @@ impl EmExtFinder {
         self.obs = obs;
         self
     }
-}
 
-impl EmExtFinder {
-    fn em(&self) -> EmExt {
-        EmExt::new(self.config).with_obs(self.obs.clone())
+    fn fit(&self, data: &ClaimData) -> Result<EmFit, SenseError> {
+        EmExt::new(self.config).with_obs(self.obs.clone()).fit(data)
     }
 }
 
@@ -48,11 +61,11 @@ impl FactFinder for EmExtFinder {
     }
 
     fn scores(&self, data: &ClaimData) -> Result<Vec<f64>, SenseError> {
-        Ok(self.em().fit(data)?.posterior)
+        Ok(self.fit(data)?.posterior)
     }
 
     fn ranking_scores(&self, data: &ClaimData) -> Result<Vec<f64>, SenseError> {
-        Ok(self.em().fit(data)?.log_odds)
+        Ok(self.fit(data)?.log_odds)
     }
 }
 
@@ -86,14 +99,11 @@ impl EmIndependent {
         self.obs = obs;
         self
     }
-}
 
-impl EmIndependent {
-    fn blind(&self, data: &ClaimData) -> Result<ClaimData, SenseError> {
-        ClaimData::new(
-            data.sc().clone(),
-            SparseBinaryMatrix::empty(data.sc().nrows(), data.sc().ncols()),
-        )
+    fn fit(&self, data: &ClaimData) -> Result<EmFit, SenseError> {
+        EmExt::new(self.config)
+            .with_obs(self.obs.clone())
+            .fit(&data.assuming_independence())
     }
 }
 
@@ -103,31 +113,29 @@ impl FactFinder for EmIndependent {
     }
 
     fn scores(&self, data: &ClaimData) -> Result<Vec<f64>, SenseError> {
-        // With D empty the f/g parameters are inert and EM-Ext reduces
-        // exactly to the IPSN'12 two-parameter estimator.
-        let em = EmExt::new(self.config).with_obs(self.obs.clone());
-        Ok(em.fit(&self.blind(data)?)?.posterior)
+        Ok(self.fit(data)?.posterior)
     }
 
     fn ranking_scores(&self, data: &ClaimData) -> Result<Vec<f64>, SenseError> {
-        let em = EmExt::new(self.config).with_obs(self.obs.clone());
-        Ok(em.fit(&self.blind(data)?)?.log_odds)
+        Ok(self.fit(data)?.log_odds)
     }
 }
 
 /// How [`EmSocial`] removes dependent claims.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DropMode {
-    /// Dependent **cells** are excluded from the likelihood entirely
-    /// (treated as unobserved). This matches IPSN'14's reasoning that a
-    /// repeated claim "offers no information": neither its presence nor
-    /// its absence is counted. Default.
+    /// Dependent **cells** weigh nothing in the likelihood: neither a
+    /// repeated claim nor a dependent silence is counted, matching
+    /// IPSN'14's reasoning that a repeated claim "offers no information".
+    /// EM-Ext runs on `(SC∖D, D)`, where the first map sets every `f` and
+    /// `g` to `ε` and the `D` cells cancel from every posterior after it.
+    /// Default.
     #[default]
     ExcludeCells,
     /// Dependent **claims** are deleted and the cells then treated as
-    /// ordinary silence. A harsher cleaning that actively counts each
-    /// removed retweet as evidence *against* the assertion; kept as an
-    /// ablation.
+    /// ordinary silence: EM-Ext on `(SC∖D, ∅)`. A harsher cleaning that
+    /// actively counts each removed retweet as evidence *against* the
+    /// assertion; kept as an ablation.
     AsSilence,
 }
 
@@ -153,167 +161,28 @@ impl EmSocial {
         }
     }
 
-    /// Attaches a metrics handle (see [`EmExtFinder::with_obs`]). The
-    /// `AsSilence` mode forwards it into the inner EM-Ext fit; the
-    /// hand-rolled `ExcludeCells` loop reports its own `em.*` run
-    /// metrics.
+    /// Attaches a metrics handle (see [`EmExtFinder::with_obs`]).
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
         self
     }
 
-    /// EM restricted to independent cells: dependent cells contribute
-    /// nothing to either the E-step likelihood or the M-step counts.
-    /// Returns `(posterior, log_odds)` per assertion.
-    fn fit_excluding_cells(&self, data: &ClaimData) -> Result<(Vec<f64>, Vec<f64>), SenseError> {
-        let cfg = self.config;
-        if cfg.max_iters == 0 || cfg.tol <= 0.0 || cfg.tol.is_nan() {
-            return Err(SenseError::BadConfig {
-                what: "max_iters and tol must be positive",
-            });
-        }
-        let n = data.source_count();
-        let m = data.assertion_count();
-        let par = cfg.parallelism;
-
-        // θ restricted to (a, b); the f/g slots stay at 0.5 and are inert.
-        let mut theta = Theta::neutral(n);
-        for i in 0..n {
-            let r = data.sc().row_nnz(i as u32) as f64 / m as f64;
-            let hi = (1.5 * r).clamp(cfg.eps, 0.95);
-            let lo = (0.5 * r).clamp(cfg.eps, 0.95);
-            set_ab(&mut theta, i, hi, lo);
-        }
-        let mut posterior = vec![0.5_f64; m];
-        let mut log_odds = vec![0.0_f64; m];
-        let _run_timer = self.obs.timer("em.run.seconds");
-        let mut iterations = 0usize;
-        let mut converged = false;
-
-        for _ in 0..cfg.max_iters {
-            iterations += 1;
-            // E-step over independent cells only; one column per index,
-            // chunked deterministically (see socsense_matrix::parallel).
-            let ln_a: Vec<f64> = theta.sources().iter().map(|s| safe_ln(s.a)).collect();
-            let ln_1a: Vec<f64> = theta.sources().iter().map(|s| safe_ln_1m(s.a)).collect();
-            let ln_b: Vec<f64> = theta.sources().iter().map(|s| safe_ln(s.b)).collect();
-            let ln_1b: Vec<f64> = theta.sources().iter().map(|s| safe_ln_1m(s.b)).collect();
-            let base1: f64 = ln_1a.iter().sum();
-            let base0: f64 = ln_1b.iter().sum();
-            let ln_z = safe_ln(theta.z());
-            let ln_1z = safe_ln_1m(theta.z());
-
-            let pairs: Vec<(f64, f64)> = par_map_collect(par, m, |ju| {
-                let j = ju as u32;
-                let mut ln1 = base1;
-                let mut ln0 = base0;
-                // Dependent cells vanish from the product.
-                for &i in data.d().col(j) {
-                    ln1 -= ln_1a[i as usize];
-                    ln0 -= ln_1b[i as usize];
-                }
-                // Independent claims flip silence -> claim.
-                let dep = data.d().col(j);
-                let mut dep_iter = dep.iter().peekable();
-                for &i in data.sc().col(j) {
-                    while dep_iter.peek().is_some_and(|&&d| d < i) {
-                        dep_iter.next();
-                    }
-                    if dep_iter.peek() == Some(&&i) {
-                        continue; // dependent claim: dropped
-                    }
-                    let iu = i as usize;
-                    ln1 += ln_a[iu] - ln_1a[iu];
-                    ln0 += ln_b[iu] - ln_1b[iu];
-                }
-                (
-                    normalize_log_pair(ln1 + ln_z, ln0 + ln_1z).0,
-                    (ln1 + ln_z) - (ln0 + ln_1z),
-                )
-            });
-            for (j, (p, lo)) in pairs.into_iter().enumerate() {
-                posterior[j] = p;
-                log_odds[j] = lo;
-            }
-
-            // M-step over independent cells, one source per index.
-            let sum_z: f64 = posterior.iter().sum();
-            let sum_y = m as f64 - sum_z;
-            let mut next = theta.clone();
-            let ab: Vec<(f64, f64)> = par_map_collect(par, n, |iu| {
-                let i = iu as u32;
-                let mut dep_z = 0.0;
-                for &j in data.d().row(i) {
-                    dep_z += posterior[j as usize];
-                }
-                let dep_y = data.d().row_nnz(i) as f64 - dep_z;
-                let (mut num_a, mut num_b) = (0.0, 0.0);
-                let dep = data.d().row(i);
-                let mut dep_iter = dep.iter().peekable();
-                for &j in data.sc().row(i) {
-                    while dep_iter.peek().is_some_and(|&&dj| dj < j) {
-                        dep_iter.next();
-                    }
-                    if dep_iter.peek() == Some(&&j) {
-                        continue;
-                    }
-                    num_a += posterior[j as usize];
-                    num_b += 1.0 - posterior[j as usize];
-                }
-                let den_a = sum_z - dep_z;
-                let den_b = sum_y - dep_y;
-                let prev = *theta.source(iu);
-                let a = if den_a > 1e-12 { num_a / den_a } else { prev.a };
-                let b = if den_b > 1e-12 { num_b / den_b } else { prev.b };
-                (a, b)
-            });
-            for (i, (a, b)) in ab.into_iter().enumerate() {
-                set_ab(&mut next, i, a, b);
-            }
-            next.set_z(sum_z / m as f64);
-            next.clamp_in_place(cfg.eps);
-            let delta = theta.max_abs_diff(&next)?;
-            theta = next;
-            if delta < cfg.tol {
-                converged = true;
-                break;
-            }
-        }
-        if self.obs.enabled() {
-            self.obs.counter("em.runs_total", 1);
-            self.obs.counter("em.iterations_total", iterations as u64);
-            if converged {
-                self.obs.counter("em.runs_converged_total", 1);
-            }
-            self.obs.observe("em.run.iterations", iterations as f64);
-        }
-        Ok((posterior, log_odds))
-    }
-}
-
-/// Helper setting only the (a, b) pair of one source.
-fn set_ab(theta: &mut Theta, i: usize, a: f64, b: f64) {
-    let s = *theta.source(i);
-    theta.set_source(
-        i,
-        SourceParams {
-            a,
-            b,
-            f: s.f,
-            g: s.g,
-        },
-    );
-}
-
-impl EmSocial {
-    /// The dependent-claims-deleted dataset used by
+    /// EM-Ext on the independent claims `SC∖D`, with `D` kept for
+    /// [`DropMode::ExcludeCells`] and emptied for
     /// [`DropMode::AsSilence`].
-    fn cleaned(&self, data: &ClaimData) -> Result<ClaimData, SenseError> {
+    fn fit(&self, data: &ClaimData) -> Result<EmFit, SenseError> {
         let sc = data.sc();
-        let kept = sc.entries().filter(|&(i, j)| !data.dependent(i, j));
-        let cleaned = SparseBinaryMatrix::from_entries(sc.nrows(), sc.ncols(), kept);
-        ClaimData::new(cleaned, SparseBinaryMatrix::empty(sc.nrows(), sc.ncols()))
+        let (n, m) = (sc.nrows(), sc.ncols());
+        let independent = sc.entries().filter(|&(i, j)| !data.dependent(i, j));
+        let d = match self.drop_mode {
+            DropMode::ExcludeCells => data.d().clone(),
+            DropMode::AsSilence => SparseBinaryMatrix::empty(n, m),
+        };
+        let cleaned = ClaimData::new(SparseBinaryMatrix::from_entries(n, m, independent), d)?;
+        EmExt::new(self.config)
+            .with_obs(self.obs.clone())
+            .fit(&cleaned)
     }
 }
 
@@ -323,30 +192,18 @@ impl FactFinder for EmSocial {
     }
 
     fn scores(&self, data: &ClaimData) -> Result<Vec<f64>, SenseError> {
-        match self.drop_mode {
-            DropMode::ExcludeCells => Ok(self.fit_excluding_cells(data)?.0),
-            DropMode::AsSilence => {
-                let em = EmExt::new(self.config).with_obs(self.obs.clone());
-                Ok(em.fit(&self.cleaned(data)?)?.posterior)
-            }
-        }
+        Ok(self.fit(data)?.posterior)
     }
 
     fn ranking_scores(&self, data: &ClaimData) -> Result<Vec<f64>, SenseError> {
-        match self.drop_mode {
-            DropMode::ExcludeCells => Ok(self.fit_excluding_cells(data)?.1),
-            DropMode::AsSilence => {
-                let em = EmExt::new(self.config).with_obs(self.obs.clone());
-                Ok(em.fit(&self.cleaned(data)?)?.log_odds)
-            }
-        }
+        Ok(self.fit(data)?.log_odds)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use socsense_core::classify;
+    use socsense_core::{classify, InitStrategy};
 
     fn separable() -> ClaimData {
         let mut entries = Vec::new();
@@ -364,24 +221,34 @@ mod tests {
         ClaimData::new(sc, SparseBinaryMatrix::empty(6, 10)).unwrap()
     }
 
+    /// A finder's scores and ranking scores on `data`, as bits.
+    fn served(finder: &dyn FactFinder, data: &ClaimData) -> (Vec<u64>, Vec<u64>) {
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect();
+        (
+            bits(finder.scores(data).unwrap()),
+            bits(finder.ranking_scores(data).unwrap()),
+        )
+    }
+
     #[test]
     fn all_em_variants_agree_without_dependencies() {
-        // With an empty D, EM, EM-Social, and EM-Ext are the same model.
+        // With an empty D, EM, EM-Social in both modes and EM-Ext fit the
+        // same data, so they serve the same bits.
         let data = separable();
-        let ext = EmExtFinder::default().scores(&data).unwrap();
-        let indep = EmIndependent::default().scores(&data).unwrap();
-        let social = EmSocial::default().scores(&data).unwrap();
-        let social_silence = EmSocial::new(EmConfig::default(), DropMode::AsSilence)
-            .scores(&data)
-            .unwrap();
-        for j in 0..10 {
-            assert!((ext[j] - indep[j]).abs() < 1e-6, "EM j={j}");
-            assert!((ext[j] - social[j]).abs() < 1e-3, "EM-Social j={j}");
-            assert!((ext[j] - social_silence[j]).abs() < 1e-6, "AsSilence j={j}");
+        let ext = EmExtFinder::default();
+        let variants: [(&str, &dyn FactFinder); 3] = [
+            ("EM", &EmIndependent::default()),
+            ("EM-Social", &EmSocial::default()),
+            (
+                "AsSilence",
+                &EmSocial::new(EmConfig::default(), DropMode::AsSilence),
+            ),
+        ];
+        for (name, finder) in variants {
+            assert_eq!(served(finder, &data), served(&ext, &data), "{name}");
         }
         let truth: Vec<bool> = (0..10).map(|j| j < 5).collect();
-        assert_eq!(classify(&ext), truth);
-        assert_eq!(classify(&social), truth);
+        assert_eq!(classify(&ext.scores(&data).unwrap()), truth);
     }
 
     /// A rumor scenario: a single unreliable root claims false assertions
@@ -442,6 +309,60 @@ mod tests {
             rumor_belief(&ext),
             rumor_belief(&indep)
         );
+    }
+
+    /// `rumor_data` plus source 10, which follows the rumor root but
+    /// repeats only two of its claims: its other three `D` cells are
+    /// dependent silences.
+    fn partial_echo_data() -> ClaimData {
+        let (data, _) = rumor_data();
+        let grow = |cells: &SparseBinaryMatrix, extra: &[(u32, u32)]| {
+            SparseBinaryMatrix::from_entries(11, 10, cells.entries().chain(extra.iter().copied()))
+        };
+        let echo: Vec<(u32, u32)> = (5..10).map(|j| (10, j)).collect();
+        ClaimData::new(grow(data.sc(), &echo[..2]), grow(data.d(), &echo)).unwrap()
+    }
+
+    #[test]
+    fn em_social_is_em_ext_on_the_independent_claims() {
+        let data = partial_echo_data();
+        let independent = SparseBinaryMatrix::from_entries(
+            11,
+            10,
+            data.sc().entries().filter(|&(i, j)| !data.dependent(i, j)),
+        );
+        let cleaned = ClaimData::new(independent.clone(), data.d().clone()).unwrap();
+        let silenced = cleaned.assuming_independence();
+        let configs = [
+            EmConfig::default(),
+            EmConfig {
+                init: InitStrategy::DepBiased,
+                ..EmConfig::default()
+            },
+            EmConfig {
+                smoothing: 0.0,
+                ..EmConfig::default()
+            },
+            EmConfig {
+                restarts: 2,
+                ..EmConfig::default()
+            },
+        ];
+        for config in configs {
+            for (mode, on) in [
+                (DropMode::ExcludeCells, &cleaned),
+                (DropMode::AsSilence, &silenced),
+            ] {
+                let fit = EmExt::new(config).fit(on).unwrap();
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+                let want = (bits(&fit.posterior), bits(&fit.log_odds));
+                // Removing the dependent claims beforehand changes nothing.
+                for input in [&data, &cleaned] {
+                    let got = served(&EmSocial::new(config, mode), input);
+                    assert_eq!(got, want, "{mode:?}, {config:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -743,7 +743,7 @@ pub(crate) fn apply_m_step(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::likelihood::column_log_likelihood_reference;
+    use crate::likelihood::{column_log_likelihood_naive, column_log_likelihood_reference};
     use crate::model::classify;
     use proptest::prelude::*;
     use socsense_matrix::logprob::{log_sum_exp2, normalize_log_pair, safe_ln, safe_ln_1m};
@@ -1107,6 +1107,73 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// A [`random_world`] with its dependent claims removed, so every `D`
+    /// cell is a silence (`SC ∩ D = ∅`): the `(SC∖D, D)` that EM-Social
+    /// fits. The last source, which holds no cell, gets a `D` cell on
+    /// assertion 0, so `D` is never empty.
+    fn silent_dependence_world() -> impl Strategy<Value = ClaimData> {
+        random_world().prop_map(|data| {
+            let sc = data.sc();
+            let (n, m) = (sc.nrows(), sc.ncols());
+            let independent = sc.entries().filter(|&(i, j)| !data.dependent(i, j));
+            let dependent = data.d().entries().chain([(n - 1, 0)]);
+            ClaimData::new(
+                SparseBinaryMatrix::from_entries(n, m, independent),
+                SparseBinaryMatrix::from_entries(n, m, dependent),
+            )
+            .unwrap()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// With every `D` cell silent, one map at the default smoothing
+        /// sets each source's `f` and `g` to `ε`, since no dependent claim
+        /// feeds their numerators. Under any `θ` with `f = g` the `D`
+        /// cells then cancel: the posterior is the product over the other
+        /// cells alone.
+        #[test]
+        #[cfg_attr(miri, ignore = "EM sweep is too slow under Miri")]
+        fn silent_dependent_cells_cancel_once_f_equals_g(
+            data in silent_dependence_world(),
+            seed in 0u64..1000,
+        ) {
+            let config = EmConfig { max_iters: 1, ..EmConfig::default() };
+            let fit = EmExt::new(config).fit(&data).unwrap();
+            for s in fit.theta.sources() {
+                prop_assert_eq!((s.f, s.g), (config.eps, config.eps));
+            }
+
+            let (n, m) = (data.source_count(), data.assertion_count());
+            let mut theta = Theta::random(n, &mut StdRng::seed_from_u64(seed));
+            for i in 0..n {
+                let s = *theta.source(i);
+                theta.set_source(i, SourceParams { g: s.f, ..s });
+            }
+            let (ln_z, ln_1z) = (safe_ln(theta.z()), safe_ln_1m(theta.z()));
+            let served =
+                crate::likelihood::assertion_posteriors_with(&data, &theta, Parallelism::Serial)
+                    .unwrap();
+            for j in 0..m as u32 {
+                let (mut ln1, mut ln0) = (ln_z, ln_1z);
+                for i in (0..n as u32).filter(|&i| !data.dependent(i, j)) {
+                    let s = theta.source(i as usize);
+                    ln1 += safe_ln(s.claim_prob(true, false, data.claimed(i, j)));
+                    ln0 += safe_ln(s.claim_prob(false, false, data.claimed(i, j)));
+                }
+                let alone = normalize_log_pair(ln1, ln0).0;
+                let every_cell = normalize_log_pair(
+                    column_log_likelihood_naive(&data, &theta, j, true) + ln_z,
+                    column_log_likelihood_naive(&data, &theta, j, false) + ln_1z,
+                )
+                .0;
+                prop_assert!((every_cell - alone).abs() < 1e-10, "j={}: {}", j, every_cell);
+                prop_assert!((served[j as usize] - alone).abs() < 1e-10, "j={}", j);
             }
         }
     }

@@ -3,8 +3,6 @@
 use std::error::Error;
 use std::fmt;
 
-use socsense_matrix::MatrixError;
-
 /// Errors produced by model construction, estimation, and bound
 /// computation.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,8 +34,6 @@ pub enum SenseError {
         /// Maximum supported by the exact enumeration.
         max: usize,
     },
-    /// An underlying matrix operation failed.
-    Matrix(MatrixError),
     /// A configuration value was outside its valid range.
     BadConfig {
         /// Description of the violated constraint.
@@ -61,26 +57,12 @@ impl fmt::Display for SenseError {
                 f,
                 "exact bound over {n} sources exceeds the enumeration limit of {max}; use the Gibbs approximation"
             ),
-            SenseError::Matrix(e) => write!(f, "matrix error: {e}"),
             SenseError::BadConfig { what } => write!(f, "invalid configuration: {what}"),
         }
     }
 }
 
-impl Error for SenseError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            SenseError::Matrix(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<MatrixError> for SenseError {
-    fn from(e: MatrixError) -> Self {
-        SenseError::Matrix(e)
-    }
-}
+impl Error for SenseError {}
 
 #[cfg(test)]
 mod tests {
@@ -90,12 +72,9 @@ mod tests {
     fn display_and_source_chain() {
         let e = SenseError::TooManySources { n: 40, max: 30 };
         assert!(e.to_string().contains("40"));
-        let m = MatrixError::BadBacking {
-            expected: 4,
-            actual: 2,
-        };
-        let wrapped: SenseError = m.into();
-        assert!(wrapped.source().is_some());
-        assert!(wrapped.to_string().contains("matrix error"));
+        // Every variant is a leaf: no error wraps another.
+        assert!(e.source().is_none());
+        let e = SenseError::BadConfig { what: "tol" };
+        assert!(e.to_string().contains("tol"));
     }
 }

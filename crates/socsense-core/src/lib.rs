@@ -71,8 +71,7 @@ pub use delta::{DeltaConfig, RefitMode, RefitOutcome};
 pub use em::{EmConfig, EmExt, EmFit, InitStrategy};
 pub use error::SenseError;
 pub use likelihood::{
-    assertion_log_likelihoods, assertion_log_likelihoods_with, assertion_posteriors,
-    assertion_posteriors_with, data_log_likelihood, data_log_likelihood_with, ColumnFit,
+    assertion_posteriors, assertion_posteriors_with, data_log_likelihood_with, ColumnFit,
     LikelihoodTables,
 };
 pub use model::{classify, SourceParams, Theta};

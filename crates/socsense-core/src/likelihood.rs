@@ -544,38 +544,6 @@ fn check_dims(data: &ClaimData, theta: &Theta) -> Result<(), SenseError> {
     Ok(())
 }
 
-/// `(ln P(SC_j | C_j = 1), ln P(SC_j | C_j = 0))` for every assertion `j`
-/// (Eqs. 4–5).
-///
-/// # Errors
-///
-/// Returns [`SenseError::DimensionMismatch`] if `theta` covers a different
-/// number of sources than `data`.
-pub fn assertion_log_likelihoods(
-    data: &ClaimData,
-    theta: &Theta,
-) -> Result<Vec<(f64, f64)>, SenseError> {
-    assertion_log_likelihoods_with(data, theta, Parallelism::Auto)
-}
-
-/// [`assertion_log_likelihoods`] with an explicit [`Parallelism`] level.
-/// Results are bit-identical across levels.
-///
-/// # Errors
-///
-/// As [`assertion_log_likelihoods`].
-pub fn assertion_log_likelihoods_with(
-    data: &ClaimData,
-    theta: &Theta,
-    par: Parallelism,
-) -> Result<Vec<(f64, f64)>, SenseError> {
-    check_dims(data, theta)?;
-    let tables = LikelihoodTables::for_data(theta, data);
-    Ok(par_map_collect(par, data.assertion_count(), |j| {
-        tables.column_log_likelihood(data.sc().col(j as u32), data.d().col(j as u32))
-    }))
-}
-
 /// Posterior truth probabilities `P(C_j = 1 | SC_j; D, θ)` for all
 /// assertions (Eq. 9).
 ///
@@ -610,22 +578,13 @@ pub fn assertion_posteriors_with(
 /// The observed-data log-likelihood `ln P(SC; D, θ)` (Eq. 7):
 /// `Σ_j ln( z·P(SC_j|C_j=1) + (1-z)·P(SC_j|C_j=0) )`.
 ///
-/// # Errors
-///
-/// Returns [`SenseError::DimensionMismatch`] on inconsistent shapes.
-pub fn data_log_likelihood(data: &ClaimData, theta: &Theta) -> Result<f64, SenseError> {
-    data_log_likelihood_with(data, theta, Parallelism::Auto)
-}
-
-/// [`data_log_likelihood`] with an explicit [`Parallelism`] level.
-///
 /// The per-assertion terms are summed within fixed index chunks and the
 /// chunk sums folded in chunk order, so the (non-associative) floating-
 /// point total is bit-identical across levels.
 ///
 /// # Errors
 ///
-/// As [`data_log_likelihood`].
+/// Returns [`SenseError::DimensionMismatch`] on inconsistent shapes.
 pub fn data_log_likelihood_with(
     data: &ClaimData,
     theta: &Theta,
@@ -840,16 +799,17 @@ mod tests {
     fn sparse_kernel_matches_naive_product() {
         let data = small_data();
         let theta = theta4();
-        let fast = assertion_log_likelihoods(&data, &theta).unwrap();
+        let tables = LikelihoodTables::for_data(&theta, &data);
         for j in 0..3u32 {
+            let fast = tables.column_log_likelihood(data.sc().col(j), data.d().col(j));
             let naive1 = column_log_likelihood_naive(&data, &theta, j, true);
             let naive0 = column_log_likelihood_naive(&data, &theta, j, false);
             assert!(
-                (fast[j as usize].0 - naive1).abs() < 1e-10,
+                (fast.0 - naive1).abs() < 1e-10,
                 "j={j}: {} vs {naive1}",
-                fast[j as usize].0
+                fast.0
             );
-            assert!((fast[j as usize].1 - naive0).abs() < 1e-10);
+            assert!((fast.1 - naive0).abs() < 1e-10);
         }
     }
 
@@ -871,7 +831,7 @@ mod tests {
     fn log_likelihood_is_sum_of_marginals() {
         let data = small_data();
         let theta = theta4();
-        let ll = data_log_likelihood(&data, &theta).unwrap();
+        let ll = data_log_likelihood_with(&data, &theta, Parallelism::Auto).unwrap();
         let mut expected = 0.0;
         for j in 0..3u32 {
             let p1 = column_log_likelihood_naive(&data, &theta, j, true).exp();
@@ -913,7 +873,7 @@ mod tests {
             0.5,
         )
         .unwrap();
-        let ll = data_log_likelihood(&data, &theta).unwrap();
+        let ll = data_log_likelihood_with(&data, &theta, Parallelism::Auto).unwrap();
         assert!(ll.is_finite());
         let post = assertion_posteriors(&data, &theta).unwrap();
         assert!(post[0].is_finite() && (0.0..=1.0).contains(&post[0]));

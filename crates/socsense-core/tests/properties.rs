@@ -4,8 +4,8 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use socsense_core::{
     assertion_posteriors, assertion_posteriors_with, bound_for_assertions_with, bound_for_data,
-    data_log_likelihood, data_log_likelihood_with, exact_bound, gibbs_bound, BoundMethod,
-    ClaimData, EmConfig, EmExt, GibbsConfig, Parallelism, SourceParams, Theta,
+    data_log_likelihood_with, exact_bound, gibbs_bound, BoundMethod, ClaimData, EmConfig, EmExt,
+    GibbsConfig, Parallelism, SourceParams, Theta,
 };
 use socsense_matrix::SparseBinaryMatrix;
 
@@ -57,7 +57,7 @@ proptest! {
         for &p in &post {
             prop_assert!((0.0..=1.0).contains(&p), "posterior {p}");
         }
-        let ll = data_log_likelihood(&data, &theta).unwrap();
+        let ll = data_log_likelihood_with(&data, &theta, Parallelism::Auto).unwrap();
         prop_assert!(ll.is_finite() && ll <= 0.0);
     }
 

@@ -187,11 +187,6 @@ impl ClaimLogIndex {
         self.m
     }
 
-    /// Number of distinct `(source, assertion)` claim cells (`nnz(SC)`).
-    pub fn claim_cell_count(&self) -> usize {
-        self.first_claim.len()
-    }
-
     /// Current `SC`/`D` membership of cell `(i, j)`.
     pub fn cell_state(&self, i: u32, j: u32) -> CellState {
         let own = self.first_claim.get(&(i, j));
@@ -408,8 +403,9 @@ mod tests {
         for c in &claims {
             index.ingest(&g, std::slice::from_ref(c));
         }
-        assert_eq!(index.build(), build_matrices(3, 2, &claims, &g));
-        assert_eq!(index.claim_cell_count(), 4);
+        let built = index.build();
+        assert_eq!(built.0.nnz(), 4);
+        assert_eq!(built, build_matrices(3, 2, &claims, &g));
     }
 
     #[test]

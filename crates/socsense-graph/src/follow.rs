@@ -158,29 +158,6 @@ impl FollowerGraph {
             .enumerate()
             .flat_map(|(i, ks)| ks.iter().map(move |&k| (i as u32, k)))
     }
-
-    /// Everyone reachable *downstream* of `source` by following reverse
-    /// edges (followers, followers-of-followers, ...), excluding `source`.
-    ///
-    /// Used by cascade simulation: these are the accounts a tweet can
-    /// eventually propagate to.
-    pub fn reachable_followers(&self, source: u32) -> Vec<u32> {
-        let mut seen = vec![false; self.n as usize];
-        seen[source as usize] = true;
-        let mut queue = std::collections::VecDeque::from([source]);
-        let mut out = Vec::new();
-        while let Some(u) = queue.pop_front() {
-            for &f in self.followers(u) {
-                if !seen[f as usize] {
-                    seen[f as usize] = true;
-                    out.push(f);
-                    queue.push_back(f);
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -225,21 +202,5 @@ mod tests {
         let mut collected: Vec<_> = g.edges().collect();
         collected.sort_unstable();
         assert_eq!(collected, vec![(0, 1), (2, 0), (2, 1)]);
-    }
-
-    #[test]
-    fn reachable_followers_walks_transitively() {
-        // 1 follows 0, 2 follows 1, 3 follows 2; 0's reach = {1,2,3}.
-        let g = FollowerGraph::from_edges(5, [(1, 0), (2, 1), (3, 2)]).unwrap();
-        assert_eq!(g.reachable_followers(0), vec![1, 2, 3]);
-        assert_eq!(g.reachable_followers(3), Vec::<u32>::new());
-    }
-
-    #[test]
-    fn reachable_followers_handles_cycles() {
-        // 0 and 1 follow each other.
-        let g = FollowerGraph::from_edges(2, [(0, 1), (1, 0)]).unwrap();
-        assert_eq!(g.reachable_followers(0), vec![1]);
-        assert_eq!(g.reachable_followers(1), vec![0]);
     }
 }

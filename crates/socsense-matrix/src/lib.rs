@@ -37,14 +37,12 @@
 #![warn(missing_docs)]
 
 mod bitset;
-mod error;
 pub mod logprob;
 pub mod parallel;
 mod sparse;
 mod unionfind;
 
 pub use bitset::FixedBitSet;
-pub use error::MatrixError;
 pub use parallel::Parallelism;
 pub use sparse::{EntriesIter, SparseBinaryMatrix, SparseBinaryMatrixBuilder};
 pub use unionfind::UnionFind;

@@ -55,15 +55,6 @@ pub fn log_sum_exp2(a: f64, b: f64) -> f64 {
     hi + (lo - hi).exp().ln_1p()
 }
 
-/// `ln(Σ exp(xs))` over a slice; `-inf` for an empty slice.
-pub fn log_sum_exp(xs: &[f64]) -> f64 {
-    let hi = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    if hi == f64::NEG_INFINITY {
-        return f64::NEG_INFINITY;
-    }
-    hi + xs.iter().map(|&x| (x - hi).exp()).sum::<f64>().ln()
-}
-
 /// Normalizes a pair of log-weights into linear probabilities summing to 1.
 ///
 /// Given `ln w1` and `ln w0`, returns `(w1, w0) / (w1 + w0)`. This is the
@@ -146,13 +137,6 @@ mod tests {
         let lse = log_sum_exp2(big, small);
         assert!((lse - big).abs() < 1e-9);
         assert!(lse >= big);
-    }
-
-    #[test]
-    fn log_sum_exp_slice() {
-        assert_eq!(log_sum_exp(&[]), f64::NEG_INFINITY);
-        let xs = [0.1_f64.ln(), 0.2_f64.ln(), 0.3_f64.ln()];
-        assert!((log_sum_exp(&xs) - 0.6_f64.ln()).abs() < 1e-12);
     }
 
     #[test]

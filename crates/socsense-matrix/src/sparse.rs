@@ -9,8 +9,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::error::MatrixError;
-
 /// Builder accumulating `(row, col)` entries for a [`SparseBinaryMatrix`].
 ///
 /// Duplicate insertions are allowed and collapse to a single entry at
@@ -68,34 +66,6 @@ impl SparseBinaryMatrixBuilder {
             self.ncols
         );
         self.entries.push((row, col));
-    }
-
-    /// Fallible variant of [`insert`](Self::insert).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MatrixError::OutOfBounds`] when the coordinates do not fit.
-    pub fn try_insert(&mut self, row: u32, col: u32) -> Result<(), MatrixError> {
-        if row >= self.nrows || col >= self.ncols {
-            return Err(MatrixError::OutOfBounds {
-                row,
-                col,
-                nrows: self.nrows,
-                ncols: self.ncols,
-            });
-        }
-        self.entries.push((row, col));
-        Ok(())
-    }
-
-    /// Number of recorded entries (duplicates included).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no entry has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Sorts, deduplicates, and freezes the entries into a matrix.
@@ -212,16 +182,6 @@ impl SparseBinaryMatrix {
         self.col_idx.len()
     }
 
-    /// Fraction of cells that are set; `0.0` for a degenerate 0-cell matrix.
-    pub fn density(&self) -> f64 {
-        let cells = self.nrows as f64 * self.ncols as f64;
-        if cells == 0.0 {
-            0.0
-        } else {
-            self.nnz() as f64 / cells
-        }
-    }
-
     /// Sorted column indices set in `row`.
     ///
     /// # Panics
@@ -269,80 +229,6 @@ impl SparseBinaryMatrix {
             row: 0,
             offset: 0,
         }
-    }
-
-    /// Returns the transpose (rows and columns swapped).
-    pub fn transposed(&self) -> SparseBinaryMatrix {
-        SparseBinaryMatrix {
-            nrows: self.ncols,
-            ncols: self.nrows,
-            row_ptr: self.col_ptr.clone(),
-            col_idx: self.row_idx.clone(),
-            col_ptr: self.row_ptr.clone(),
-            row_idx: self.col_idx.clone(),
-        }
-    }
-
-    /// Cell-wise union of two equally sized matrices.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MatrixError::DimensionMismatch`] if the shapes differ.
-    pub fn union(&self, other: &SparseBinaryMatrix) -> Result<SparseBinaryMatrix, MatrixError> {
-        self.check_same_shape(other)?;
-        let mut b = SparseBinaryMatrixBuilder::with_capacity(
-            self.nrows,
-            self.ncols,
-            self.nnz() + other.nnz(),
-        );
-        b.extend(self.entries());
-        b.extend(other.entries());
-        Ok(b.build())
-    }
-
-    /// Cell-wise intersection of two equally sized matrices.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MatrixError::DimensionMismatch`] if the shapes differ.
-    pub fn intersection(
-        &self,
-        other: &SparseBinaryMatrix,
-    ) -> Result<SparseBinaryMatrix, MatrixError> {
-        self.check_same_shape(other)?;
-        let mut b = SparseBinaryMatrixBuilder::new(self.nrows, self.ncols);
-        for row in 0..self.nrows {
-            let (mut a, mut o) = (
-                self.row(row).iter().peekable(),
-                other.row(row).iter().peekable(),
-            );
-            while let (Some(&&ca), Some(&&co)) = (a.peek(), o.peek()) {
-                match ca.cmp(&co) {
-                    std::cmp::Ordering::Less => {
-                        a.next();
-                    }
-                    std::cmp::Ordering::Greater => {
-                        o.next();
-                    }
-                    std::cmp::Ordering::Equal => {
-                        b.insert(row, ca);
-                        a.next();
-                        o.next();
-                    }
-                }
-            }
-        }
-        Ok(b.build())
-    }
-
-    fn check_same_shape(&self, other: &SparseBinaryMatrix) -> Result<(), MatrixError> {
-        if self.nrows != other.nrows || self.ncols != other.ncols {
-            return Err(MatrixError::DimensionMismatch {
-                expected: (self.nrows, self.ncols),
-                actual: (other.nrows, other.ncols),
-            });
-        }
-        Ok(())
     }
 }
 
@@ -425,48 +311,21 @@ mod tests {
 
     #[test]
     fn transpose_swaps_axes() {
+        // The column index is the transpose of the row index: every cell
+        // sits in both, with its axes swapped.
         let m = sample();
-        let t = m.transposed();
-        assert_eq!(t.nrows(), 4);
-        assert_eq!(t.ncols(), 3);
         for (r, c) in m.entries() {
-            assert!(t.contains(c, r));
+            assert!(m.col(c).contains(&r));
         }
-        assert_eq!(t.nnz(), m.nnz());
-    }
-
-    #[test]
-    fn union_and_intersection() {
-        let a = SparseBinaryMatrix::from_entries(2, 2, [(0, 0), (0, 1)]);
-        let b = SparseBinaryMatrix::from_entries(2, 2, [(0, 1), (1, 1)]);
-        let u = a.union(&b).unwrap();
-        assert_eq!(u.nnz(), 3);
-        let i = a.intersection(&b).unwrap();
-        assert_eq!(i.nnz(), 1);
-        assert!(i.contains(0, 1));
-    }
-
-    #[test]
-    fn union_rejects_shape_mismatch() {
-        let a = SparseBinaryMatrix::empty(2, 2);
-        let b = SparseBinaryMatrix::empty(2, 3);
-        assert!(matches!(
-            a.union(&b),
-            Err(MatrixError::DimensionMismatch { .. })
-        ));
+        let by_cols: usize = (0..m.ncols()).map(|c| m.col_nnz(c)).sum();
+        assert_eq!(by_cols, m.nnz());
     }
 
     #[test]
     fn empty_matrix_has_zero_density() {
         let m = SparseBinaryMatrix::empty(0, 0);
         assert_eq!(m.nnz(), 0);
-        assert_eq!(m.density(), 0.0);
-    }
-
-    #[test]
-    fn density_counts_cells() {
-        let m = SparseBinaryMatrix::from_entries(2, 2, [(0, 0)]);
-        assert!((m.density() - 0.25).abs() < 1e-12);
+        assert_eq!(m.entries().next(), None);
     }
 
     #[test]
@@ -474,16 +333,6 @@ mod tests {
     fn insert_out_of_bounds_panics() {
         let mut b = SparseBinaryMatrixBuilder::new(1, 1);
         b.insert(1, 0);
-    }
-
-    #[test]
-    fn try_insert_reports_error() {
-        let mut b = SparseBinaryMatrixBuilder::new(1, 1);
-        assert!(b.try_insert(0, 0).is_ok());
-        assert!(matches!(
-            b.try_insert(0, 5),
-            Err(MatrixError::OutOfBounds { .. })
-        ));
     }
 
     #[test]

@@ -53,11 +53,6 @@ impl PersistConfig {
 pub struct ServeConfig {
     /// EM configuration for every refit (cold and warm).
     pub em: EmConfig,
-    /// Warm-start blend forwarded to the backing
-    /// [`StreamingEstimator`](socsense_core::StreamingEstimator): how
-    /// strongly chain refits lean on the previous `θ̂` versus the
-    /// data-driven anchor. Must lie in `[0, 1]`.
-    pub warm_blend: f64,
     /// Ingest-driven refit debounce: after a batch is ingested, the
     /// warm-start chain advances (a full refit runs and its `θ̂` becomes
     /// the next warm start) only once at least this many claims are
@@ -101,7 +96,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             em: EmConfig::default(),
-            warm_blend: 0.5,
             refit_pending_claims: 1,
             parallelism: Parallelism::Auto,
             bound: BoundMethod::default(),

@@ -453,8 +453,7 @@ impl QueryService {
     /// # Errors
     ///
     /// [`ServeError::Sense`] for an invalid shape (`n == 0`, `m == 0`, a
-    /// graph over a different source count) or a `warm_blend` outside
-    /// `[0, 1]`.
+    /// graph over a different source count).
     pub fn spawn(
         n: u32,
         m: u32,
@@ -692,16 +691,8 @@ mod tests {
             Err(ServeError::Sense(SenseError::EmptyData))
         ));
         assert!(matches!(
-            QueryService::spawn(
-                3,
-                2,
-                FollowerGraph::new(3),
-                ServeConfig {
-                    warm_blend: 1.5,
-                    ..ServeConfig::default()
-                }
-            ),
-            Err(ServeError::Sense(SenseError::BadConfig { .. }))
+            QueryService::spawn(3, 2, FollowerGraph::new(4), ServeConfig::default()),
+            Err(ServeError::Sense(SenseError::DimensionMismatch { .. }))
         ));
     }
 

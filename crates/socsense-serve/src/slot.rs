@@ -144,8 +144,7 @@ impl Slot {
     ///
     /// # Errors
     ///
-    /// [`SenseError`] for an invalid shape, a `warm_blend` outside
-    /// `[0, 1]`, or an invalid refit mode.
+    /// [`SenseError`] for an invalid shape or refit mode.
     pub fn new(
         n: u32,
         m: u32,
@@ -154,7 +153,6 @@ impl Slot {
         obs: Obs,
     ) -> Result<Self, SenseError> {
         let mut est = StreamingEstimator::new(n, m, graph, cfg.em)?;
-        est.set_warm_blend(cfg.warm_blend)?;
         est.set_refit_mode(cfg.refit_mode)?;
         est.set_obs(obs.clone());
         Ok(Self {

@@ -47,11 +47,6 @@ impl Interval {
     pub fn is_probability(&self) -> bool {
         (0.0..=1.0).contains(&self.lo) && (0.0..=1.0).contains(&self.hi)
     }
-
-    /// Midpoint of the interval.
-    pub fn mid(&self) -> f64 {
-        0.5 * (self.lo + self.hi)
-    }
 }
 
 /// An inclusive integer interval, used for the tree count `τ`.
@@ -281,7 +276,6 @@ mod tests {
             assert!((0.2..=0.4).contains(&v));
         }
         assert_eq!(Interval::fixed(0.3).sample(&mut rng), 0.3);
-        assert!((iv.mid() - 0.3).abs() < 1e-12);
     }
 
     #[test]
