@@ -9,8 +9,6 @@
 //! same way — typically reducing the visited nodes by orders of magnitude
 //! while returning the mathematically exact value.
 
-use socsense_matrix::parallel::{par_map_collect, Parallelism};
-
 use crate::bound::BoundResult;
 use crate::error::SenseError;
 
@@ -19,15 +17,6 @@ use crate::error::SenseError;
 pub const MAX_EXACT_SOURCES: usize = 30;
 
 const P_MARGIN: f64 = 1e-12;
-
-/// Below this source count [`exact_bound_with`] skips the prefix split:
-/// the subtrees are too small for the thread fan-out to pay off.
-const PAR_MIN_SOURCES: usize = 12;
-
-/// Prefix depth of the parallel split: the first `PREFIX_BITS` sources'
-/// claim values are enumerated up front, yielding `2^PREFIX_BITS`
-/// independent subtrees.
-const PREFIX_BITS: usize = 6;
 
 /// Computes the exact Bayes-risk bound for one assertion.
 ///
@@ -82,71 +71,6 @@ pub(crate) fn exact_bound_counted(
         false_negative: acc.fn_,
     };
     Ok((bound, acc.nodes))
-}
-
-/// [`exact_bound`] with an explicit [`Parallelism`] level.
-///
-/// Past `PAR_MIN_SOURCES` (12) sources the enumeration splits into
-/// `2^PREFIX_BITS` subtrees — one per claim pattern of the first
-/// `PREFIX_BITS` (6) sources — evaluated independently and merged in
-/// fixed prefix order, so every level returns bit-identical results.
-/// The split forgoes pruning above the prefix depth, which can make the
-/// last few ulps differ from the plain [`exact_bound`] walk (the values
-/// are mathematically equal); small inputs skip the split and match
-/// [`exact_bound`] exactly.
-///
-/// # Errors
-///
-/// See [`exact_bound`].
-pub fn exact_bound_with(
-    probs: &[(f64, f64)],
-    z: f64,
-    par: Parallelism,
-) -> Result<BoundResult, SenseError> {
-    let n = probs.len();
-    if n < PAR_MIN_SOURCES {
-        return exact_bound(probs, z);
-    }
-    let prep = Prepared::new(probs, z)?;
-    let k = PREFIX_BITS;
-    // Bit t of a prefix index is source t's claim value; the weights of
-    // the prefix multiply in source order, identically for every level.
-    let parts: Vec<(f64, f64)> = par_map_collect(par, 1usize << k, |prefix| {
-        let mut q1 = 1.0;
-        let mut q0 = 1.0;
-        for (t, &(p1, p0)) in prep.clamped.iter().enumerate().take(k) {
-            if prefix >> t & 1 == 1 {
-                q1 *= p1;
-                q0 *= p0;
-            } else {
-                q1 *= 1.0 - p1;
-                q0 *= 1.0 - p0;
-            }
-        }
-        let mut acc = Accumulator::default();
-        dfs(
-            &prep.clamped,
-            z,
-            k,
-            q1,
-            q0,
-            &prep.min_ratio,
-            &prep.max_ratio,
-            &mut acc,
-        );
-        (acc.fp, acc.fn_)
-    });
-    // Merge in prefix order (non-associative float sums).
-    let (mut fp, mut fn_) = (0.0, 0.0);
-    for (p_fp, p_fn) in parts {
-        fp += p_fp;
-        fn_ += p_fn;
-    }
-    Ok(BoundResult {
-        error: fp + fn_,
-        false_positive: fp,
-        false_negative: fn_,
-    })
 }
 
 /// Validated, clamped inputs plus the suffix odds bounds the pruned walk
@@ -473,47 +397,6 @@ mod tests {
         let weak = exact_bound(&[(0.55, 0.45); 8], 0.5).unwrap();
         let strong = exact_bound(&[(0.9, 0.1); 8], 0.5).unwrap();
         assert!(strong.error < weak.error);
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore = "exponential enumeration is too slow under Miri")]
-    fn prefix_split_is_bit_identical_across_levels_and_tracks_plain_walk() {
-        let mut rng = StdRng::seed_from_u64(31);
-        for n in [PAR_MIN_SOURCES, 15, 20] {
-            let probs: Vec<(f64, f64)> = (0..n)
-                .map(|_| (rng.gen_range(0.05..0.95), rng.gen_range(0.05..0.95)))
-                .collect();
-            let z = rng.gen_range(0.1..0.9);
-            let serial = exact_bound_with(&probs, z, Parallelism::Serial).unwrap();
-            for par in [
-                Parallelism::Auto,
-                Parallelism::Threads(2),
-                Parallelism::Threads(4),
-            ] {
-                let threaded = exact_bound_with(&probs, z, par).unwrap();
-                assert_eq!(serial.error.to_bits(), threaded.error.to_bits(), "n={n}");
-                assert_eq!(
-                    serial.false_positive.to_bits(),
-                    threaded.false_positive.to_bits()
-                );
-                assert_eq!(
-                    serial.false_negative.to_bits(),
-                    threaded.false_negative.to_bits()
-                );
-            }
-            // Mathematically equal to the plain pruned walk.
-            let plain = exact_bound(&probs, z).unwrap();
-            assert!((serial.error - plain.error).abs() < 1e-12);
-            assert!((serial.false_positive - plain.false_positive).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn small_inputs_skip_the_split_and_match_exactly() {
-        let probs = vec![(0.7, 0.3); PAR_MIN_SOURCES - 1];
-        let plain = exact_bound(&probs, 0.55).unwrap();
-        let split = exact_bound_with(&probs, 0.55, Parallelism::Threads(4)).unwrap();
-        assert_eq!(plain.error.to_bits(), split.error.to_bits());
     }
 
     #[test]

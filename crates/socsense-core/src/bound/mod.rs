@@ -24,7 +24,7 @@ use socsense_matrix::parallel::{par_map_collect, Parallelism};
 use socsense_obs::Obs;
 
 use exact::exact_bound_counted;
-pub use exact::{exact_bound, exact_bound_from_table, exact_bound_with, MAX_EXACT_SOURCES};
+pub use exact::{exact_bound, exact_bound_from_table, MAX_EXACT_SOURCES};
 pub use gibbs::{gibbs_bound, GibbsConfig, GibbsEstimator, GibbsOutcome};
 pub use mismatch::mismatched_decision_error;
 

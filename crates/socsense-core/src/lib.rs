@@ -61,7 +61,7 @@ mod streaming;
 
 pub use bound::{
     bound_for_assertions, bound_for_assertions_traced, bound_for_assertions_with, bound_for_data,
-    bound_for_data_with, exact_bound, exact_bound_from_table, exact_bound_with, gibbs_bound,
+    bound_for_data_with, exact_bound, exact_bound_from_table, gibbs_bound,
     mismatched_decision_error, BoundMethod, BoundResult, GibbsConfig, GibbsEstimator, GibbsOutcome,
 };
 pub use cluster::{cluster_partition, ClusterMembers, ClusterTracker, ClusterUpdate, ClusterWorld};

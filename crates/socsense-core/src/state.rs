@@ -80,11 +80,13 @@ impl ThetaBits {
     }
 }
 
-/// An [`EmFit`] with every float as `to_bits`.
+/// An [`EmFit`] without its `θ`, every float as `to_bits`. The caller
+/// stores `θ` once and supplies it on decode: a serving slot's chain
+/// fit shares its `θ` with the stream's warm start
+/// ([`StreamingState::last_theta`]), so a checkpoint would otherwise
+/// hold it twice.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EmFitBits {
-    /// The fitted parameters.
-    pub theta: ThetaBits,
     /// Per-assertion posterior bits.
     pub posterior: Vec<u64>,
     /// `log_likelihood.to_bits()`.
@@ -100,10 +102,9 @@ pub struct EmFitBits {
 }
 
 impl EmFitBits {
-    /// Encodes a fit.
+    /// Encodes every field of `fit` except `θ`.
     pub fn from_fit(fit: &EmFit) -> Self {
         Self {
-            theta: ThetaBits::from_theta(&fit.theta),
             posterior: bits_of(&fit.posterior),
             log_likelihood: fit.log_likelihood.to_bits(),
             iterations: fit.iterations,
@@ -113,21 +114,17 @@ impl EmFitBits {
         }
     }
 
-    /// Decodes back into an [`EmFit`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ThetaBits::to_theta`].
-    pub fn to_fit(&self) -> Result<EmFit, SenseError> {
-        Ok(EmFit {
-            theta: self.theta.to_theta()?,
+    /// Decodes back into an [`EmFit`] with parameters `theta`.
+    pub fn to_fit(&self, theta: Theta) -> EmFit {
+        EmFit {
+            theta,
             posterior: floats_of(&self.posterior),
             log_likelihood: f64::from_bits(self.log_likelihood),
             iterations: self.iterations,
             converged: self.converged,
             ll_history: floats_of(&self.ll_history),
             log_odds: floats_of(&self.log_odds),
-        })
+        }
     }
 }
 
@@ -287,7 +284,7 @@ mod tests {
             ll_history: vec![-3.0, f64::NEG_INFINITY],
             log_odds: vec![f64::INFINITY, -0.5],
         };
-        let back = EmFitBits::from_fit(&fit).to_fit().unwrap();
+        let back = EmFitBits::from_fit(&fit).to_fit(fit.theta.clone());
         assert_eq!(
             back.log_likelihood.to_bits(),
             fit.log_likelihood.to_bits(),

@@ -15,10 +15,11 @@ use socsense_persist::PersistError;
 /// When attached to a [`ServeConfig`], every ingest batch is appended to
 /// a CRC-guarded write-ahead log under `data_dir` and the full serving
 /// state is checkpointed every [`snapshot_every`](Self::snapshot_every)
-/// batches. A service spawned over a `data_dir` holding prior state
-/// recovers it first — replaying the WAL tail since the newest snapshot
-/// — and then answers every query `f64::to_bits`-identically to a
-/// worker that was never interrupted.
+/// batches, and once more at a clean shutdown. A service spawned over a
+/// `data_dir` holding prior state recovers it first — replaying the WAL
+/// tail since the newest snapshot, which is empty after a clean
+/// shutdown — and then answers every query `f64::to_bits`-identically
+/// to a worker that was never interrupted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PersistConfig {
     /// Root directory of the service's durable state. One directory
@@ -31,8 +32,10 @@ pub struct PersistConfig {
     /// implicitly.
     pub fsync_every: usize,
     /// Checkpoint cadence: write a full snapshot every this many ingest
-    /// batches (`0` disables periodic snapshots; recovery then replays
-    /// the whole WAL).
+    /// batches, and at a clean shutdown when batches arrived since the
+    /// newest one. After a crash, recovery replays at most
+    /// `snapshot_every − 1` batches. `0` disables snapshots, the
+    /// shutdown one included; recovery then replays the whole WAL.
     pub snapshot_every: usize,
 }
 
@@ -131,12 +134,14 @@ pub enum ServeError {
     /// state may be ahead of disk once this is returned; treat the
     /// `data_dir` as suspect.
     Persist(String),
-    /// A sharded ingest epoch failed after the WAL append but before
+    /// An ingest failed half-way, so in-memory state and the WAL
+    /// disagree: a sharded epoch failed after the WAL append but before
     /// the shard fan-out completed (for example over a corrupt
-    /// per-cluster history segment), so the shards are missing that
-    /// epoch's operations. The router refuses every further request
-    /// with the original failure rather than serve from silently
-    /// incomplete state; restart the service to rebuild from the WAL.
+    /// per-cluster history segment), or the single worker's WAL append
+    /// failed after its slot took the batch. The service refuses every
+    /// further request with the original failure rather than serve from
+    /// silently incomplete state, and writes no shutdown checkpoint;
+    /// restart the service to rebuild from the WAL.
     Wedged(String),
 }
 

@@ -7,7 +7,8 @@
 //! bit-identical to the one that wrote the checkpoint — recovery is
 //! *restore the newest snapshot, then replay the WAL tail through the
 //! normal ingest path*, and both steps are pure functions of the logged
-//! ingest sequence.
+//! ingest sequence. A clean shutdown checkpoints the last batch, so a
+//! planned restart's tail is empty; only a crash leaves one to replay.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -37,8 +38,9 @@ pub(crate) struct WalRecord {
 /// every [`WorkerSnapshot`] and [`RouterSnapshot`]. Bump it whenever
 /// their encoding changes, [`SlotCheckpoint`] included: recovery refuses
 /// a checkpoint of any other format, or one without a stamp, instead of
-/// skipping it.
-pub(crate) const CHECKPOINT_FORMAT: u64 = 1;
+/// skipping it. Format 2 stores a slot's chain-fit `θ` once, as the
+/// stream's warm start; format 1 stored it twice.
+pub(crate) const CHECKPOINT_FORMAT: u64 = 2;
 
 /// The unsharded worker's checkpoint: its slot plus the request count.
 /// The ingest sequence position it covers is the snapshot's own
@@ -112,6 +114,12 @@ pub(crate) struct DurableLog {
     wal: WalWriter,
     snaps: SnapshotStore,
     snapshot_every: usize,
+    /// Sequence number of the newest checkpoint on disk (0 before the
+    /// first).
+    checkpointed: u64,
+    /// Test hook: the next [`append`](Self::append) fails.
+    #[cfg(test)]
+    pub fail_next_append: bool,
 }
 
 impl DurableLog {
@@ -148,6 +156,9 @@ impl DurableLog {
                 wal,
                 snaps,
                 snapshot_every: cfg.snapshot_every,
+                checkpointed: since,
+                #[cfg(test)]
+                fail_next_append: false,
             },
             Recovered {
                 snapshot,
@@ -160,6 +171,10 @@ impl DurableLog {
     /// with `fsync_every = 1`, a batch the client saw acknowledged is on
     /// disk).
     pub fn append(&mut self, seq: u64, claims: &[TimedClaim], obs: &Obs) -> Result<(), ServeError> {
+        #[cfg(test)]
+        if std::mem::take(&mut self.fail_next_append) {
+            return Err(ServeError::Persist("injected WAL append failure".into()));
+        }
         let bytes_before = self.wal.bytes_total();
         let fsyncs_before = self.wal.fsyncs_total();
         self.wal.append(&WalRecord {
@@ -183,6 +198,14 @@ impl DurableLog {
         self.snapshot_every > 0 && seq.is_multiple_of(self.snapshot_every as u64)
     }
 
+    /// Whether a clean shutdown after batch `seq` owes a final
+    /// checkpoint: periodic checkpoints are on and the newest one is
+    /// older than `seq`. A restart then decodes that checkpoint and
+    /// replays no batch.
+    pub fn shutdown_due(&self, seq: u64) -> bool {
+        self.snapshot_every > 0 && self.checkpointed < seq
+    }
+
     /// Writes checkpoint `seq` atomically, keeps the two newest
     /// snapshots, and — when `truncate_wal` — empties the WAL, whose
     /// records the checkpoint has fully absorbed. (The router keeps its
@@ -196,6 +219,7 @@ impl DurableLog {
     ) -> Result<(), ServeError> {
         let bytes_before = self.snaps.bytes_total();
         self.snaps.write(seq, payload)?;
+        self.checkpointed = seq;
         self.snaps.prune(2)?;
         obs.counter("serve.snapshot.writes_total", 1);
         obs.counter(

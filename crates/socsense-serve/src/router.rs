@@ -176,7 +176,10 @@ impl ShardedService {
     /// [`ServeError::Sense`] for an invalid shape or configuration —
     /// the same construction-error surface as
     /// [`QueryService::spawn`](crate::QueryService::spawn) — or a zero
-    /// shard count.
+    /// shard count; [`ServeError::Persist`] when
+    /// [`ServeConfig::persist`] is set and the durable state cannot be
+    /// opened or recovered. Recovery is timed on
+    /// `serve.recovery.seconds`.
     pub fn spawn(
         n: u32,
         m: u32,
@@ -256,7 +259,9 @@ impl ShardedService {
         // the WAL-tail replay) but before the router serves anything.
         if let Some(pcfg) = &persist {
             if let Err(e) = router.recover(pcfg) {
-                router.stop();
+                // Recovery failed before the durable log was installed,
+                // so stopping writes no checkpoint; it joins the shards.
+                let _ = router.stop();
                 return Err(e);
             }
         }
@@ -279,14 +284,19 @@ impl ShardedService {
     }
 
     /// Shuts the tier down gracefully: requests already queued are
-    /// still answered, then the shards and the router exit and are
-    /// joined. Returns the final operating statistics.
+    /// still answered, then a durable router writes its shutdown
+    /// checkpoint (see [`PersistConfig::snapshot_every`]), and the
+    /// shards and the router exit and are joined. Returns the final
+    /// operating statistics.
     ///
     /// # Errors
     ///
     /// [`ServeError::Closed`] when the router was already gone;
     /// [`ServeError::WorkerPanicked`] when the router — or any shard,
-    /// surfaced through the router's shutdown reply — died by panic.
+    /// surfaced through the router's shutdown reply — died by panic;
+    /// [`ServeError::Persist`] when the shutdown checkpoint could not be
+    /// written (the data directory still recovers from the previous
+    /// checkpoint and the WAL).
     pub fn shutdown(mut self) -> Result<ServeStats, ServeError> {
         self.front.shutdown()
     }
@@ -314,11 +324,12 @@ struct Router {
     obs: Obs,
     /// Durability engine, when [`ServeConfig::persist`] is set.
     durable: Option<DurableLog>,
-    /// Set when an ingest epoch failed after the WAL append but before
-    /// the shard fan-out completed: the shards are missing that
-    /// epoch's cluster operations, so every later request fails fast
-    /// with this message instead of serving silently incomplete state.
-    /// A restart clears the wedge by rebuilding from the WAL.
+    /// Set when an ingest epoch failed at or after the WAL append but
+    /// before the shard fan-out completed: the shards are missing that
+    /// epoch's cluster operations, so every later request but shutdown
+    /// (which still joins the shards) fails fast with this message
+    /// instead of serving silently incomplete state, and no checkpoint
+    /// is written. A restart clears the wedge by rebuilding from the WAL.
     wedged: Option<String>,
 }
 
@@ -333,12 +344,6 @@ impl Backend for Router {
     }
 
     fn dispatch(&mut self, req: Request) -> Result<Response, ServeError> {
-        if let Some(why) = &self.wedged {
-            // Graceful shutdown still drains and joins the shards.
-            if !matches!(req, Request::Shutdown) {
-                return Err(ServeError::Wedged(why.clone()));
-            }
-        }
         match req {
             Request::Ingest(batch) => self.ingest(batch, true),
             Request::Posterior(j) => self.posterior(j),
@@ -352,6 +357,13 @@ impl Backend for Router {
             #[cfg(test)]
             Request::InjectPanic => panic!("injected router panic"),
             #[cfg(test)]
+            Request::FailNextAppend => {
+                if let Some(d) = &mut self.durable {
+                    d.fail_next_append = true;
+                }
+                Ok(Response::Stats(self.stats_snapshot()?))
+            }
+            #[cfg(test)]
             Request::Park { ack, release } => {
                 let _ = ack.send(());
                 let _ = release.recv();
@@ -360,9 +372,19 @@ impl Backend for Router {
         }
     }
 
-    /// Stops and joins every shard, reporting the first panic payload
-    /// (so a shard that died by panic surfaces in the shutdown reply).
-    fn stop(&mut self) -> Option<String> {
+    fn wedged(&self) -> Option<&str> {
+        self.wedged.as_deref()
+    }
+
+    /// Writes the shutdown checkpoint when one is due and the router is
+    /// not wedged — first, because it exports the shards' clusters — then
+    /// stops and joins every shard. A shard that died by panic outranks
+    /// a failed checkpoint in the shutdown reply.
+    fn stop(&mut self) -> Result<(), ServeError> {
+        let checkpointed = match self.wedged {
+            None => self.checkpoint_if(DurableLog::shutdown_due),
+            Some(_) => Ok(()),
+        };
         for (i, tx) in self.shard_tx.iter().enumerate() {
             self.shard_depth[i].fetch_add(1, Ordering::Relaxed);
             let _ = tx.send(ShardMsg::Shutdown);
@@ -375,7 +397,10 @@ impl Backend for Router {
                 }
             }
         }
-        panicked
+        match panicked {
+            Some(what) => Err(ServeError::WorkerPanicked(what)),
+            None => checkpointed,
+        }
     }
 }
 
@@ -412,7 +437,7 @@ impl Router {
         };
         let (refitted, first_error) = self.absorb_acks(returns)?;
         if log {
-            self.maybe_snapshot()?;
+            self.checkpoint_if(DurableLog::should_snapshot)?;
         }
         // Mirror the unsharded service: a failed eager refit surfaces as
         // an error, but the claims stay ingested.
@@ -604,17 +629,12 @@ impl Router {
         Ok(returns)
     }
 
-    /// Writes a router checkpoint when the configured cadence is due:
-    /// every cluster's state is exported from its owning shard and
-    /// written alongside the router counters. The WAL is kept — the
-    /// full batch sequence is the membership dry-replay source at
-    /// recovery.
-    fn maybe_snapshot(&mut self) -> Result<(), ServeError> {
-        let due = self
-            .durable
-            .as_ref()
-            .is_some_and(|d| d.should_snapshot(self.epoch));
-        if !due {
+    /// Writes a router checkpoint at the current epoch when `due` says
+    /// so: every cluster's state is exported from its owning shard and
+    /// written alongside the router counters. The WAL is kept — the full
+    /// batch sequence is the membership dry-replay source at recovery.
+    fn checkpoint_if(&mut self, due: fn(&DurableLog, u64) -> bool) -> Result<(), ServeError> {
+        if !self.durable.as_ref().is_some_and(|d| due(d, self.epoch)) {
             return Ok(());
         }
         let mut clusters = Vec::new();
@@ -649,6 +669,7 @@ impl Router {
     /// different shard count is just a cluster move; (3) replay the
     /// WAL tail through the normal ingest path.
     fn recover(&mut self, pcfg: &PersistConfig) -> Result<(), ServeError> {
+        let _timer = self.obs.timer("serve.recovery.seconds");
         let (log, recovered) = DurableLog::open::<RouterSnapshot>(pcfg, &self.obs)?;
         // Segments are a rebuildable cache of the WAL: start clean.
         self.history.wipe()?;
@@ -1001,6 +1022,52 @@ mod tests {
             }
             other => panic!("expected WorkerPanicked, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn wedged_router_writes_no_shutdown_checkpoint() {
+        let dir =
+            std::env::temp_dir().join(format!("socsense-router-wedge-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = ServeConfig {
+            persist: Some(PersistConfig {
+                data_dir: dir.clone(),
+                fsync_every: 1,
+                snapshot_every: 4,
+            }),
+            ..ServeConfig::default()
+        };
+        let batch = |k: u32| vec![TimedClaim::new(k % 3, k % 2, u64::from(k) + 1)];
+        let svc = ShardedService::spawn(3, 2, FollowerGraph::new(3), cfg.clone(), 2).unwrap();
+        let client = svc.handle();
+        for k in 0..5 {
+            client.ingest(batch(k)).unwrap();
+        }
+        assert!(client
+            .raw_send(Request::FailNextAppend)
+            .recv()
+            .unwrap()
+            .is_ok());
+        assert!(matches!(
+            client.ingest(batch(5)),
+            Err(ServeError::Persist(_))
+        ));
+        assert!(matches!(client.stats(), Err(ServeError::Wedged(_))));
+        svc.shutdown().unwrap();
+        let snaps = socsense_persist::SnapshotStore::open(&dir.join("snapshots")).unwrap();
+        assert_eq!(
+            snaps.sequences().unwrap(),
+            vec![4],
+            "a wedged router writes no shutdown checkpoint"
+        );
+
+        // The WAL ends at batch 5: a restart replays it after checkpoint 4.
+        let restarted = ShardedService::spawn(3, 2, FollowerGraph::new(3), cfg, 2).unwrap();
+        let metrics = restarted.handle().metrics().unwrap();
+        assert_eq!(metrics.counter("serve.wal.recovered_batches_total"), 1);
+        assert_eq!(restarted.handle().topology().unwrap().epoch, 5);
+        restarted.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -50,6 +50,9 @@ pub(crate) enum Request {
     /// Test hook: panic inside the worker (exercises panic surfacing).
     #[cfg(test)]
     InjectPanic,
+    /// Test hook: make the next WAL append fail (exercises the wedge).
+    #[cfg(test)]
+    FailNextAppend,
     /// Test hook: ack on `ack`, then block until `release` yields —
     /// turns the worker into a deterministic "slow worker" so queue
     /// backpressure can be tested without timing races.
@@ -76,6 +79,8 @@ impl Request {
             Request::Shutdown => "serve.request.shutdown.seconds",
             #[cfg(test)]
             Request::InjectPanic => "serve.request.inject_panic.seconds",
+            #[cfg(test)]
+            Request::FailNextAppend => "serve.request.fail_next_append.seconds",
             #[cfg(test)]
             Request::Park { .. } => "serve.request.park.seconds",
         }
@@ -301,17 +306,24 @@ pub(crate) trait Backend {
     /// Answers one request; `Shutdown` answers with the final
     /// statistics.
     fn dispatch(&mut self, req: Request) -> Result<Response, ServeError>;
-    /// Stops whatever the backend owns once the queue is drained,
-    /// returning the first panic payload among its threads.
-    fn stop(&mut self) -> Option<String>;
+    /// Why the backend is wedged, if an ingest failed half-way (see
+    /// [`ServeError::Wedged`]): every later request but `Shutdown` is
+    /// refused with it.
+    fn wedged(&self) -> Option<&str>;
+    /// Stops whatever the backend owns once the queue is drained. A
+    /// durable backend first writes its shutdown checkpoint when one is
+    /// due ([`DurableLog::shutdown_due`]) and nothing is wedged, so a
+    /// planned restart replays no WAL batch. Reports a thread that died
+    /// by panic, else a failed checkpoint write.
+    fn stop(&mut self) -> Result<(), ServeError>;
 }
 
 /// The pickup/answer loop. On `Shutdown`, everything already queued is
 /// still answered (senders arriving after the channel closes get
 /// `Closed`) and the backend stops before the shutdown reply goes out,
-/// so a thread the backend joined that died by panic surfaces in the
-/// reply instead of being swallowed. A client that gave up on its reply
-/// is not an error.
+/// so a failed shutdown checkpoint, or a thread the backend joined that
+/// died by panic, surfaces in the reply instead of being swallowed. A
+/// client that gave up on its reply is not an error.
 fn serve<B: Backend>(mut backend: B, rx: Receiver<Envelope>, depth: &AtomicUsize) {
     while let Ok(Envelope { req, reply, queued }) = rx.recv() {
         let shutting_down = matches!(req, Request::Shutdown);
@@ -320,18 +332,14 @@ fn serve<B: Backend>(mut backend: B, rx: Receiver<Envelope>, depth: &AtomicUsize
             while let Ok(Envelope { req, reply, queued }) = rx.try_recv() {
                 let _ = reply.send(answer(&mut backend, req, queued, depth));
             }
-            let result = match backend.stop() {
-                Some(what) => Err(ServeError::WorkerPanicked(what)),
-                None => result,
-            };
-            let _ = reply.send(result);
+            let _ = reply.send(backend.stop().and(result));
             return;
         }
         let _ = reply.send(result);
     }
     // All handles (and the service) dropped without a shutdown request:
-    // nothing left to answer.
-    backend.stop();
+    // nothing left to answer, and nobody to report to.
+    let _ = backend.stop();
 }
 
 /// Answers one picked-up request.
@@ -350,7 +358,14 @@ fn answer<B: Backend>(
     obs.observe("serve.queue.wait_seconds", queued.elapsed().as_secs_f64());
     obs.counter("serve.requests_total", 1);
     let timer = obs.timer(req.label());
-    let result = backend.dispatch(req);
+    // A wedged backend still shuts down, joining what it owns.
+    let refusal = backend
+        .wedged()
+        .filter(|_| !matches!(req, Request::Shutdown));
+    let result = match refusal {
+        Some(why) => Err(ServeError::Wedged(why.into())),
+        None => backend.dispatch(req),
+    };
     timer.stop();
     if result.is_err() {
         backend.obs().counter("serve.request_errors_total", 1);
@@ -425,10 +440,17 @@ impl FrontEnd {
 impl Drop for FrontEnd {
     fn drop(&mut self) {
         if self.thread.is_some() {
-            // Nobody is left to receive the error; a panic still gets
-            // reported rather than vanishing with the service.
-            if let Err(ServeError::WorkerPanicked(what)) = self.shutdown() {
-                eprintln!("socsense-serve: service thread panicked: {what}");
+            // Nobody is left to receive the error; a panic or a failed
+            // shutdown checkpoint still gets reported rather than
+            // vanishing with the service.
+            match self.shutdown() {
+                Err(ServeError::WorkerPanicked(what)) => {
+                    eprintln!("socsense-serve: service thread panicked: {what}");
+                }
+                Err(e @ ServeError::Persist(_)) => {
+                    eprintln!("socsense-serve: shutdown checkpoint failed: {e}");
+                }
+                _ => {}
             }
         }
     }
@@ -440,7 +462,7 @@ impl Drop for FrontEnd {
 ///
 /// See the crate docs for the ownership model and refit policy. Dropping
 /// the service without calling [`shutdown`](Self::shutdown) still drains
-/// the queue and joins the worker.
+/// the queue, writes the shutdown checkpoint and joins the worker.
 #[derive(Debug)]
 pub struct QueryService {
     front: FrontEnd,
@@ -476,7 +498,8 @@ impl QueryService {
     /// [`ServeError::Persist`] when [`ServeConfig::persist`] is set and
     /// the durable state cannot be opened or recovered. Recovery — the
     /// newest snapshot plus a WAL-tail replay — happens here, before
-    /// the worker thread serves its first request.
+    /// the worker thread serves its first request, and is timed on
+    /// `serve.recovery.seconds`.
     pub fn spawn_with_obs(
         n: u32,
         m: u32,
@@ -493,6 +516,7 @@ impl QueryService {
             obs,
             durable: None,
             seq: 0,
+            wedged: None,
         };
         if let Some(pcfg) = &config.persist {
             worker.recover(pcfg)?;
@@ -509,7 +533,9 @@ impl QueryService {
 
     /// Shuts the service down gracefully: requests already queued are
     /// still answered (requests arriving later get
-    /// [`ServeError::Closed`]), then the worker exits and is joined.
+    /// [`ServeError::Closed`]), then a durable worker writes its
+    /// shutdown checkpoint (see [`PersistConfig::snapshot_every`]), and
+    /// the worker exits and is joined.
     ///
     /// Returns the final operating statistics, taken at the moment the
     /// shutdown request was processed.
@@ -518,7 +544,10 @@ impl QueryService {
     ///
     /// [`ServeError::Closed`] when the worker was already gone;
     /// [`ServeError::WorkerPanicked`] when the worker thread died by
-    /// panic (with its payload) instead of exiting cleanly.
+    /// panic (with its payload) instead of exiting cleanly;
+    /// [`ServeError::Persist`] when the shutdown checkpoint could not be
+    /// written (the data directory still recovers from the previous
+    /// checkpoint and the WAL).
     pub fn shutdown(mut self) -> Result<ServeStats, ServeError> {
         self.front.shutdown()
     }
@@ -539,6 +568,11 @@ struct Worker {
     /// Ingest batches accepted, numbering the WAL records (monotonic
     /// across restarts with persistence).
     seq: u64,
+    /// Set when a WAL append failed: the slot holds a batch the WAL
+    /// lacks, so every later request but shutdown fails fast with this
+    /// message, and no checkpoint makes the un-acked batch durable. A
+    /// restart clears the wedge by recovering the logged prefix.
+    wedged: Option<String>,
 }
 
 impl Worker {
@@ -548,6 +582,7 @@ impl Worker {
     /// exists, so the first client request already sees the recovered
     /// state.
     fn recover(&mut self, pcfg: &PersistConfig) -> Result<(), ServeError> {
+        let _timer = self.obs.timer("serve.recovery.seconds");
         let (log, recovered) = DurableLog::open::<WorkerSnapshot>(pcfg, &self.obs)?;
         if let Some((seq, snap)) = recovered.snapshot {
             self.slot.restore(&snap.slot)?;
@@ -566,14 +601,14 @@ impl Worker {
         Ok(())
     }
 
-    /// Writes a checkpoint when the configured cadence is due. The WAL
-    /// is truncated afterwards: the snapshot absorbed it, so recovery
+    /// Writes a checkpoint at the current batch when `due` says so. The
+    /// WAL is truncated afterwards: the snapshot absorbed it, so recovery
     /// replays only the tail since this point.
-    fn maybe_snapshot(&mut self) -> Result<(), ServeError> {
+    fn checkpoint_if(&mut self, due: fn(&DurableLog, u64) -> bool) -> Result<(), ServeError> {
         let Some(d) = &mut self.durable else {
             return Ok(());
         };
-        if !d.should_snapshot(self.seq) {
+        if !due(d, self.seq) {
             return Ok(());
         }
         let snap = WorkerSnapshot {
@@ -607,12 +642,19 @@ impl Backend for Worker {
                 // Log the accepted batch before the refit work and the
                 // ack — with `fsync_every = 1`, an acked batch is on
                 // disk. A rejected batch (the `?` above) logs nothing.
+                // A failed append wedges the worker: the slot already
+                // holds the batch, and the next append would leave a gap
+                // that recovery refuses.
                 self.seq += 1;
                 if let Some(d) = &mut self.durable {
-                    d.append(self.seq, &batch, &self.obs)?;
+                    if let Err(e) = d.append(self.seq, &batch, &self.obs) {
+                        self.wedged = Some(e.to_string());
+                        self.obs.counter("serve.worker.wedged_total", 1);
+                        return Err(e);
+                    }
                 }
                 let refitted = self.slot.refit_if_due(self.seq, 0)?;
-                self.maybe_snapshot()?;
+                self.checkpoint_if(DurableLog::should_snapshot)?;
                 Ok(Response::Ingested(IngestAck {
                     total_claims: self.slot.claim_count(),
                     pending_claims: self.slot.pending(),
@@ -663,6 +705,13 @@ impl Backend for Worker {
             #[cfg(test)]
             Request::InjectPanic => panic!("injected worker panic"),
             #[cfg(test)]
+            Request::FailNextAppend => {
+                if let Some(d) = &mut self.durable {
+                    d.fail_next_append = true;
+                }
+                Ok(Response::Stats(self.stats()))
+            }
+            #[cfg(test)]
             Request::Park { ack, release } => {
                 let _ = ack.send(());
                 let _ = release.recv();
@@ -671,8 +720,17 @@ impl Backend for Worker {
         }
     }
 
-    fn stop(&mut self) -> Option<String> {
-        None
+    fn wedged(&self) -> Option<&str> {
+        self.wedged.as_deref()
+    }
+
+    /// Writes the shutdown checkpoint when one is due and the worker is
+    /// not wedged.
+    fn stop(&mut self) -> Result<(), ServeError> {
+        match self.wedged {
+            None => self.checkpoint_if(DurableLog::shutdown_due),
+            Some(_) => Ok(()),
+        }
     }
 }
 
@@ -888,6 +946,107 @@ mod tests {
         client.depth.store(5, Ordering::Relaxed);
         assert!(matches!(client.stats(), Err(ServeError::Overloaded)));
         svc.shutdown().unwrap();
+    }
+
+    /// A durable configuration over a fresh `dir`, checkpointing every
+    /// fourth batch.
+    fn persisted_at(dir: &std::path::Path) -> ServeConfig {
+        ServeConfig {
+            persist: Some(PersistConfig {
+                data_dir: dir.to_path_buf(),
+                fsync_every: 1,
+                snapshot_every: 4,
+            }),
+            ..ServeConfig::default()
+        }
+    }
+
+    fn fresh_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "socsense-serve-worker-{tag}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Batch `k` of a small stream over 3 sources and 2 assertions.
+    fn batch(k: u64) -> Vec<TimedClaim> {
+        vec![TimedClaim::new((k % 3) as u32, (k % 2) as u32, k + 1)]
+    }
+
+    fn snapshot_seqs(dir: &std::path::Path) -> Vec<u64> {
+        socsense_persist::SnapshotStore::open(&dir.join("snapshots"))
+            .unwrap()
+            .sequences()
+            .unwrap()
+    }
+
+    #[test]
+    fn failed_wal_append_wedges_the_worker_and_skips_the_checkpoint() {
+        let dir = fresh_dir("wedge");
+        let svc = QueryService::spawn(3, 2, FollowerGraph::new(3), persisted_at(&dir)).unwrap();
+        let client = svc.handle();
+        for k in 0..5 {
+            client.ingest(batch(k)).unwrap();
+        }
+        assert!(client
+            .raw_send(Request::FailNextAppend)
+            .recv()
+            .unwrap()
+            .is_ok());
+        // The slot took batch 5 but the WAL did not: the ingest fails,
+        // and so does every later request but shutdown.
+        assert!(matches!(
+            client.ingest(batch(5)),
+            Err(ServeError::Persist(_))
+        ));
+        assert!(matches!(
+            client.ingest(batch(5)),
+            Err(ServeError::Wedged(_))
+        ));
+        assert!(matches!(client.posterior(0), Err(ServeError::Wedged(_))));
+        svc.shutdown().unwrap();
+        assert_eq!(
+            snapshot_seqs(&dir),
+            vec![4],
+            "a wedged worker writes no shutdown checkpoint"
+        );
+
+        // The WAL holds batches 1–5 with no gap: a restart recovers the
+        // acked prefix, and the retried batch lands as it did on a
+        // control that never failed.
+        let restarted =
+            QueryService::spawn(3, 2, FollowerGraph::new(3), persisted_at(&dir)).unwrap();
+        let control = service_over(3, 2);
+        for k in 0..6 {
+            control.handle().ingest(batch(k)).unwrap();
+        }
+        let metrics = restarted.handle().metrics().unwrap();
+        assert_eq!(metrics.counter("serve.wal.recovered_batches_total"), 1);
+        restarted.handle().ingest(batch(5)).unwrap();
+        let bits = |p: Vec<f64>| p.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(
+            bits(restarted.handle().posteriors().unwrap()),
+            bits(control.handle().posteriors().unwrap())
+        );
+        restarted.shutdown().unwrap();
+        control.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn panicked_worker_writes_no_shutdown_checkpoint() {
+        let dir = fresh_dir("panic");
+        let svc = QueryService::spawn(3, 2, FollowerGraph::new(3), persisted_at(&dir)).unwrap();
+        let client = svc.handle();
+        for k in 0..5 {
+            client.ingest(batch(k)).unwrap();
+        }
+        assert!(client.raw_send(Request::InjectPanic).recv().is_err());
+        assert!(matches!(svc.shutdown(), Err(ServeError::WorkerPanicked(_))));
+        assert_eq!(snapshot_seqs(&dir), vec![4]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -113,6 +113,8 @@ impl SlotStats {
 #[derive(Serialize, Deserialize)]
 pub(crate) struct SlotCheckpoint {
     stream: StreamingState,
+    /// The chain fit without its `θ`: every chain refit makes that `θ`
+    /// the stream's warm start, so `stream.last_theta` holds it.
     chain_fit: Option<EmFitBits>,
     counters: SlotCounters,
     last_refit: Option<LastRefit>,
@@ -171,9 +173,14 @@ impl Slot {
     /// last refit come back bit-exact.
     pub fn restore(&mut self, ckpt: &SlotCheckpoint) -> Result<(), SenseError> {
         self.est.restore_state(&ckpt.stream)?;
-        self.chain_fit = match &ckpt.chain_fit {
-            Some(bits) => Some(Arc::new(bits.to_fit()?)),
-            None => None,
+        self.chain_fit = match (&ckpt.chain_fit, self.est.last_theta()) {
+            (Some(bits), Some(theta)) => Some(Arc::new(bits.to_fit(theta.clone()))),
+            (Some(_), None) => {
+                return Err(SenseError::BadConfig {
+                    what: "checkpoint holds a chain fit but no warm start",
+                })
+            }
+            (None, _) => None,
         };
         self.counters = ckpt.counters;
         self.last_refit = ckpt.last_refit;
@@ -182,6 +189,10 @@ impl Slot {
 
     /// This slot's checkpoint.
     pub fn checkpoint(&self) -> SlotCheckpoint {
+        debug_assert!(
+            self.chain_fit.as_ref().map(|fit| &fit.theta) == self.est.last_theta(),
+            "a chain refit makes its θ the warm start"
+        );
         SlotCheckpoint {
             stream: self.est.export_state(),
             chain_fit: self.chain_fit.as_deref().map(EmFitBits::from_fit),

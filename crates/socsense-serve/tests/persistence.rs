@@ -1,7 +1,11 @@
 //! Crash-recovery torture tests: a killed-and-restarted service must
 //! answer every query type `f64::to_bits`-identically to a control
 //! service that never died — including after a torn WAL tail, in delta
-//! refit mode, and across a shard-count change (cluster handoff).
+//! refit mode, and across a shard-count change (cluster handoff). A
+//! crash is simulated by a crash image: a copy of the data directory
+//! taken after the last ack, while the service is still up. A clean
+//! shutdown checkpoints the last batch, so only a crash image leaves a
+//! WAL tail to replay.
 //!
 //! Probe/request counters are deliberately *not* compared: a recovered
 //! service resumes them from the checkpoint, not from the control's
@@ -18,7 +22,8 @@ use socsense_core::{DeltaConfig, RefitMode};
 use socsense_graph::{FollowerGraph, TimedClaim};
 use socsense_persist::SnapshotStore;
 use socsense_serve::{
-    PersistConfig, QueryService, ServeConfig, ServeError, ServeHandle, ShardedService, SourceRank,
+    IngestAck, Obs, PersistConfig, QueryService, ServeConfig, ServeError, ServeHandle,
+    ShardedService, SourceRank,
 };
 
 const N: u32 = 6;
@@ -115,6 +120,108 @@ fn fingerprint(client: &ServeHandle) -> Fingerprint {
     (posteriors, top, bound, one)
 }
 
+/// A copy of every file under `from` at `to`.
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let path = entry.unwrap().path();
+        let dest = to.join(path.file_name().unwrap());
+        if path.is_dir() {
+            copy_dir(&path, &dest);
+        } else {
+            std::fs::copy(&path, &dest).unwrap();
+        }
+    }
+}
+
+/// What a crash right now would leave of `dir`: a copy under a fresh
+/// directory tagged `tag`. Take it while the owning service is idle
+/// after its last ack.
+fn crash_image(dir: &Path, tag: &str) -> PathBuf {
+    let image = tmp_dir(tag);
+    copy_dir(dir, &image);
+    image
+}
+
+/// How many WAL batches the service behind `client` replayed at
+/// recovery.
+fn replayed(client: &ServeHandle) -> u64 {
+    client
+        .metrics()
+        .unwrap()
+        .counter("serve.wal.recovered_batches_total")
+}
+
+/// What a control that never stopped answers after `batches`, and then
+/// after each of `more` (with its ack).
+type Expected = (Fingerprint, Vec<(IngestAck, Fingerprint)>);
+
+fn expected(
+    control: &ServeHandle,
+    batches: &[Vec<TimedClaim>],
+    more: &[Vec<TimedClaim>],
+) -> Expected {
+    for batch in batches {
+        control.ingest(batch.clone()).unwrap();
+    }
+    let first = fingerprint(control);
+    let then = more
+        .iter()
+        .map(|batch| (control.ingest(batch.clone()).unwrap(), fingerprint(control)))
+        .collect();
+    (first, then)
+}
+
+/// Restarts a tier (`shards` as in [`Tier::open`]) over `dir` at
+/// snapshot cadence 4 and checks it against `want`: recovery replays
+/// `replayed_batches` WAL batches and answers like the control, the next
+/// batches ack and answer alike, and after one more clean death a
+/// restart that ingests nothing replays nothing and leaves `dir` byte
+/// for byte as it was.
+fn check_restarts(
+    base: &ServeConfig,
+    shards: Option<usize>,
+    dir: &Path,
+    want: &Expected,
+    more: &[Vec<TimedClaim>],
+    replayed_batches: u64,
+) {
+    let cfg = persisted(base, dir, 4);
+    let (b, client) = Tier::spawn(shards, &cfg);
+    if let (Tier::Sharded(service), Some(shards)) = (&b, shards) {
+        let topo = service.handle().topology().unwrap();
+        assert_eq!(
+            topo.shards, shards,
+            "the restart re-partitioned the clusters"
+        );
+    }
+    assert_eq!(replayed(&client), replayed_batches, "{}", dir.display());
+    assert_eq!(
+        fingerprint(&client),
+        want.0,
+        "recovered service must answer like one that never died"
+    );
+    for (batch, (ack, print)) in more.iter().zip(&want.1) {
+        let got = client.ingest(batch.clone()).unwrap();
+        assert_eq!(*ack, got, "post-recovery ingest acks must match");
+        assert_eq!(fingerprint(&client), *print);
+    }
+
+    // One more death: B's own appends and checkpoints must recover too.
+    b.shutdown().unwrap();
+    let before = dir_bytes(dir);
+    let (c, client) = Tier::spawn(shards, &cfg);
+    assert_eq!(replayed(&client), 0, "a clean restart replays nothing");
+    let last = want.1.last().map_or(&want.0, |(_, print)| print);
+    assert_eq!(fingerprint(&client), *last);
+    c.shutdown().unwrap();
+    assert!(
+        dir_bytes(dir) == before,
+        "a restart that ingests nothing changed {}",
+        dir.display()
+    );
+}
+
 fn persisted(cfg: &ServeConfig, dir: &Path, snapshot_every: usize) -> ServeConfig {
     ServeConfig {
         persist: Some(PersistConfig {
@@ -126,9 +233,59 @@ fn persisted(cfg: &ServeConfig, dir: &Path, snapshot_every: usize) -> ServeConfi
     }
 }
 
+/// Either tier over `cfg`, behind one client.
+enum Tier {
+    Serial(QueryService),
+    Sharded(ShardedService),
+}
+
+impl Tier {
+    /// The serial tier, or the sharded one over `shards` shards, over
+    /// `cfg`, teeing its metrics into `extra`.
+    fn open(
+        shards: Option<usize>,
+        cfg: &ServeConfig,
+        extra: Obs,
+    ) -> Result<(Self, ServeHandle), ServeError> {
+        let cfg = cfg.clone();
+        Ok(match shards {
+            None => {
+                let service = QueryService::spawn_with_obs(N, M, follow_graph(), cfg, extra)?;
+                let client = service.handle();
+                (Tier::Serial(service), client)
+            }
+            Some(shards) => {
+                let service =
+                    ShardedService::spawn_with_obs(N, M, follow_graph(), cfg, shards, extra)?;
+                let client = (*service.handle()).clone();
+                (Tier::Sharded(service), client)
+            }
+        })
+    }
+
+    fn spawn(shards: Option<usize>, cfg: &ServeConfig) -> (Self, ServeHandle) {
+        Self::open(shards, cfg, Obs::none()).unwrap()
+    }
+
+    fn shutdown(self) -> Result<(), ServeError> {
+        match self {
+            Tier::Serial(service) => service.shutdown().map(drop),
+            Tier::Sharded(service) => service.shutdown().map(drop),
+        }
+    }
+}
+
+fn snapshot_seqs(dir: &Path) -> Vec<u64> {
+    SnapshotStore::open(&dir.join("snapshots"))
+        .unwrap()
+        .sequences()
+        .unwrap()
+}
+
 /// The core torture loop, shared by the full- and delta-mode variants:
-/// run service A over `dir`, kill it, restart as B, and check B against
-/// a never-persisted control — both right after recovery and after both
+/// run service A over `dir`, take a crash image, shut A down cleanly,
+/// and restart as B from each directory. Check B against a
+/// never-persisted control — both right after recovery and after both
 /// ingest further batches (the recovered warm-start chain must keep
 /// advancing identically).
 fn restart_round_trip(base: ServeConfig, tag: &str) {
@@ -137,43 +294,26 @@ fn restart_round_trip(base: ServeConfig, tag: &str) {
     batches.extend(random_batches(5, 12, 42, 1000));
     let more = random_batches(2, 12, 43, 5000);
 
-    // Snapshot cadence 4 over 6 batches: recovery exercises both the
-    // checkpoint (seq 4) and a non-empty WAL tail (batches 5, 6).
+    let control = QueryService::spawn(N, M, follow_graph(), base.clone()).unwrap();
+    let want = expected(&control.handle(), &batches, &more);
+    control.shutdown().unwrap();
+
+    // Snapshot cadence 4 over 6 batches: the crash image exercises both
+    // the checkpoint (seq 4) and a non-empty WAL tail (batches 5, 6);
+    // the clean shutdown checkpoints seq 6, leaving no tail.
     let a = QueryService::spawn(N, M, follow_graph(), persisted(&base, &dir, 4)).unwrap();
     let client = a.handle();
     for batch in &batches {
         client.ingest(batch.clone()).unwrap();
     }
+    let crashed = crash_image(&dir, &format!("{tag}-crash"));
     a.shutdown().unwrap();
 
-    let control = QueryService::spawn(N, M, follow_graph(), base.clone()).unwrap();
-    let control_client = control.handle();
-    for batch in &batches {
-        control_client.ingest(batch.clone()).unwrap();
+    for (image, tail) in [(&crashed, 2), (&dir, 0)] {
+        check_restarts(&base, None, image, &want, &more, tail);
     }
-
-    let b = QueryService::spawn(N, M, follow_graph(), persisted(&base, &dir, 4)).unwrap();
-    let b_client = b.handle();
-    assert_eq!(
-        fingerprint(&b_client),
-        fingerprint(&control_client),
-        "recovered service must answer like one that never died"
-    );
-
-    for batch in &more {
-        let want = control_client.ingest(batch.clone()).unwrap();
-        let got = b_client.ingest(batch.clone()).unwrap();
-        assert_eq!(want, got, "post-recovery ingest acks must match");
-        assert_eq!(fingerprint(&b_client), fingerprint(&control_client));
-    }
-
-    // One more death: B's own appends and checkpoints must recover too.
-    b.shutdown().unwrap();
-    let c = QueryService::spawn(N, M, follow_graph(), persisted(&base, &dir, 4)).unwrap();
-    assert_eq!(fingerprint(&c.handle()), fingerprint(&control_client));
-    c.shutdown().unwrap();
-    control.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&crashed);
 }
 
 #[test]
@@ -263,10 +403,11 @@ fn torn_wal_tail_recovers_the_acked_prefix() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The sharded tier: kill a 2-shard service, restart it as a 3-shard
-/// service over the same data directory (every cluster re-placed by the
-/// new rendezvous hash = cluster handoff via snapshot ship + tail
-/// replay), and compare against an unsharded-layout 1-shard control.
+/// The sharded tier: run a 2-shard service, restart it as a 3-shard
+/// service over its crash image and over its cleanly shut down data
+/// directory (every cluster re-placed by the new rendezvous hash =
+/// cluster handoff via snapshot ship + tail replay), and compare
+/// against an unsharded-layout 1-shard control.
 #[test]
 fn sharded_restart_with_different_shard_count_is_bit_identical() {
     let base = ServeConfig::default();
@@ -276,39 +417,23 @@ fn sharded_restart_with_different_shard_count_is_bit_identical() {
     let batches = random_batches(6, 10, 11, 0);
     let more = random_batches(2, 10, 13, 5000);
 
+    let control = ShardedService::spawn(N, M, follow_graph(), base.clone(), 1).unwrap();
+    let want = expected(&control.handle(), &batches, &more);
+    control.shutdown().unwrap();
+
     let a = ShardedService::spawn(N, M, follow_graph(), persisted(&base, &dir, 4), 2).unwrap();
     let client = a.handle();
     for batch in &batches {
         client.ingest(batch.clone()).unwrap();
     }
+    let crashed = crash_image(&dir, "sharded-crash");
     a.shutdown().unwrap();
 
-    let control = ShardedService::spawn(N, M, follow_graph(), base.clone(), 1).unwrap();
-    let control_client = control.handle();
-    for batch in &batches {
-        control_client.ingest(batch.clone()).unwrap();
+    for (image, tail) in [(&crashed, 2), (&dir, 0)] {
+        check_restarts(&base, Some(3), image, &want, &more, tail);
     }
-
-    let b = ShardedService::spawn(N, M, follow_graph(), persisted(&base, &dir, 4), 3).unwrap();
-    let b_client = b.handle();
-    assert_eq!(
-        fingerprint(&b_client),
-        fingerprint(&control_client),
-        "recovery across a shard-count change must not move a bit"
-    );
-
-    for batch in &more {
-        let want = control_client.ingest(batch.clone()).unwrap();
-        let got = b_client.ingest(batch.clone()).unwrap();
-        assert_eq!(want, got, "post-recovery ingest acks must match");
-        assert_eq!(fingerprint(&b_client), fingerprint(&control_client));
-    }
-    let topo = b_client.topology().unwrap();
-    assert_eq!(topo.shards, 3, "the restart re-partitioned the clusters");
-
-    b.shutdown().unwrap();
-    control.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&crashed);
 }
 
 /// Every file under `dir`, by path, with its bytes.
@@ -363,26 +488,16 @@ fn checkpoint_of_another_format_is_refused_and_left_as_is() {
         let cfg = persisted(&ServeConfig::default(), &dir, 4);
         // Spawns the tier over `dir`, ingests `feed` and shuts it down.
         let run = |feed: &[Vec<TimedClaim>]| -> Result<(), ServeError> {
-            match shards {
-                None => {
-                    let service = QueryService::spawn(N, M, follow_graph(), cfg.clone())?;
-                    for batch in feed {
-                        service.handle().ingest(batch.clone())?;
-                    }
-                    service.shutdown().map(drop)
-                }
-                Some(shards) => {
-                    let service = ShardedService::spawn(N, M, follow_graph(), cfg.clone(), shards)?;
-                    for batch in feed {
-                        service.handle().ingest(batch.clone())?;
-                    }
-                    service.shutdown().map(drop)
-                }
+            let (service, client) = Tier::open(shards, &cfg, Obs::none())?;
+            for batch in feed {
+                client.ingest(batch.clone())?;
             }
+            service.shutdown()
         };
         run(&batches).unwrap();
 
         for (stamp, named) in [
+            (Some(1), "checkpoint format 1"),
             (Some(7), "checkpoint format 7"),
             (None, "an unstamped checkpoint format"),
         ] {
@@ -392,7 +507,7 @@ fn checkpoint_of_another_format_is_refused_and_left_as_is() {
                 .expect_err("recovery refuses another format")
                 .to_string();
             assert!(
-                err.contains(named) && err.contains("reads checkpoint format 1"),
+                err.contains(named) && err.contains("reads checkpoint format 2"),
                 "{tier}: the refusal names both formats: {err}"
             );
             assert!(
@@ -402,8 +517,134 @@ fn checkpoint_of_another_format_is_refused_and_left_as_is() {
         }
 
         // Stamped back, the same directory recovers.
-        restamp_checkpoint(&dir, Some(1));
+        restamp_checkpoint(&dir, Some(2));
         run(&[]).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A clean stop of either tier — `shutdown()` or drop — checkpoints the
+/// last batch when periodic checkpoints are on, so a restart replays
+/// nothing. At `snapshot_every = 0` it writes no checkpoint at all.
+#[test]
+fn clean_stop_checkpoints_the_last_batch_unless_checkpoints_are_off() {
+    let mut batches = vec![bootstrap_batch()];
+    batches.extend(random_batches(5, 12, 42, 1000));
+    for shards in [None, Some(2)] {
+        for by_drop in [false, true] {
+            let dir = tmp_dir(&format!("stop-{shards:?}-{by_drop}"));
+            let cfg = persisted(&ServeConfig::default(), &dir, 4);
+            let (service, client) = Tier::spawn(shards, &cfg);
+            for batch in &batches {
+                client.ingest(batch.clone()).unwrap();
+            }
+            let want = fingerprint(&client);
+            if by_drop {
+                drop(service);
+            } else {
+                service.shutdown().unwrap();
+            }
+            assert_eq!(snapshot_seqs(&dir), vec![4, 6], "{shards:?} {by_drop}");
+            let (restarted, client) = Tier::spawn(shards, &cfg);
+            assert_eq!(replayed(&client), 0);
+            assert_eq!(fingerprint(&client), want);
+            restarted.shutdown().unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+
+        let dir = tmp_dir(&format!("stop-{shards:?}-off"));
+        let cfg = persisted(&ServeConfig::default(), &dir, 0);
+        let (service, client) = Tier::spawn(shards, &cfg);
+        for batch in &batches {
+            client.ingest(batch.clone()).unwrap();
+        }
+        service.shutdown().unwrap();
+        assert_eq!(snapshot_seqs(&dir), Vec::<u64>::new(), "{shards:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A shutdown checkpoint that cannot be written fails `shutdown()` with
+/// a durability error, on either tier, and the data directory still
+/// recovers every acked batch from the previous checkpoint and the WAL.
+#[test]
+fn failed_shutdown_checkpoint_surfaces_and_leaves_the_directory_recoverable() {
+    let mut batches = vec![bootstrap_batch()];
+    batches.extend(random_batches(5, 12, 42, 1000));
+    for shards in [None, Some(2)] {
+        let dir = tmp_dir(&format!("blocked-{shards:?}"));
+        let cfg = persisted(&ServeConfig::default(), &dir, 4);
+        let (service, client) = Tier::spawn(shards, &cfg);
+        for batch in &batches {
+            client.ingest(batch.clone()).unwrap();
+        }
+        let want = fingerprint(&client);
+        // A directory where the checkpoint's staging file goes makes
+        // the write fail.
+        let blocker = dir
+            .join("snapshots")
+            .join(format!("snapshot-{:020}.json.tmp", batches.len()));
+        std::fs::create_dir_all(&blocker).unwrap();
+        let err = service.shutdown().unwrap_err();
+        assert!(matches!(err, ServeError::Persist(_)), "{shards:?}: {err}");
+
+        std::fs::remove_dir(&blocker).unwrap();
+        assert_eq!(snapshot_seqs(&dir), vec![4]);
+        let (restarted, client) = Tier::spawn(shards, &cfg);
+        assert_eq!(replayed(&client), 2, "{shards:?}");
+        assert_eq!(fingerprint(&client), want);
+        restarted.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Recovery — open, restore and tail replay — is timed once on
+/// `serve.recovery.seconds`, in the service's own metrics and in an
+/// attached recorder, and attaching the recorder changes no recovered
+/// answer.
+#[test]
+fn recovery_is_timed_and_the_recorder_changes_no_bit() {
+    let mut batches = vec![bootstrap_batch()];
+    batches.extend(random_batches(5, 12, 42, 1000));
+    for shards in [None, Some(2)] {
+        let dir = tmp_dir(&format!("timed-{shards:?}"));
+        let cfg = persisted(&ServeConfig::default(), &dir, 4);
+        let (service, client) = Tier::spawn(shards, &cfg);
+        for batch in &batches {
+            client.ingest(batch.clone()).unwrap();
+        }
+        assert!(
+            client
+                .metrics()
+                .unwrap()
+                .histogram("serve.recovery.seconds")
+                .is_some_and(|h| h.count == 1),
+            "{shards:?}: recovery over an empty directory is timed too"
+        );
+        // Both restarts replay checkpoint 4 plus batches 5 and 6.
+        let plain_dir = crash_image(&dir, &format!("timed-{shards:?}-plain"));
+        let traced_dir = crash_image(&dir, &format!("timed-{shards:?}-traced"));
+        service.shutdown().unwrap();
+
+        let (plain, plain_client) =
+            Tier::spawn(shards, &persisted(&ServeConfig::default(), &plain_dir, 4));
+        let (extra, rec) = Obs::recorder();
+        let traced_cfg = persisted(&ServeConfig::default(), &traced_dir, 4);
+        let (traced, traced_client) = Tier::open(shards, &traced_cfg, extra).unwrap();
+        assert_eq!(
+            fingerprint(&traced_client),
+            fingerprint(&plain_client),
+            "{shards:?}: the recorder must be observation-only"
+        );
+        for metrics in [traced_client.metrics().unwrap(), rec.snapshot()] {
+            let timed = metrics.histogram("serve.recovery.seconds");
+            assert!(timed.is_some_and(|h| h.count == 1), "{shards:?}");
+            assert_eq!(metrics.counter("serve.wal.recovered_batches_total"), 2);
+        }
+        plain.shutdown().unwrap();
+        traced.shutdown().unwrap();
+        for dir in [dir, plain_dir, traced_dir] {
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }
