@@ -24,7 +24,7 @@ const TABLE: [u32; 256] = {
 
 /// The CRC-32 checksum of `bytes` (IEEE polynomial, as used by gzip and
 /// PNG — easy to cross-check with external tools).
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
         crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];

@@ -16,7 +16,7 @@
 //!   is real corruption and is reported as an error rather than silently
 //!   dropped. Durability is batched: [`WalWriter::append`] issues an
 //!   `fsync` every `fsync_every` appends (`1` = every append — safest,
-//!   slowest; `0` = only on explicit [`WalWriter::sync`]).
+//!   slowest; `0` = never implicitly).
 //! * [`SnapshotStore`] — whole-state checkpoint files, written
 //!   tmp-then-rename with `fsync` on both file and directory, so a
 //!   snapshot is either completely present or absent. [`SnapshotStore::latest`]
@@ -24,6 +24,11 @@
 //!   making a snapshot that was torn mid-write (impossible via this
 //!   writer, but possible via external truncation) recoverable by
 //!   falling back to its predecessor.
+//!
+//! Opening either one creates what is missing and fsyncs each directory
+//! that gained an entry, so a fresh data directory's `snapshots/` and
+//! WAL file are durable before the first checkpoint truncates the WAL.
+//! Opening over existing state issues no such fsync.
 //!
 //! Everything is deterministic: record bytes are a pure function of the
 //! serialized payload (no timestamps, no randomness), and recovery
@@ -38,7 +43,6 @@ mod error;
 mod snapshot;
 mod wal;
 
-pub use crc::crc32;
 pub use error::PersistError;
 pub use snapshot::SnapshotStore;
-pub use wal::{recover, rewrite_atomic, Recovery, WalWriter};
+pub use wal::{recover, Recovery, WalWriter};

@@ -5,7 +5,7 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 
 use crate::error::PersistError;
-use crate::wal::{read_clean, rewrite_atomic};
+use crate::wal::{create_dir_durable, read_clean, rewrite_atomic};
 
 /// A directory of checkpoint files, one per snapshot sequence number.
 ///
@@ -18,21 +18,21 @@ use crate::wal::{read_clean, rewrite_atomic};
 #[derive(Debug)]
 pub struct SnapshotStore {
     dir: PathBuf,
-    writes_total: u64,
     bytes_total: u64,
 }
 
 impl SnapshotStore {
-    /// Opens (creating if needed) the snapshot directory.
+    /// Opens the snapshot directory, creating it and any missing
+    /// ancestors durably (each directory that gains an entry is
+    /// fsynced).
     ///
     /// # Errors
     ///
     /// [`PersistError::Io`] on filesystem failures.
     pub fn open(dir: &Path) -> Result<Self, PersistError> {
-        std::fs::create_dir_all(dir).map_err(|e| PersistError::io(dir, "create dir", e))?;
+        create_dir_durable(dir)?;
         Ok(Self {
             dir: dir.to_path_buf(),
-            writes_total: 0,
             bytes_total: 0,
         })
     }
@@ -52,7 +52,6 @@ impl SnapshotStore {
     pub fn write<T: Serialize>(&mut self, seq: u64, payload: &T) -> Result<(), PersistError> {
         let path = self.path_of(seq);
         rewrite_atomic(&path, std::slice::from_ref(payload))?;
-        self.writes_total += 1;
         self.bytes_total += std::fs::metadata(&path)
             .map_err(|e| PersistError::io(&path, "stat", e))?
             .len();
@@ -125,11 +124,6 @@ impl SnapshotStore {
         Ok(())
     }
 
-    /// Snapshots written through this store.
-    pub fn writes_total(&self) -> u64 {
-        self.writes_total
-    }
-
     /// Bytes of snapshot files written through this store.
     pub fn bytes_total(&self) -> u64 {
         self.bytes_total
@@ -171,7 +165,7 @@ mod tests {
         let (seq, payload) = store.latest::<Snap>().unwrap().unwrap();
         assert_eq!(seq, 10);
         assert_eq!(payload, snap(10));
-        assert_eq!(store.writes_total(), 3);
+        assert_eq!(store.sequences().unwrap(), vec![3, 7, 10]);
         assert!(store.bytes_total() > 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -186,7 +186,7 @@ pub fn recover<T: Deserialize>(path: &Path) -> Result<Recovery<T>, PersistError>
 /// # Errors
 ///
 /// [`PersistError::Io`] on filesystem failures.
-pub fn rewrite_atomic<T: Serialize>(path: &Path, records: &[T]) -> Result<(), PersistError> {
+pub(crate) fn rewrite_atomic<T: Serialize>(path: &Path, records: &[T]) -> Result<(), PersistError> {
     let tmp = tmp_sibling(path);
     {
         let mut file = File::create(&tmp).map_err(|e| PersistError::io(&tmp, "create", e))?;
@@ -208,13 +208,34 @@ fn tmp_sibling(path: &Path) -> PathBuf {
     PathBuf::from(name)
 }
 
-/// Fsyncs the directory holding `path`, making a just-renamed entry
-/// durable.
-pub(crate) fn sync_parent_dir(path: &Path) -> Result<(), PersistError> {
-    let parent = path.parent().unwrap_or_else(|| Path::new("."));
+/// Fsyncs the directory holding `path`, making a just-created or
+/// just-renamed entry durable.
+fn sync_parent_dir(path: &Path) -> Result<(), PersistError> {
+    let parent = match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => parent,
+        _ => Path::new("."),
+    };
     let dir = File::open(parent).map_err(|e| PersistError::io(parent, "open dir", e))?;
     dir.sync_all()
         .map_err(|e| PersistError::io(parent, "fsync dir", e))
+}
+
+/// Creates `dir` and any missing ancestors, then fsyncs each directory
+/// that gained an entry: without that, fsync(2) does not promise the new
+/// entries survive a crash. Issues no fsync when `dir` already exists.
+pub(crate) fn create_dir_durable(dir: &Path) -> Result<(), PersistError> {
+    let missing: Vec<&Path> = dir
+        .ancestors()
+        .take_while(|d| !d.as_os_str().is_empty() && !d.exists())
+        .collect();
+    if missing.is_empty() {
+        return Ok(());
+    }
+    std::fs::create_dir_all(dir).map_err(|e| PersistError::io(dir, "create dir", e))?;
+    for created in missing.iter().rev() {
+        sync_parent_dir(created)?;
+    }
+    Ok(())
 }
 
 /// An append-only writer over one WAL file.
@@ -227,34 +248,34 @@ pub struct WalWriter {
     path: PathBuf,
     fsync_every: usize,
     appends_since_sync: usize,
-    appends_total: u64,
     fsyncs_total: u64,
     bytes_total: u64,
 }
 
 impl WalWriter {
     /// Opens `path` for appending, creating it (and missing parent
-    /// directories) as needed.
+    /// directories) as needed. A file or directory it creates is made
+    /// durable by fsyncing the directory that gained the entry.
     ///
     /// `fsync_every` batches durability: an `fsync` is issued every that
-    /// many appends (`1` = after every append; `0` = never implicitly —
-    /// only [`sync`](Self::sync) flushes).
+    /// many appends (`1` = after every append; `0` = never implicitly).
     ///
     /// # Errors
     ///
     /// [`PersistError::Io`] on filesystem failures.
     pub fn open(path: &Path, fsync_every: usize) -> Result<Self, PersistError> {
         if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)
-                    .map_err(|e| PersistError::io(parent, "create dir", e))?;
-            }
+            create_dir_durable(parent)?;
         }
+        let is_new = !path.exists();
         let mut file = OpenOptions::new()
             .create(true)
             .append(true)
             .open(path)
             .map_err(|e| PersistError::io(path, "open", e))?;
+        if is_new {
+            sync_parent_dir(path)?;
+        }
         // Make the append position explicit (append mode does this on
         // every write anyway; seeking keeps `stream_position` users sane).
         file.seek(SeekFrom::End(0))
@@ -264,7 +285,6 @@ impl WalWriter {
             path: path.to_path_buf(),
             fsync_every,
             appends_since_sync: 0,
-            appends_total: 0,
             fsyncs_total: 0,
             bytes_total: 0,
         })
@@ -280,7 +300,6 @@ impl WalWriter {
         self.file
             .write_all(&line)
             .map_err(|e| PersistError::io(&self.path, "append", e))?;
-        self.appends_total += 1;
         self.bytes_total += line.len() as u64;
         self.appends_since_sync += 1;
         if self.fsync_every > 0 && self.appends_since_sync >= self.fsync_every {
@@ -290,11 +309,7 @@ impl WalWriter {
     }
 
     /// Forces an `fsync` now, regardless of the batching policy.
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::Io`] on filesystem failures.
-    pub fn sync(&mut self) -> Result<(), PersistError> {
+    fn sync(&mut self) -> Result<(), PersistError> {
         self.file
             .sync_data()
             .map_err(|e| PersistError::io(&self.path, "fsync", e))?;
@@ -322,11 +337,6 @@ impl WalWriter {
             .map_err(|e| PersistError::io(&self.path, "fsync", e))?;
         self.appends_since_sync = 0;
         Ok(())
-    }
-
-    /// Records appended through this writer.
-    pub fn appends_total(&self) -> u64 {
-        self.appends_total
     }
 
     /// `fsync`s issued by this writer (batched and explicit).
@@ -373,7 +383,7 @@ mod tests {
         for s in 0..5 {
             w.append(&rec(s)).unwrap();
         }
-        assert_eq!(w.appends_total(), 5);
+        assert_eq!(w.bytes_total(), std::fs::metadata(&path).unwrap().len());
         assert_eq!(w.fsyncs_total(), 5, "fsync_every=1 syncs per append");
         drop(w);
         let rx: Recovery<Rec> = recover(&path).unwrap();
@@ -520,6 +530,18 @@ mod tests {
         let rx: Recovery<Rec> = recover(&path).unwrap();
         assert!(!rx.truncated_tail);
         assert_eq!(rx.records, vec![rec(2)]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn created_directories_are_synced_through_relative_parents() {
+        let dir = tmp_dir("mkdir");
+        let nested = dir.join("a").join("b");
+        create_dir_durable(&nested).unwrap();
+        assert!(nested.is_dir());
+        create_dir_durable(&nested).unwrap();
+        // A one-component relative path's parent is the working directory.
+        sync_parent_dir(Path::new("Cargo.toml")).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -135,10 +135,10 @@ pub enum ServeError {
     /// `data_dir` as suspect.
     Persist(String),
     /// An ingest failed half-way, so in-memory state and the WAL
-    /// disagree: a sharded epoch failed after the WAL append but before
-    /// the shard fan-out completed (for example over a corrupt
-    /// per-cluster history segment), or the single worker's WAL append
-    /// failed after its slot took the batch. The service refuses every
+    /// disagree: a sharded epoch failed at or after the WAL append but
+    /// before the shard fan-out completed (a failed append, or a shard
+    /// channel that closed), or the single worker's WAL append failed
+    /// after its slot took the batch. The service refuses every
     /// further request with the original failure rather than serve from
     /// silently incomplete state, and writes no shutdown checkpoint;
     /// restart the service to rebuild from the WAL.

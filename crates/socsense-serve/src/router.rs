@@ -27,9 +27,11 @@
 //! alone — never from the shard count or query timing. Each cluster's
 //! estimator state is a pure function of `(membership, batch history)`
 //! because membership changes rebuild the cluster by replaying its
-//! history under the live refit policy. Fan-out replies are merged
-//! after sorting by shard index, folding in ascending cluster-key
-//! order, so the merge order is fixed too. Hence `Shards(1)`,
+//! history under the live refit policy. The router holds every
+//! cluster's history in memory, with or without a data directory; a
+//! durable router rebuilds it from the WAL at recovery. Fan-out replies
+//! are merged after sorting by shard index, folding in ascending
+//! cluster-key order, so the merge order is fixed too. Hence `Shards(1)`,
 //! `Shards(2)`, and `Shards(4)` produce `f64::to_bits`-identical
 //! answers.
 
@@ -48,9 +50,7 @@ use socsense_obs::{Obs, Recorder};
 use crate::api::{
     ClusterAssignment, IngestAck, PersistConfig, ServeConfig, ServeError, ServeStats, ShardTopology,
 };
-use crate::durable::{
-    dense_from, DurableLog, HistoryBackend, HistoryEntry, RouterSnapshot, CHECKPOINT_FORMAT,
-};
+use crate::durable::{dense_from, DurableLog, RouterSnapshot, CHECKPOINT_FORMAT};
 use crate::service::{panic_message, recorded, Backend, FrontEnd, Request, Response, ServeHandle};
 use crate::shard::{
     ClusterAck, ClusterOp, ShardMsg, ShardQuery, ShardReply, ShardReturn, ShardWorker,
@@ -100,6 +100,18 @@ struct RecordedCluster {
     n_assertions: usize,
     /// Pending-claim count from the owning shard's last ack.
     pending: usize,
+}
+
+/// One entry of a cluster's claim history: `(ingest epoch, position in
+/// that epoch's batch, the claim)`. The pair orders entries globally.
+type HistoryEntry = (u64, u32, TimedClaim);
+
+/// Folds `absorbed` (a merged-away cluster's history) into `into`,
+/// restoring global `(epoch, pos)` order. The pairs are unique, so this
+/// is a deterministic merge of two sorted runs.
+fn merge_history(into: &mut Vec<HistoryEntry>, absorbed: Vec<HistoryEntry>) {
+    into.extend(absorbed);
+    into.sort_unstable_by_key(|&(epoch, pos, _)| (epoch, pos));
 }
 
 /// Groups a sorted cluster history back into its original ingest
@@ -234,10 +246,6 @@ impl ShardedService {
         }
         let max_depth = config.max_queue_depth;
         let persist = config.persist.clone();
-        let history = match &persist {
-            Some(pcfg) => HistoryBackend::disk(&pcfg.data_dir.join("clusters"))?,
-            None => HistoryBackend::memory(),
-        };
         let mut router = Router {
             cfg: config,
             tracker,
@@ -245,7 +253,7 @@ impl ShardedService {
             total_claims: 0,
             requests_served: 0,
             recorded: BTreeMap::new(),
-            history,
+            history: BTreeMap::new(),
             shard_tx,
             shard_depth,
             shard_workers,
@@ -313,10 +321,9 @@ struct Router {
     requests_served: u64,
     recorded: BTreeMap<u32, RecordedCluster>,
     /// Per-cluster claim history in `(epoch, position)` order — the
-    /// replay source for membership-change rebuilds. In-memory without
-    /// persistence; spilled to per-cluster segment files under
-    /// `<data_dir>/clusters/` with it.
-    history: HistoryBackend,
+    /// replay source for membership-change rebuilds. Recovery rebuilds
+    /// it from the WAL.
+    history: BTreeMap<u32, Vec<HistoryEntry>>,
     shard_tx: Vec<Sender<ShardMsg>>,
     shard_depth: Vec<Arc<AtomicUsize>>,
     shard_workers: Vec<JoinHandle<()>>,
@@ -417,15 +424,15 @@ impl Router {
         self.epoch += 1;
         // Everything between the epoch advance and the drain barrier
         // must either complete or wedge the router: a failure in here
-        // (a corrupt history segment, a dead WAL) means the shards
-        // never received this epoch's cluster operations, so carrying
-        // on would serve from silently incomplete state — exactly the
+        // (a dead WAL, a closed shard channel) means the shards never
+        // received this epoch's cluster operations, so carrying on
+        // would serve from silently incomplete state — exactly the
         // truncation-without-telling-anyone failure the durability
         // layer exists to rule out. On failure the router broadcasts
         // bare epoch markers (keeping the fleet's epochs aligned so
         // the drain protocol still works), records the wedge, and
-        // fails every later request fast until a restart rebuilds the
-        // histories from the WAL.
+        // fails every later request fast until a restart rebuilds
+        // from the WAL.
         let returns = match self.commit_batch(&batch, &update, log) {
             Ok(returns) => returns,
             Err(e) => {
@@ -472,10 +479,9 @@ impl Router {
     }
 
     /// The wedge-guarded half of one ingest epoch: WAL append, history
-    /// advance, cluster-operation build (including history reads for
-    /// rebuilds), and the shard fan-out. Runs with the epoch already
-    /// advanced; [`Router::ingest`] wedges the router if any step
-    /// fails.
+    /// advance, cluster-operation build, and the shard fan-out. Runs
+    /// with the epoch already advanced; [`Router::ingest`] wedges the
+    /// router if any step fails.
     fn commit_batch(
         &mut self,
         batch: &[TimedClaim],
@@ -525,7 +531,12 @@ impl Router {
                     key,
                     sources: members.sources().to_vec(),
                     assertions: members.assertions().to_vec(),
-                    batches: history_batches(&self.history.read(key)?),
+                    batches: history_batches(
+                        self.history
+                            .get(&key)
+                            .map(Vec::as_slice)
+                            .unwrap_or_default(),
+                    ),
                 }
             } else {
                 ClusterOp::Append {
@@ -566,14 +577,12 @@ impl Router {
     ) -> Result<(BTreeMap<u32, Vec<(u32, TimedClaim)>>, BTreeSet<u32>), ServeError> {
         let mut merged_into: BTreeSet<u32> = BTreeSet::new();
         for &gone in removed {
-            if let Some(src) = self.history.remove(gone)? {
+            if let Some(src) = self.history.remove(&gone) {
                 let winner = self
                     .tracker
                     .cluster_key_of(src[0].2.assertion)
                     .ok_or(ServeError::Protocol("merged cluster has no live key"))?;
-                // (epoch, position) pairs are unique, so the backend's
-                // merge is a deterministic merge of two sorted runs.
-                self.history.merge(winner, src)?;
+                merge_history(self.history.entry(winner).or_default(), src);
                 merged_into.insert(winner);
             }
         }
@@ -589,9 +598,10 @@ impl Router {
             per_key.entry(key).or_default().push((pos as u32, claim));
         }
         for (&key, positioned) in &per_key {
-            let entries: Vec<HistoryEntry> =
-                positioned.iter().map(|&(pos, c)| (epoch, pos, c)).collect();
-            self.history.append(key, &entries)?;
+            self.history
+                .entry(key)
+                .or_default()
+                .extend(positioned.iter().map(|&(pos, c)| (epoch, pos, c)));
         }
         Ok((per_key, merged_into))
     }
@@ -661,18 +671,17 @@ impl Router {
     /// Restores whatever a previous service left under the data
     /// directory, in three phases: (1) dry-replay the WAL up to the
     /// checkpoint to rebuild the cluster tracker and the per-cluster
-    /// history segments (membership is a pure function of the batch
-    /// sequence — the union-find is never serialized); (2) install the
-    /// checkpoint — router counters, the recorded-cluster map, and a
-    /// `Restore` fan-out shipping each cluster's state to whichever
-    /// shard the rendezvous hash picks *now*, so restarting with a
-    /// different shard count is just a cluster move; (3) replay the
-    /// WAL tail through the normal ingest path.
+    /// histories in memory (membership is a pure function of the batch
+    /// sequence — neither the union-find nor a history is ever
+    /// serialized); (2) install the checkpoint — router counters, the
+    /// recorded-cluster map, and a `Restore` fan-out shipping each
+    /// cluster's state to whichever shard the rendezvous hash picks
+    /// *now*, so restarting with a different shard count is just a
+    /// cluster move; (3) replay the WAL tail through the normal ingest
+    /// path.
     fn recover(&mut self, pcfg: &PersistConfig) -> Result<(), ServeError> {
         let _timer = self.obs.timer("serve.recovery.seconds");
         let (log, recovered) = DurableLog::open::<RouterSnapshot>(pcfg, &self.obs)?;
-        // Segments are a rebuildable cache of the WAL: start clean.
-        self.history.wipe()?;
         let since = recovered.snapshot.as_ref().map_or(0, |(seq, _)| *seq);
         let mut covered = dense_from(recovered.records, 1)?;
         let tail = covered.split_off(covered.partition_point(|r| r.seq <= since));
@@ -1000,6 +1009,31 @@ mod tests {
         assert_eq!(batches[0].len(), 2);
         assert_eq!(batches[1].len(), 1);
         assert_eq!(batches[2].len(), 1);
+    }
+
+    #[test]
+    fn merged_history_keeps_epoch_position_order() {
+        let entries = |epoch: u64, count: u32| -> Vec<HistoryEntry> {
+            (0..count)
+                .map(|p| {
+                    (
+                        epoch,
+                        p,
+                        TimedClaim::new(p % 3, p % 2, epoch * 100 + u64::from(p)),
+                    )
+                })
+                .collect()
+        };
+        let mut history: BTreeMap<u32, Vec<HistoryEntry>> = BTreeMap::new();
+        history.entry(1).or_default().extend(entries(1, 3));
+        history.entry(2).or_default().extend(entries(2, 2));
+        history.entry(1).or_default().extend(entries(3, 1));
+        // Cluster 2 merges away into cluster 1.
+        let absorbed = history.remove(&2).unwrap();
+        merge_history(history.entry(1).or_default(), absorbed);
+        assert!(!history.contains_key(&2), "the absorbed key reads empty");
+        let keys: Vec<(u64, u32)> = history[&1].iter().map(|&(e, p, _)| (e, p)).collect();
+        assert_eq!(keys, [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (3, 0)]);
     }
 
     #[test]

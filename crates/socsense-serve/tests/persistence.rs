@@ -177,7 +177,7 @@ fn expected(
 /// `replayed_batches` WAL batches and answers like the control, the next
 /// batches ack and answer alike, and after one more clean death a
 /// restart that ingests nothing replays nothing and leaves `dir` byte
-/// for byte as it was.
+/// for byte as it was, holding only `snapshots/` and `wal.jsonl`.
 fn check_restarts(
     base: &ServeConfig,
     shards: Option<usize>,
@@ -218,6 +218,21 @@ fn check_restarts(
     assert!(
         dir_bytes(dir) == before,
         "a restart that ingests nothing changed {}",
+        dir.display()
+    );
+    let mut layout: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let path = entry.unwrap().path();
+            let slash = if path.is_dir() { "/" } else { "" };
+            format!("{}{slash}", path.file_name().unwrap().to_string_lossy())
+        })
+        .collect();
+    layout.sort();
+    assert_eq!(
+        layout,
+        ["snapshots/", "wal.jsonl"],
+        "both tiers keep one data-directory layout: {}",
         dir.display()
     );
 }
