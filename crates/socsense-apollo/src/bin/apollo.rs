@@ -367,10 +367,10 @@ fn run_serve(it: impl Iterator<Item = String>) -> Result<(), String> {
     let (obs, rec) = metrics_obs(args.metrics.as_deref());
     let (session, summary) =
         ServeSession::start_with_obs(&corpus, &opts, obs).map_err(|e| e.to_string())?;
-    let backend = if args.shards == 0 {
-        "single worker".to_string()
-    } else {
-        format!("{} shards", args.shards)
+    let backend = match args.shards {
+        0 => "single worker".to_string(),
+        1 => "1 shard".to_string(),
+        n => format!("{n} shards"),
     };
     eprintln!(
         "serving {}: {} sources, {} assertion clusters, {} claims replayed in {} batches \

@@ -1,5 +1,7 @@
 //! Property-based tests for the clustering stage and pipeline output.
 
+#![allow(clippy::disallowed_types)]
+
 use proptest::collection::vec;
 use proptest::prelude::*;
 use socsense_apollo::{

@@ -11,43 +11,45 @@ const TRACE: &str = r#"{"id":1,"user":"sally","time":10,"text":"breaking explosi
 {"id":5,"user":"sally","time":14,"text":"crowd gathers at stadium a2 #x"}
 "#;
 
-#[test]
-fn apollo_serve_replays_and_answers_stdin_queries() {
-    let dir = std::env::temp_dir().join(format!("apollo-serve-e2e-{}", std::process::id()));
+/// Runs `apollo serve` over `TRACE` with `args` appended, feeding
+/// `queries` on stdin: `(exited successfully, stdout, stderr)`.
+fn serve(tag: &str, args: &[&str], queries: &[u8]) -> (bool, String, String) {
+    let dir = std::env::temp_dir().join(format!("apollo-serve-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let trace = dir.join("trace.jsonl");
     std::fs::write(&trace, TRACE).expect("write trace");
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_apollo"))
-        .args([
-            "serve",
-            "--input",
-            trace.to_str().unwrap(),
-            "--batches",
-            "3",
-            "--threads",
-            "1",
-        ])
+        .args(["serve", "--input", trace.to_str().unwrap()])
+        .args(args)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn apollo serve");
-
     child
         .stdin
         .as_mut()
         .expect("stdin piped")
-        .write_all(b"stats\nposterior 0\ntop-sources 3\nbound\nbound 0\nnope\nquit\n")
+        .write_all(queries)
         .expect("write queries");
     let out = child.wait_with_output().expect("apollo serve exits");
-    let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
-    let stderr = String::from_utf8(out.stderr).expect("utf8 stderr");
-    assert!(
+    std::fs::remove_dir_all(&dir).ok();
+    (
         out.status.success(),
-        "exit {:?}\nstdout:\n{stdout}\nstderr:\n{stderr}",
-        out.status
+        String::from_utf8(out.stdout).expect("utf8 stdout"),
+        String::from_utf8(out.stderr).expect("utf8 stderr"),
+    )
+}
+
+#[test]
+fn apollo_serve_replays_and_answers_stdin_queries() {
+    let (ok, stdout, stderr) = serve(
+        "e2e",
+        &["--batches", "3", "--threads", "1"],
+        b"stats\nposterior 0\ntop-sources 3\nbound\nbound 0\nnope\nquit\n",
     );
+    assert!(ok, "stdout:\n{stdout}\nstderr:\n{stderr}");
 
     // Startup banner reports the replay (5 claims over 2 clusters).
     assert!(
@@ -73,8 +75,22 @@ fn apollo_serve_replays_and_answers_stdin_queries() {
     );
     // Graceful shutdown reports final service stats.
     assert!(stderr.contains("shutdown:"), "stderr:\n{stderr}");
+}
 
-    std::fs::remove_dir_all(&dir).ok();
+#[test]
+fn apollo_serve_banner_counts_shards_in_the_right_number() {
+    for (shards, backend) in [("1", "(1 shard)"), ("2", "(2 shards)")] {
+        let (ok, stdout, stderr) = serve(
+            &format!("shards-{shards}"),
+            &["--batches", "3", "--shards", shards],
+            b"quit\n",
+        );
+        assert!(ok, "stdout:\n{stdout}\nstderr:\n{stderr}");
+        assert!(
+            stderr.contains(&format!("replayed in 3 batches {backend}")),
+            "stderr:\n{stderr}"
+        );
+    }
 }
 
 #[test]

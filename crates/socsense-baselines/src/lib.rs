@@ -33,7 +33,6 @@
 //! ```
 
 // detlint: contract = deterministic
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod avglog;

@@ -44,7 +44,6 @@
 //! ```
 
 // detlint: contract = deterministic
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bound;

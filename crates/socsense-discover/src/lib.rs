@@ -27,7 +27,6 @@
 //! is a pure function of the immutable profile + config, so results are
 //! bit-identical at every thread count. See `DESIGN.md` §13.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod config;

@@ -40,7 +40,6 @@
 //! ```
 
 // detlint: contract = deterministic
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod claims;

@@ -1,6 +1,6 @@
 //! The workspace-aware rule families (v2): panic-path audit (P1),
-//! protocol exhaustiveness and channel discipline (C2/C3), and
-//! cross-statement float-accumulation dataflow (F1).
+//! protocol exhaustiveness and channel discipline (C2/C3), and float
+//! reductions over parallel results (F1).
 //!
 //! Unlike the per-file D-rules in [`crate::rules`], these operate on a
 //! whole-crate model built from every file's [`crate::tree::FileTree`]:
@@ -15,7 +15,7 @@
 //! | P1 | `unwrap`/`expect`/`panic!`-family calls in non-test code reachable (via the crate-local call graph) from serve/persist entry files |
 //! | C2 | protocol enums without a `// detlint: protocol` marker; wildcard arms or missing variants in non-test matches over protocol enums |
 //! | C3 | spawned workers never joined, discarded spawn handles, and reply-carrying protocol variants matched without answering/forwarding `reply` |
-//! | F1 | a `par_*` result bound to a local that a *later* statement reduces with `.sum::<f64>()`/`.fold(`/`+=` outside the blessed merge file |
+//! | F1 | a float reduction over `par_*` results outside the blessed merge file: `.sum::<f64>()`/`.fold(` in the parallel call's own statement, or `.sum::<f64>()`/`.fold(`/`+=` in a *later* statement over a local bound to them |
 //!
 //! All four are suppressed the usual way (`// detlint: allow(P1) --
 //! why`), and every suppression still demands a justification.
@@ -661,7 +661,7 @@ fn rule_c3(model: &CrateModel, findings: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------
-// F1: cross-statement float-accumulation dataflow
+// F1: float reductions over parallel results
 // ---------------------------------------------------------------------
 
 /// fn nodes whose body calls a `par_*` primitive directly.
@@ -697,6 +697,14 @@ fn rule_f1(model: &CrateModel, graph: &CallGraph, findings: &mut Vec<Finding>) {
             continue;
         }
         let toks = &file.lexed.tokens;
+        // `name(` calling a parallel primitive or a crate-local fn that
+        // uses one.
+        let is_par_call = |k: usize| {
+            toks[k].kind == TokKind::Ident
+                && toks.get(k + 1).is_some_and(|t| t.is_punct('('))
+                && (PAR_PRIMITIVES.contains(&toks[k].text.as_str())
+                    || par_fn_names.contains(toks[k].text.as_str()))
+        };
         for f in &file.tree.fns {
             if f.is_test || file.tree.in_test(f.body.0) {
                 continue;
@@ -718,7 +726,7 @@ fn rule_f1(model: &CrateModel, graph: &CallGraph, findings: &mut Vec<Finding>) {
             }
 
             // Pass 1: `let`-bound locals initialized from a parallel
-            // primitive (or a crate-local fn that uses one).
+            // call.
             let mut tainted: Vec<(String, usize)> = Vec::new(); // (name, stmt idx)
             for (si, &(a, b)) in stmts.iter().enumerate() {
                 if !toks[a].is_ident("let") {
@@ -728,21 +736,9 @@ fn rule_f1(model: &CrateModel, graph: &CallGraph, findings: &mut Vec<Finding>) {
                 if n < b && toks[n].is_ident("mut") {
                     n += 1;
                 }
-                if n >= b || toks[n].kind != TokKind::Ident {
-                    continue;
-                }
-                let taints = (a..b).any(|k| {
-                    toks[k].kind == TokKind::Ident
-                        && toks.get(k + 1).is_some_and(|t| t.is_punct('('))
-                        && (PAR_PRIMITIVES.contains(&toks[k].text.as_str())
-                            || par_fn_names.contains(toks[k].text.as_str()))
-                });
-                if taints {
+                if n < b && toks[n].kind == TokKind::Ident && (a..b).any(is_par_call) {
                     tainted.push((toks[n].text.clone(), si));
                 }
-            }
-            if tainted.is_empty() {
-                continue;
             }
 
             // Alias pass: a `for p in &partials` header taints the
@@ -761,15 +757,17 @@ fn rule_f1(model: &CrateModel, graph: &CallGraph, findings: &mut Vec<Finding>) {
                 }
             }
 
-            // Pass 2: later statements reducing a tainted local.
+            // Pass 2: reductions in a parallel call's own statement, or
+            // in a later statement naming a tainted local.
             for (si, &(a, b)) in stmts.iter().enumerate() {
                 let mentions = |name: &str| (a..b).any(|k| toks[k].is_ident(name));
-                let Some((name, _)) = tainted
+                let later = tainted
                     .iter()
-                    .find(|(name, def_si)| si > *def_si && mentions(name))
-                else {
+                    .find(|(name, def_si)| si > *def_si && mentions(name));
+                let own = (a..b).any(is_par_call);
+                if later.is_none() && !own {
                     continue;
-                };
+                }
                 for k in a..b {
                     let is_float_sum = toks[k].is_ident("sum")
                         && k > a
@@ -781,17 +779,26 @@ fn rule_f1(model: &CrateModel, graph: &CallGraph, findings: &mut Vec<Finding>) {
                         && k > a
                         && toks[k - 1].is_punct('.')
                         && toks.get(k + 1).is_some_and(|t| t.is_punct('('));
-                    let is_plus_eq =
-                        toks[k].is_punct('+') && toks.get(k + 1).is_some_and(|t| t.is_punct('='));
+                    // In the call's own statement `+=` adds its result
+                    // once; only a later `+=` can walk the partials.
+                    let is_plus_eq = later.is_some()
+                        && toks[k].is_punct('+')
+                        && toks.get(k + 1).is_some_and(|t| t.is_punct('='));
                     if is_float_sum || is_fold || is_plus_eq {
+                        let what = match later {
+                            Some((name, _)) => {
+                                format!("`{name}` holds per-chunk parallel results but is")
+                            }
+                            None => "a parallel call's per-chunk results are".to_string(),
+                        };
                         findings.push(finding(
                             &file.rel_path,
                             toks[k].line,
                             "F1",
                             format!(
-                                "`{name}` holds per-chunk parallel results but is reduced \
-                                 here outside `socsense_matrix::parallel`'s in-order merge \
-                                 helpers; use `par_map_reduce` or merge in shard order"
+                                "{what} reduced here outside `socsense_matrix::parallel`'s \
+                                 in-order merge helpers; use `par_map_reduce` or merge in \
+                                 shard order"
                             ),
                         ));
                         break;

@@ -492,7 +492,7 @@ let l: &'static str = "thread_rng";
 
     #[test]
     fn directives_parse() {
-        let src = "\n// detlint: contract = deterministic\n// detlint: allow(D1, d2) -- keyed scan\n// detlint: allow(D3)\n//! // detlint: contract = tooling\n";
+        let src = "\n// detlint: contract = deterministic\n// detlint: allow(D1, d2) -- keyed scan\n// detlint: allow(D4)\n//! // detlint: contract = tooling\n";
         let d = lex(src).directives;
         assert_eq!(d.len(), 3, "doc-quoted directive ignored: {d:?}");
         assert_eq!(
@@ -514,7 +514,7 @@ let l: &'static str = "thread_rng";
             d[2],
             Directive::Allow {
                 line: 4,
-                rules: vec!["D3".into()],
+                rules: vec!["D4".into()],
                 justification: String::new()
             }
         );

@@ -12,14 +12,19 @@
 //!   its line and byte offset (fuzz-pinned span soundness);
 //! * [`tree`] — a brace-tree pass recovering `fn` items, `enum`
 //!   variants, `match` arms, and `#[cfg(test)]` ranges;
-//! * [`rules`] — the per-file token-shape catalogue (`D1`–`D5`):
-//!   hash-order iteration, wall-clock/env/RNG reads, same-statement
-//!   parallel float reductions, NaN-poisoned comparators, headers;
+//! * [`rules`] — the per-file token-shape rules: hash-order iteration
+//!   (`D1`), pointer-as-value casts (`D2`) and NaN-poisoned comparators
+//!   (`D4`);
 //! * [`flow`] — the workspace-aware families over a whole-crate model
 //!   with a crate-local call graph: panic paths reachable from the
 //!   serve/persist seed set (`P1`), protocol-enum exhaustiveness and
 //!   erosion (`C2`), spawn-join and reply-channel discipline (`C3`),
-//!   and cross-statement float-accumulation dataflow (`F1`).
+//!   and float reductions over parallel results (`F1`).
+//!
+//! detlint holds only what the compiler and clippy cannot state: the
+//! workspace `clippy.toml` bans clock and environment reads and the
+//! hash and `SystemTime` types, and `[workspace.lints.rust]` forbids
+//! `unsafe_code` in every member.
 //!
 //! Each crate declares its contract in its root file:
 //!
@@ -32,7 +37,7 @@
 //! justified suppression:
 //!
 //! ```text
-//! # detlint: allow(D2) -- observation-only: feeds latency histograms
+//! # detlint: allow(P1) -- construction-time: no client exists yet
 //! ```
 //!
 //! An empty justification is itself an error. See `DESIGN.md` §9 for
@@ -49,7 +54,6 @@
 
 // detlint: contract = tooling
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod flow;

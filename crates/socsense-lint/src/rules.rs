@@ -1,4 +1,4 @@
-//! The detlint rule catalogue (D1–D5) plus the contract and
+//! The per-file detlint rules (D1, D2, D4) plus the contract and
 //! suppression machinery.
 //!
 //! Rules operate on the stripped token stream from [`crate::lexer`] and
@@ -14,31 +14,36 @@
 //! | rule | contract | what it rejects |
 //! |------|----------|-----------------|
 //! | D1 | deterministic | order-escaping iteration over `HashMap`/`HashSet` (`.iter()`, `.keys()`, `.values()`, `.drain()`, set ops, `for … in map`) |
-//! | D2 | deterministic | nondeterminism sources: `Instant::now`, `SystemTime`, `thread_rng`, `std::env::var*`, pointer casts |
-//! | D3 | deterministic | float reductions (`.sum::<f32/f64>()`, `.fold(`) in the same statement as a `par_*` primitive, outside the blessed `socsense_matrix::parallel` merge helpers |
+//! | D2 | deterministic | pointer-as-value casts (`as *const _`, `as *mut _`) |
 //! | D4 | deterministic | `partial_cmp(…).unwrap()/expect()` — NaN-poisoned comparator panics |
-//! | D5 | all | crate roots missing `#![forbid(unsafe_code)]` |
+//!
+//! Each rule lives with the one tool that can state it, and detlint
+//! keeps what the compiler and clippy cannot express. The workspace
+//! `clippy.toml` bans wall clocks, environment reads and the hash types
+//! themselves; `[workspace.lints.rust]` forbids `unsafe_code` on every
+//! target; the vendored `rand` has no `thread_rng` to call.
 //!
 //! `C1` (contract declaration problems) and `S1` (suppression
 //! problems, including an empty justification) are meta-rules emitted
 //! by this module; they cannot themselves be suppressed.
 //!
-//! The workspace-aware rule families (P1 panic-path audit — the v2
-//! successor to D5's old per-file unwrap check — plus C2/C3 protocol
-//! discipline and F1 float dataflow) live in [`crate::flow`]; they need
-//! the whole-crate model, not one file.
+//! The workspace-aware rule families (P1 panic-path audit, C2/C3
+//! protocol discipline and F1 float reductions over parallel results)
+//! live in [`crate::flow`]; they need the whole-crate model, not one
+//! file.
 
 use crate::lexer::{lex, Directive, Tok, TokKind};
 
 /// The determinism contract a crate declares in its root file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Contract {
-    /// Full contract: D1–D5 all apply. Required for every crate on the
-    /// serving path (`socsense-core` … `socsense-serve`).
+    /// Full contract: every D- and flow rule applies. Required for
+    /// every crate on the serving path (`socsense-core` …
+    /// `socsense-serve`).
     Deterministic,
-    /// Tooling contract: only the D5 header audit applies (eval
-    /// harnesses, observability, and detlint itself — code whose output
-    /// never feeds a posterior).
+    /// Tooling contract: no determinism rule applies, only the
+    /// suppression checks (eval harnesses, observability, and detlint
+    /// itself — code whose output never feeds a posterior).
     Tooling,
 }
 
@@ -77,7 +82,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// Rule id: `D1`–`D5`, `C1`, or `S1`.
+    /// Rule id: `D1`, `D2`, `D4`, `C1`, `S1`, or a [`crate::flow`] rule.
     pub rule: &'static str,
     /// Human-readable message.
     pub message: String,
@@ -94,9 +99,6 @@ pub struct FileInput<'a> {
     pub crate_name: &'a str,
     /// Workspace-relative path with forward slashes.
     pub rel_path: &'a str,
-    /// Whether this is the crate root (`src/lib.rs`) — the header-audit
-    /// target.
-    pub is_crate_root: bool,
     /// The crate's declared contract.
     pub contract: Contract,
     /// File contents.
@@ -120,18 +122,6 @@ const ITER_METHODS: &[&str] = &[
     "symmetric_difference",
 ];
 
-const PAR_PRIMITIVES: &[&str] = &[
-    "par_chunks",
-    "par_map_collect",
-    "par_map_reduce",
-    "par_fill",
-    "par_fill_reduce",
-];
-
-/// The one module allowed to reduce floats over parallel results: its
-/// merges fold shard outputs in shard-index order.
-const BLESSED_MERGE_FILE: &str = "crates/socsense-matrix/src/parallel.rs";
-
 /// Runs every applicable rule over one file and applies suppressions.
 pub fn check_file(input: &FileInput) -> Vec<Finding> {
     let lexed = lex(input.source);
@@ -151,16 +141,7 @@ pub fn check_file(input: &FileInput) -> Vec<Finding> {
     if input.contract == Contract::Deterministic {
         rule_d1(toks, &mut findings, input);
         rule_d2(toks, &mut findings, input);
-        rule_d3(toks, &mut findings, input);
         rule_d4(toks, &mut findings, input);
-    }
-    if input.is_crate_root && !has_forbid_unsafe(toks) {
-        push(
-            1,
-            "D5",
-            "crate root is missing `#![forbid(unsafe_code)]`".into(),
-            &mut findings,
-        );
     }
 
     // Suppression pass: a justified `allow` on the finding's line or the
@@ -420,98 +401,23 @@ fn rule_d1(toks: &[Tok], findings: &mut Vec<Finding>, input: &FileInput) {
 }
 
 // ---------------------------------------------------------------------
-// D2: nondeterminism sources
+// D2: pointer-as-value casts
 // ---------------------------------------------------------------------
 
 fn rule_d2(toks: &[Tok], findings: &mut Vec<Finding>, input: &FileInput) {
-    let mut push = |line: u32, what: &str| {
-        findings.push(Finding {
-            file: input.rel_path.to_string(),
-            line,
-            rule: "D2",
-            message: format!("{what} is a nondeterminism source in a deterministic crate"),
-            suppressed: false,
-            justification: None,
-        });
-    };
     for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.is_ident("Instant")
-            && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
-            && toks.get(i + 3).is_some_and(|t| t.is_ident("now"))
-        {
-            push(t.line, "`Instant::now()`");
-        }
-        if t.is_ident("SystemTime") {
-            push(t.line, "`SystemTime`");
-        }
-        if t.is_ident("thread_rng") {
-            push(t.line, "`thread_rng()` (use a seeded StdRng)");
-        }
-        if t.is_ident("env")
-            && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
-            && toks
-                .get(i + 3)
-                .is_some_and(|t| t.is_ident("var") || t.is_ident("var_os") || t.is_ident("vars"))
-        {
-            push(t.line, "`std::env::var` (thread the value through config)");
-        }
-        if t.is_ident("as")
+        if toks[i].is_ident("as")
             && toks.get(i + 1).is_some_and(|t| t.is_punct('*'))
             && toks
                 .get(i + 2)
                 .is_some_and(|t| t.is_ident("const") || t.is_ident("mut"))
         {
-            push(t.line, "pointer cast (addresses are not stable keys)");
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// D3: float reductions next to parallel primitives
-// ---------------------------------------------------------------------
-
-fn rule_d3(toks: &[Tok], findings: &mut Vec<Finding>, input: &FileInput) {
-    if input.rel_path.ends_with(BLESSED_MERGE_FILE) {
-        return;
-    }
-    for i in 1..toks.len() {
-        let is_float_sum = toks[i].is_ident("sum")
-            && toks[i - 1].is_punct('.')
-            && toks.get(i + 3).is_some_and(|t| t.is_punct('<'))
-            && toks
-                .get(i + 4)
-                .is_some_and(|t| t.is_ident("f32") || t.is_ident("f64"));
-        let is_fold = toks[i].is_ident("fold")
-            && toks[i - 1].is_punct('.')
-            && toks.get(i + 1).is_some_and(|t| t.is_punct('('));
-        if !is_float_sum && !is_fold {
-            continue;
-        }
-        // Statement window: previous `;`/`{`/`}` to next `;`.
-        let start = (0..i)
-            .rev()
-            .find(|&j| toks[j].is_punct(';') || toks[j].is_punct('{') || toks[j].is_punct('}'))
-            .map(|j| j + 1)
-            .unwrap_or(0);
-        let end = (i..toks.len())
-            .find(|&j| toks[j].is_punct(';'))
-            .unwrap_or(toks.len());
-        if toks[start..end]
-            .iter()
-            .any(|t| t.kind == TokKind::Ident && PAR_PRIMITIVES.contains(&t.text.as_str()))
-        {
             findings.push(Finding {
                 file: input.rel_path.to_string(),
                 line: toks[i].line,
-                rule: "D3",
-                message: format!(
-                    "float reduction (`.{}`) in the same statement as a parallel primitive; \
-                     merge shard results through `socsense_matrix::parallel`'s in-order helpers",
-                    toks[i].text
-                ),
+                rule: "D2",
+                message: "pointer cast in a deterministic crate (addresses are not stable keys)"
+                    .into(),
                 suppressed: false,
                 justification: None,
             });
@@ -562,21 +468,4 @@ fn rule_d4(toks: &[Tok], findings: &mut Vec<Finding>, input: &FileInput) {
             });
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// D5: header audit
-// ---------------------------------------------------------------------
-
-fn has_forbid_unsafe(toks: &[Tok]) -> bool {
-    toks.windows(8).any(|w| {
-        w[0].is_punct('#')
-            && w[1].is_punct('!')
-            && w[2].is_punct('[')
-            && w[3].is_ident("forbid")
-            && w[4].is_punct('(')
-            && w[5].is_ident("unsafe_code")
-            && w[6].is_punct(')')
-            && w[7].is_punct(']')
-    })
 }

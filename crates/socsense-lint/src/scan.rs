@@ -96,7 +96,6 @@ fn scan_crate(root: &Path, crate_dir: &Path, crate_name: &str, report: &mut Repo
         report.findings.extend(check_file(&FileInput {
             crate_name,
             rel_path: &rel_path,
-            is_crate_root: path == lib_rs,
             contract,
             source: &source,
         }));

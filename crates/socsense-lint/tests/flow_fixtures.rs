@@ -440,8 +440,8 @@ fn f1_fires_on_cross_statement_reduction_of_parallel_partials() {
         "{findings:#?}"
     );
 
-    // The blessed route: reduce inside par_map_reduce (one statement —
-    // D3's territory, not F1's) or keep the partials unreduced.
+    // The blessed route: reduce inside par_map_reduce or keep the
+    // partials unreduced.
     let blessed = r#"pub fn total(par: Parallelism, xs: &[f64]) -> f64 {
     let partials = par_map_collect(par, xs, |x| x * 2.0);
     let shipped = partials.len();
@@ -453,6 +453,39 @@ fn f1_fires_on_cross_statement_reduction_of_parallel_partials() {
         &[("crates/socsense-core/src/em.rs", blessed)],
     );
     assert_eq!(fired(&findings, "F1"), vec![], "{findings:#?}");
+}
+
+#[test]
+fn f1_fires_on_float_reduction_over_parallel_results() {
+    // The reduction sits in the parallel call's own statement.
+    let src = r#"fn f(par: Parallelism, n: usize, xs: &[f64]) -> f64 {
+    let total = parallel::par_chunks(par, n, |r| chunk(xs, r))
+        .iter()
+        .map(|c| c.local_sum)
+        .sum::<f64>();
+    total
+}
+"#;
+    let findings = check("socsense-core", &[("crates/socsense-core/src/x.rs", src)]);
+    assert_eq!(
+        fired(&findings, "F1"),
+        vec![("crates/socsense-core/src/x.rs", 5)],
+        "{findings:#?}"
+    );
+}
+
+#[test]
+fn f1_fires_on_fold_merge_of_shards() {
+    let src = r#"fn f(par: Parallelism, n: usize) -> f64 {
+    parallel::par_map_collect(par, n, eval).into_iter().fold(0.0, |a, b| a + b)
+}
+"#;
+    let findings = check("socsense-core", &[("crates/socsense-core/src/x.rs", src)]);
+    assert_eq!(
+        fired(&findings, "F1"),
+        vec![("crates/socsense-core/src/x.rs", 2)],
+        "{findings:#?}"
+    );
 }
 
 #[test]

@@ -35,7 +35,6 @@
 //! returns records in append order.
 
 // detlint: contract = deterministic
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod crc;

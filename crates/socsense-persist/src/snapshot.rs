@@ -19,6 +19,7 @@ use crate::wal::{create_dir_durable, read_clean, rewrite_atomic};
 pub struct SnapshotStore {
     dir: PathBuf,
     bytes_total: u64,
+    fsyncs_total: u64,
 }
 
 impl SnapshotStore {
@@ -30,10 +31,11 @@ impl SnapshotStore {
     ///
     /// [`PersistError::Io`] on filesystem failures.
     pub fn open(dir: &Path) -> Result<Self, PersistError> {
-        create_dir_durable(dir)?;
+        let fsyncs_total = create_dir_durable(dir)?;
         Ok(Self {
             dir: dir.to_path_buf(),
             bytes_total: 0,
+            fsyncs_total,
         })
     }
 
@@ -51,7 +53,7 @@ impl SnapshotStore {
     /// [`PersistError::Io`] on filesystem failures.
     pub fn write<T: Serialize>(&mut self, seq: u64, payload: &T) -> Result<(), PersistError> {
         let path = self.path_of(seq);
-        rewrite_atomic(&path, std::slice::from_ref(payload))?;
+        self.fsyncs_total += rewrite_atomic(&path, std::slice::from_ref(payload))?;
         self.bytes_total += std::fs::metadata(&path)
             .map_err(|e| PersistError::io(&path, "stat", e))?
             .len();
@@ -128,6 +130,13 @@ impl SnapshotStore {
     pub fn bytes_total(&self) -> u64 {
         self.bytes_total
     }
+
+    /// `fsync`s issued by this store: the directory fsyncs of an
+    /// [`open`](Self::open) that created directories, and two per
+    /// [`write`](Self::write) (the file and its directory).
+    pub fn fsyncs_total(&self) -> u64 {
+        self.fsyncs_total
+    }
 }
 
 #[cfg(test)]
@@ -167,6 +176,8 @@ mod tests {
         assert_eq!(payload, snap(10));
         assert_eq!(store.sequences().unwrap(), vec![3, 7, 10]);
         assert!(store.bytes_total() > 0);
+        assert_eq!(store.fsyncs_total(), 1 + 3 * 2, "new directory, 3 writes");
+        assert_eq!(SnapshotStore::open(&dir).unwrap().fsyncs_total(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

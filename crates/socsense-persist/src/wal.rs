@@ -131,7 +131,8 @@ pub(crate) fn read_clean<T: Deserialize>(path: &Path) -> Result<Option<Vec<T>>, 
 pub struct Recovery<T> {
     /// Every valid record, in append order.
     pub records: Vec<T>,
-    /// Whether a torn final line was found and truncated in place.
+    /// Whether a torn final line was found and truncated in place (at
+    /// the cost of one fsync).
     pub truncated_tail: bool,
 }
 
@@ -181,12 +182,15 @@ pub fn recover<T: Deserialize>(path: &Path) -> Result<Recovery<T>, PersistError>
 /// Atomically replaces `path` with a log holding exactly `records`:
 /// written to a sibling temporary file, fsynced, renamed over `path`,
 /// and the parent directory fsynced — the file is never observable in a
-/// partially written state.
+/// partially written state. Returns the number of fsyncs issued (2).
 ///
 /// # Errors
 ///
 /// [`PersistError::Io`] on filesystem failures.
-pub(crate) fn rewrite_atomic<T: Serialize>(path: &Path, records: &[T]) -> Result<(), PersistError> {
+pub(crate) fn rewrite_atomic<T: Serialize>(
+    path: &Path,
+    records: &[T],
+) -> Result<u64, PersistError> {
     let tmp = tmp_sibling(path);
     {
         let mut file = File::create(&tmp).map_err(|e| PersistError::io(&tmp, "create", e))?;
@@ -198,7 +202,8 @@ pub(crate) fn rewrite_atomic<T: Serialize>(path: &Path, records: &[T]) -> Result
             .map_err(|e| PersistError::io(&tmp, "fsync", e))?;
     }
     std::fs::rename(&tmp, path).map_err(|e| PersistError::io(path, "rename", e))?;
-    sync_parent_dir(path)
+    sync_parent_dir(path)?;
+    Ok(2)
 }
 
 /// `<path>.tmp`, the scratch name [`rewrite_atomic`] stages into.
@@ -222,20 +227,21 @@ fn sync_parent_dir(path: &Path) -> Result<(), PersistError> {
 
 /// Creates `dir` and any missing ancestors, then fsyncs each directory
 /// that gained an entry: without that, fsync(2) does not promise the new
-/// entries survive a crash. Issues no fsync when `dir` already exists.
-pub(crate) fn create_dir_durable(dir: &Path) -> Result<(), PersistError> {
+/// entries survive a crash. Returns the number of fsyncs issued, 0 when
+/// `dir` already exists.
+pub(crate) fn create_dir_durable(dir: &Path) -> Result<u64, PersistError> {
     let missing: Vec<&Path> = dir
         .ancestors()
         .take_while(|d| !d.as_os_str().is_empty() && !d.exists())
         .collect();
     if missing.is_empty() {
-        return Ok(());
+        return Ok(0);
     }
     std::fs::create_dir_all(dir).map_err(|e| PersistError::io(dir, "create dir", e))?;
     for created in missing.iter().rev() {
         sync_parent_dir(created)?;
     }
-    Ok(())
+    Ok(missing.len() as u64)
 }
 
 /// An append-only writer over one WAL file.
@@ -264,9 +270,10 @@ impl WalWriter {
     ///
     /// [`PersistError::Io`] on filesystem failures.
     pub fn open(path: &Path, fsync_every: usize) -> Result<Self, PersistError> {
-        if let Some(parent) = path.parent() {
-            create_dir_durable(parent)?;
-        }
+        let mut fsyncs_total = match path.parent() {
+            Some(parent) => create_dir_durable(parent)?,
+            None => 0,
+        };
         let is_new = !path.exists();
         let mut file = OpenOptions::new()
             .create(true)
@@ -275,6 +282,7 @@ impl WalWriter {
             .map_err(|e| PersistError::io(path, "open", e))?;
         if is_new {
             sync_parent_dir(path)?;
+            fsyncs_total += 1;
         }
         // Make the append position explicit (append mode does this on
         // every write anyway; seeking keeps `stream_position` users sane).
@@ -285,7 +293,7 @@ impl WalWriter {
             path: path.to_path_buf(),
             fsync_every,
             appends_since_sync: 0,
-            fsyncs_total: 0,
+            fsyncs_total,
             bytes_total: 0,
         })
     }
@@ -335,11 +343,14 @@ impl WalWriter {
         self.file
             .sync_data()
             .map_err(|e| PersistError::io(&self.path, "fsync", e))?;
+        self.fsyncs_total += 1;
         self.appends_since_sync = 0;
         Ok(())
     }
 
-    /// `fsync`s issued by this writer (batched and explicit).
+    /// `fsync`s issued by this writer: the directory fsyncs of an
+    /// [`open`](Self::open) that created the file, the batched ones
+    /// after appends, and one per [`truncate`](Self::truncate).
     pub fn fsyncs_total(&self) -> u64 {
         self.fsyncs_total
     }
@@ -384,7 +395,11 @@ mod tests {
             w.append(&rec(s)).unwrap();
         }
         assert_eq!(w.bytes_total(), std::fs::metadata(&path).unwrap().len());
-        assert_eq!(w.fsyncs_total(), 5, "fsync_every=1 syncs per append");
+        assert_eq!(
+            w.fsyncs_total(),
+            6,
+            "the new file's directory, then fsync_every=1 syncs per append"
+        );
         drop(w);
         let rx: Recovery<Rec> = recover(&path).unwrap();
         assert!(!rx.truncated_tail);
@@ -409,7 +424,11 @@ mod tests {
         w.append(&rec(0)).unwrap();
         w.append(&rec(1)).unwrap();
         w.sync().unwrap();
-        assert_eq!(w.fsyncs_total(), 1, "fsync_every=0 only syncs explicitly");
+        assert_eq!(
+            w.fsyncs_total(),
+            2,
+            "the new file's directory, then fsync_every=0 only syncs explicitly"
+        );
         drop(w);
         // Tear the final line mid-record.
         let len = std::fs::metadata(&path).unwrap().len();
@@ -511,9 +530,13 @@ mod tests {
         for s in 0..7 {
             w.append(&rec(s)).unwrap();
         }
-        assert_eq!(w.fsyncs_total(), 2, "7 appends at fsync_every=3");
+        assert_eq!(
+            w.fsyncs_total(),
+            1 + 2,
+            "new file, then 7 appends at fsync_every=3"
+        );
         w.sync().unwrap();
-        assert_eq!(w.fsyncs_total(), 3);
+        assert_eq!(w.fsyncs_total(), 4);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -526,6 +549,7 @@ mod tests {
         w.append(&rec(1)).unwrap();
         w.truncate().unwrap();
         w.append(&rec(2)).unwrap();
+        assert_eq!(w.fsyncs_total(), 1 + 2 + 1 + 1, "open, appends, truncate");
         drop(w);
         let rx: Recovery<Rec> = recover(&path).unwrap();
         assert!(!rx.truncated_tail);
@@ -537,9 +561,14 @@ mod tests {
     fn created_directories_are_synced_through_relative_parents() {
         let dir = tmp_dir("mkdir");
         let nested = dir.join("a").join("b");
-        create_dir_durable(&nested).unwrap();
+        assert_eq!(create_dir_durable(&nested).unwrap(), 2);
         assert!(nested.is_dir());
-        create_dir_durable(&nested).unwrap();
+        assert_eq!(create_dir_durable(&nested).unwrap(), 0);
+        // A writer that creates both directories and its file syncs
+        // all three entries; reopening syncs nothing.
+        let path = dir.join("c").join("d").join("wal.jsonl");
+        assert_eq!(WalWriter::open(&path, 1).unwrap().fsyncs_total(), 3);
+        assert_eq!(WalWriter::open(&path, 1).unwrap().fsyncs_total(), 0);
         // A one-component relative path's parent is the working directory.
         sync_parent_dir(Path::new("Cargo.toml")).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
@@ -549,7 +578,7 @@ mod tests {
     fn rewrite_atomic_replaces_contents() {
         let dir = tmp_dir("rewrite");
         let path = dir.join("seg.jsonl");
-        rewrite_atomic(&path, &[rec(1), rec(2)]).unwrap();
+        assert_eq!(rewrite_atomic(&path, &[rec(1), rec(2)]).unwrap(), 2);
         let rx: Recovery<Rec> = recover(&path).unwrap();
         assert_eq!(rx.records, vec![rec(1), rec(2)]);
         rewrite_atomic(&path, &[rec(9)]).unwrap();

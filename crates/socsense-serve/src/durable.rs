@@ -126,7 +126,9 @@ impl DurableLog {
     /// torn final WAL line — the signature of a crash mid-append — is
     /// truncated away and counted on `serve.wal.truncated_tail_total`.
     /// A snapshot of another checkpoint format is refused (see
-    /// [`decode_checkpoint`]) before any file is touched.
+    /// [`decode_checkpoint`]) before any file is touched. Each fsync the
+    /// two stores issue, here and later, is counted on
+    /// `serve.wal.fsyncs_total` or `serve.snapshot.fsyncs_total`.
     pub fn open<S: Deserialize>(
         cfg: &PersistConfig,
         obs: &Obs,
@@ -148,6 +150,11 @@ impl DurableLog {
         let replayable = rx.records.iter().filter(|r| r.seq > since).count();
         obs.counter("serve.wal.recovered_batches_total", replayable as u64);
         let wal = WalWriter::open(&wal_path, cfg.fsync_every)?;
+        obs.counter(
+            "serve.wal.fsyncs_total",
+            u64::from(rx.truncated_tail) + wal.fsyncs_total(),
+        );
+        obs.counter("serve.snapshot.fsyncs_total", snaps.fsyncs_total());
         Ok((
             Self {
                 wal,
@@ -215,6 +222,7 @@ impl DurableLog {
         obs: &Obs,
     ) -> Result<(), ServeError> {
         let bytes_before = self.snaps.bytes_total();
+        let fsyncs_before = self.snaps.fsyncs_total();
         self.snaps.write(seq, payload)?;
         self.checkpointed = seq;
         self.snaps.prune(2)?;
@@ -223,8 +231,17 @@ impl DurableLog {
             "serve.snapshot.bytes_total",
             self.snaps.bytes_total() - bytes_before,
         );
+        obs.counter(
+            "serve.snapshot.fsyncs_total",
+            self.snaps.fsyncs_total() - fsyncs_before,
+        );
         if truncate_wal {
+            let fsyncs_before = self.wal.fsyncs_total();
             self.wal.truncate()?;
+            obs.counter(
+                "serve.wal.fsyncs_total",
+                self.wal.fsyncs_total() - fsyncs_before,
+            );
         }
         Ok(())
     }

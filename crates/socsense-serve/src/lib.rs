@@ -71,7 +71,6 @@
 //! ```
 
 // detlint: contract = deterministic
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod api;

@@ -127,8 +127,8 @@ pub struct ServeHandle {
 }
 
 impl ServeHandle {
-    // Clippy twin of the detlint allow(D2) below: the queue-entry
-    // timestamp is observation-only.
+    // Observation-only clock read: the queue-entry timestamp feeds the
+    // queue-wait latency histogram, and no response reads it.
     #[allow(clippy::disallowed_methods)]
     pub(crate) fn call(&self, req: Request) -> Result<Response, ServeError> {
         let (reply, rx) = mpsc::channel();
@@ -144,7 +144,6 @@ impl ServeHandle {
         let sent = self.tx.send(Envelope {
             req,
             reply,
-            // detlint: allow(D2) -- observation-only: feeds the queue-wait latency histogram; responses never read this clock
             queued: Instant::now(),
         });
         if sent.is_err() {
@@ -161,6 +160,7 @@ impl ServeHandle {
     /// receiver. Used to fill the queue while the worker is parked —
     /// `call` would block on the answer.
     #[cfg(test)]
+    // Observation-only queue timestamp, as in `call`.
     #[allow(clippy::disallowed_methods)]
     pub(crate) fn raw_send(&self, req: Request) -> Receiver<Result<Response, ServeError>> {
         let (reply, rx) = mpsc::channel();
@@ -169,7 +169,6 @@ impl ServeHandle {
             .send(Envelope {
                 req,
                 reply,
-                // detlint: allow(D2) -- observation-only queue timestamp (test helper)
                 queued: Instant::now(),
             })
             // detlint: allow(P1) -- test-only helper: a refused send is a broken test setup, so panicking is the honest failure

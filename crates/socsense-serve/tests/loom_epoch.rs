@@ -34,6 +34,8 @@
 //! involved-set plans over 2 epochs). Under `RUSTFLAGS=--cfg loom` it
 //! runs the deep bounds (3 shards, 3 epochs) — the CI loom lane.
 
+#![allow(clippy::disallowed_types)]
+
 use std::collections::{HashSet, VecDeque};
 
 #[cfg(loom)]

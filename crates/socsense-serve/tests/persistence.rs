@@ -663,3 +663,51 @@ fn recovery_is_timed_and_the_recorder_changes_no_bit() {
         }
     }
 }
+
+/// Every fsync either store issues is counted where it is issued, on
+/// `serve.wal.fsyncs_total` and `serve.snapshot.fsyncs_total`, and
+/// reopening existing state issues none.
+#[test]
+fn every_fsync_is_counted_where_it_is_issued() {
+    let mut batches = vec![bootstrap_batch()];
+    batches.extend(random_batches(5, 12, 42, 1000));
+    // Six batches at `fsync_every = 1` and checkpoint cadence 4. A fresh
+    // open fsyncs the directories that gain `snapshots/` and the data
+    // directory (2, snapshot store) and the one that gains the WAL file
+    // (1, WAL). Checkpoints 4 and 6 (the shutdown one) fsync a file and
+    // its directory each; the serial tier truncates its WAL after each,
+    // the router keeps its WAL.
+    for (shards, wal, snapshot) in [(None, 1 + 6 + 2, 2 + 2 * 2), (Some(2), 1 + 6, 2 + 2 * 2)] {
+        let dir = tmp_dir(&format!("fsyncs-{shards:?}"));
+        let cfg = persisted(&ServeConfig::default(), &dir, 4);
+        let (extra, rec) = Obs::recorder();
+        let (service, client) = Tier::open(shards, &cfg, extra).unwrap();
+        for batch in &batches {
+            client.ingest(batch.clone()).unwrap();
+        }
+        service.shutdown().unwrap();
+        let counted = rec.snapshot();
+        assert_eq!(
+            (
+                counted.counter("serve.wal.fsyncs_total"),
+                counted.counter("serve.snapshot.fsyncs_total")
+            ),
+            (wal, snapshot),
+            "{shards:?}"
+        );
+
+        let (extra, rec) = Obs::recorder();
+        let (service, _client) = Tier::open(shards, &cfg, extra).unwrap();
+        service.shutdown().unwrap();
+        let counted = rec.snapshot();
+        assert_eq!(
+            (
+                counted.counter("serve.wal.fsyncs_total"),
+                counted.counter("serve.snapshot.fsyncs_total")
+            ),
+            (0, 0),
+            "{shards:?}: reopening existing state"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

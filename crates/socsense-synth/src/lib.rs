@@ -34,7 +34,6 @@
 //! ```
 
 // detlint: contract = deterministic
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod config;

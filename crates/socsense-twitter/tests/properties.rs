@@ -1,5 +1,7 @@
 //! Property-based tests for the cascade simulator's invariants.
 
+#![allow(clippy::disallowed_types)]
+
 use proptest::prelude::*;
 use socsense_twitter::{ScenarioConfig, TwitterDataset};
 use std::collections::{HashMap, HashSet};

@@ -51,7 +51,6 @@
 //! ```
 
 // detlint: contract = deterministic
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use socsense_apollo as apollo;
