@@ -13,7 +13,7 @@
 //!
 //! # live query service: replay a JSONL trace, answer queries on stdin
 //! apollo serve --input tweets.jsonl [--follows follows.csv]
-//!        [--batches N] [--refit-claims N] [--threads N] [--shards N]
+//!        [--batches N] [--threads N] [--delta] [--shards N]
 //!        [--data-dir DIR] [--metrics PATH]
 //! ```
 //!
@@ -23,10 +23,11 @@
 //! score and served posterior is bit-identical with or without the flag.
 //!
 //! `--threads N` pins the worker count for the whole run — JSONL
-//! parsing, text clustering, and the estimator (`0` = one per core, the
-//! default). The ranking, the clustering, and even parse-error line
-//! numbers are bit-identical at every setting; the flag only trades
-//! wall-clock time.
+//! parsing, text clustering, and the estimator, including the serving
+//! tier's EM refits and bounds (`0` = one per core, the default). The
+//! ranking, the clustering, and even parse-error line numbers are
+//! bit-identical at every setting; the flag only trades wall-clock
+//! time.
 //!
 //! `--discover-deps` ignores any supplied follower graph and infers the
 //! dependency matrix from the claim log itself (`socsense-discover` at
@@ -255,7 +256,6 @@ struct ServeArgs {
     input: String,
     follows: Option<String>,
     batches: usize,
-    refit_claims: usize,
     threads: Parallelism,
     metrics: Option<String>,
     delta: bool,
@@ -268,7 +268,6 @@ fn parse_serve_args(it: impl Iterator<Item = String>) -> Result<ServeArgs, Strin
         input: String::new(),
         follows: None,
         batches: 6,
-        refit_claims: 1,
         threads: Parallelism::Auto,
         metrics: None,
         delta: false,
@@ -286,11 +285,6 @@ fn parse_serve_args(it: impl Iterator<Item = String>) -> Result<ServeArgs, Strin
                 args.batches = value("--batches")?
                     .parse()
                     .map_err(|e| format!("bad --batches: {e}"))?
-            }
-            "--refit-claims" => {
-                args.refit_claims = value("--refit-claims")?
-                    .parse()
-                    .map_err(|e| format!("bad --refit-claims: {e}"))?
             }
             "--threads" => {
                 let n: usize = value("--threads")?
@@ -317,7 +311,7 @@ fn parse_serve_args(it: impl Iterator<Item = String>) -> Result<ServeArgs, Strin
             "--help" | "-h" => {
                 return Err(
                     "usage: apollo serve --input tweets.jsonl [--follows follows.csv] \
-                     [--batches N] [--refit-claims N] [--threads N] [--delta] \
+                     [--batches N] [--threads N] [--delta] \
                      [--shards N] [--data-dir DIR] [--metrics PATH]"
                         .into(),
                 )
@@ -354,7 +348,6 @@ fn run_serve(it: impl Iterator<Item = String>) -> Result<(), String> {
     let opts = ServeOptions {
         batches: args.batches,
         parallelism: args.threads,
-        refit_pending_claims: args.refit_claims,
         refit_mode: if args.delta {
             socsense_core::RefitMode::Delta(socsense_core::DeltaConfig::default())
         } else {
@@ -397,14 +390,8 @@ fn run_serve(it: impl Iterator<Item = String>) -> Result<(), String> {
     }
     let stats = session.finish().map_err(|e| e.to_string())?;
     eprintln!(
-        "shutdown: {} requests served, {} chain refits ({} delta, {} fallback), \
-         {} probe refits, {} cache hits",
-        stats.requests_served,
-        stats.chain_refits,
-        stats.delta_refits,
-        stats.fallback_refits,
-        stats.probe_refits,
-        stats.probe_cache_hits
+        "shutdown: {} requests served, {} chain refits ({} delta, {} fallback)",
+        stats.requests_served, stats.chain_refits, stats.delta_refits, stats.fallback_refits
     );
     dump_metrics(args.metrics.as_deref(), rec.as_deref())?;
     Ok(())

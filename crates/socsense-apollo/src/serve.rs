@@ -20,7 +20,7 @@
 
 use std::path::PathBuf;
 
-use socsense_core::{Obs, Parallelism, RefitMode};
+use socsense_core::{EmConfig, Obs, Parallelism, RefitMode};
 use socsense_graph::TimedClaim;
 use socsense_serve::{
     PersistConfig, QueryService, ServeConfig, ServeError, ServeHandle, ServeStats, ShardedHandle,
@@ -35,10 +35,9 @@ use crate::ingest::Corpus;
 pub struct ServeOptions {
     /// How many ingest batches the replay splits the corpus into.
     pub batches: usize,
-    /// Worker threads for clustering and bound evaluation.
+    /// Worker threads for clustering, the EM refits and bound
+    /// evaluation.
     pub parallelism: Parallelism,
-    /// Forwarded to [`ServeConfig::refit_pending_claims`].
-    pub refit_pending_claims: usize,
     /// Forwarded to [`ServeConfig::refit_mode`]: full warm refits per
     /// batch, or delta-scoped E-steps with threshold-guarded fallback.
     pub refit_mode: RefitMode,
@@ -62,7 +61,6 @@ impl Default for ServeOptions {
         Self {
             batches: 6,
             parallelism: Parallelism::Auto,
-            refit_pending_claims: 1,
             refit_mode: RefitMode::Full,
             shards: 0,
             data_dir: None,
@@ -150,13 +148,7 @@ impl ServeSession {
             .map(|(t, &c)| TimedClaim::new(t.source, c, t.time))
             .collect();
 
-        let config = ServeConfig {
-            refit_pending_claims: opts.refit_pending_claims,
-            parallelism: opts.parallelism,
-            refit_mode: opts.refit_mode,
-            persist: opts.data_dir.as_deref().map(PersistConfig::at),
-            ..ServeConfig::default()
-        };
+        let config = serve_config(opts);
         let (backend, client, sharded_client) = if opts.shards == 0 {
             let service = QueryService::spawn_with_obs(
                 corpus.source_count(),
@@ -299,15 +291,11 @@ impl ServeSession {
                     Some(false) => "approx",
                 };
                 Ok(format!(
-                    "claims={} pending={} requests={} chain_refits={} probe_refits={} \
-                     cache_hits={} warm={} delta={} fallbacks={} last_iters={} \
-                     last_touched={}/{} last_ll={exact}",
+                    "claims={} requests={} chain_refits={} warm={} delta={} fallbacks={} \
+                     last_iters={} last_touched={}/{} last_ll={exact}",
                     s.total_claims,
-                    s.pending_claims,
                     s.requests_served,
                     s.chain_refits,
-                    s.probe_refits,
-                    s.probe_cache_hits,
                     s.warm_refits,
                     s.delta_refits,
                     s.fallback_refits,
@@ -364,6 +352,21 @@ impl ServeSession {
             Backend::Single(service) => service.shutdown(),
             Backend::Sharded(service) => service.shutdown(),
         }
+    }
+}
+
+/// The service configuration a session runs: `opts`' parallelism
+/// reaches the EM refits as well as bound evaluation.
+fn serve_config(opts: &ServeOptions) -> ServeConfig {
+    ServeConfig {
+        em: EmConfig {
+            parallelism: opts.parallelism,
+            ..EmConfig::default()
+        },
+        parallelism: opts.parallelism,
+        refit_mode: opts.refit_mode,
+        persist: opts.data_dir.as_deref().map(PersistConfig::at),
+        ..ServeConfig::default()
     }
 }
 
@@ -435,6 +438,22 @@ mod tests {
 
         let stats = session.finish().unwrap();
         assert_eq!(stats.total_claims, 5);
+    }
+
+    #[test]
+    fn session_parallelism_reaches_the_em_refits() {
+        let opts = ServeOptions {
+            parallelism: Parallelism::Threads(3),
+            ..ServeOptions::default()
+        };
+        let config = serve_config(&opts);
+        assert_eq!(config.em.parallelism, Parallelism::Threads(3));
+        assert_eq!(config.parallelism, Parallelism::Threads(3));
+        assert_eq!(
+            serve_config(&ServeOptions::default()).em,
+            EmConfig::default(),
+            "the default options keep the default EM"
+        );
     }
 
     #[test]

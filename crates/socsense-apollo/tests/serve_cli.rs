@@ -57,7 +57,7 @@ fn apollo_serve_replays_and_answers_stdin_queries() {
         "stderr:\n{stderr}"
     );
     // One answer line (or block) per query, in order.
-    assert!(stdout.contains("claims=5 pending=0"), "stdout:\n{stdout}");
+    assert!(stdout.contains("claims=5 requests="), "stdout:\n{stdout}");
     assert!(stdout.contains("posterior 0 = "), "stdout:\n{stdout}");
     assert!(stdout.contains("top 3 of 4 sources:"), "stdout:\n{stdout}");
     assert!(stdout.contains("precision="), "stdout:\n{stdout}");

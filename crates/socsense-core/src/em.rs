@@ -138,6 +138,34 @@ impl Default for EmConfig {
     }
 }
 
+impl EmConfig {
+    /// Validates the configuration without running anything: what
+    /// [`EmExt::fit`] and [`EmExt::fit_warm`] check before they start.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SenseError::BadConfig`] for a zero iteration budget, a
+    /// non-positive tolerance, or a negative or non-finite smoothing.
+    pub fn validate(&self) -> Result<(), SenseError> {
+        if self.max_iters == 0 {
+            return Err(SenseError::BadConfig {
+                what: "max_iters must be positive",
+            });
+        }
+        if self.tol <= 0.0 || self.tol.is_nan() {
+            return Err(SenseError::BadConfig {
+                what: "tol must be positive",
+            });
+        }
+        if !self.smoothing.is_finite() || self.smoothing < 0.0 {
+            return Err(SenseError::BadConfig {
+                what: "smoothing must be non-negative",
+            });
+        }
+        Ok(())
+    }
+}
+
 /// The EM-Ext estimator (Algorithm 2 of the paper).
 ///
 /// # Example
@@ -222,7 +250,7 @@ impl EmExt {
     /// As [`fit`](Self::fit), plus [`SenseError::DimensionMismatch`] when
     /// `theta` covers a different number of sources than `data`.
     pub fn fit_warm(&self, data: &ClaimData, theta: Theta) -> Result<EmFit, SenseError> {
-        self.check_config()?;
+        self.config.validate()?;
         if theta.source_count() != data.source_count() {
             return Err(SenseError::DimensionMismatch {
                 what: "warm-start theta source count vs data",
@@ -235,29 +263,6 @@ impl EmExt {
         self.run_em_with(&layout, theta, self.config.parallelism, true)
     }
 
-    /// Validates the configuration without running anything. Exposed
-    /// crate-internally so the delta refit path can reject a bad
-    /// configuration *before* mutating any incremental state (the
-    /// failed-refit-preserves-warm-state contract).
-    pub(crate) fn check_config(&self) -> Result<(), SenseError> {
-        if self.config.max_iters == 0 {
-            return Err(SenseError::BadConfig {
-                what: "max_iters must be positive",
-            });
-        }
-        if self.config.tol <= 0.0 || self.config.tol.is_nan() {
-            return Err(SenseError::BadConfig {
-                what: "tol must be positive",
-            });
-        }
-        if !self.config.smoothing.is_finite() || self.config.smoothing < 0.0 {
-            return Err(SenseError::BadConfig {
-                what: "smoothing must be non-negative",
-            });
-        }
-        Ok(())
-    }
-
     /// Runs EM (plus any configured restarts) on `data`.
     ///
     /// # Errors
@@ -265,7 +270,7 @@ impl EmExt {
     /// Returns [`SenseError::BadConfig`] for a non-positive tolerance or
     /// zero iteration budget, and propagates dimension errors.
     pub fn fit(&self, data: &ClaimData) -> Result<EmFit, SenseError> {
-        self.check_config()?;
+        self.config.validate()?;
         let timer = self.obs.timer("em.fit.seconds");
         let layout = ClaimLayout::new(data)?;
         let deterministic: Vec<InitStrategy> = match self.config.init {

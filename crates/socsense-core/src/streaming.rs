@@ -325,29 +325,6 @@ impl StreamingEstimator {
         Ok((fit, stats))
     }
 
-    /// Refits on everything ingested so far — the same fit
-    /// [`estimate`](Self::estimate) would produce — **without** advancing
-    /// the warm-start state or clearing the pending counter.
-    ///
-    /// This is the serving layer's freshness primitive: a query-triggered
-    /// refit computed this way is a pure function of the claim log and
-    /// the last *successful* [`estimate`](Self::estimate), so answering
-    /// queries never perturbs the warm-start trajectory and the served
-    /// numbers cannot depend on query timing (see `socsense-serve`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates estimator errors.
-    pub fn peek_estimate(&mut self) -> Result<(EmFit, RefitStats), SenseError> {
-        // In delta mode a refit advances the engine in place; peeking
-        // runs the identical computation on a transient copy and puts
-        // the original back, so peeks stay stateless and reproducible.
-        let saved = self.engine.clone();
-        let result = self.refit_once();
-        self.engine = saved;
-        result
-    }
-
     /// One refit, dispatched by [`RefitMode`]. Advances the delta engine
     /// (when one is active) but never the warm-start state or pending
     /// buffers — those commit in
@@ -358,7 +335,7 @@ impl StreamingEstimator {
         };
         // Validate before touching any incremental state: a failed refit
         // must leave the warm-start state *and* the engine intact.
-        EmExt::new(self.config).check_config()?;
+        self.config.validate()?;
         match self.engine.take() {
             // First refit of the chain: run full to seed the engine.
             None => self.full_and_seed(dcfg, RefitOutcome::Full),
@@ -732,37 +709,6 @@ mod tests {
 
     #[test]
     #[cfg_attr(miri, ignore = "refit chain is too slow under Miri")]
-    fn peek_estimate_is_stateless_and_matches_estimate() {
-        let (graph, batches, _) = stream_batches(2, 30);
-        let mut est = StreamingEstimator::new(10, 20, graph, EmConfig::default()).unwrap();
-        est.ingest(&batches[0]).unwrap();
-        est.estimate().unwrap();
-        est.ingest(&batches[1]).unwrap();
-        let pending = est.pending();
-        let (peek_a, sa) = est.peek_estimate().unwrap();
-        let (peek_b, _) = est.peek_estimate().unwrap();
-        assert_eq!(est.pending(), pending, "peek must not consume pending");
-        let bits = |fit: &EmFit| {
-            fit.posterior
-                .iter()
-                .map(|p| p.to_bits())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(bits(&peek_a), bits(&peek_b), "peeks are reproducible");
-        let theta_before = est.last_theta().cloned();
-        let (fit, sb) = est.estimate_with_stats().unwrap();
-        assert_eq!(est.pending(), 0);
-        assert_eq!(bits(&peek_a), bits(&fit), "peek = the estimate it previews");
-        assert_eq!(sa.warm, sb.warm);
-        assert_ne!(
-            theta_before.unwrap().max_abs_diff(&fit.theta).unwrap(),
-            0.0,
-            "estimate advances the warm state peeks left untouched"
-        );
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore = "refit chain is too slow under Miri")]
     fn metrics_record_warm_and_cold_refits_without_changing_fits() {
         let (graph, batches, _) = stream_batches(2, 30);
         let mut plain =
@@ -873,33 +819,6 @@ mod tests {
             assert_eq!(sb.mode, expected, "batch {k}");
             assert_eq!(sa.mode, RefitOutcome::Full);
         }
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore = "refit chain is too slow under Miri")]
-    fn delta_peek_is_stateless_and_matches_estimate() {
-        let (graph, batches, _) = stream_batches(3, 30);
-        let mut est = StreamingEstimator::new(10, 20, graph, EmConfig::default()).unwrap();
-        est.set_refit_mode(RefitMode::Delta(DeltaConfig::default()))
-            .unwrap();
-        est.ingest(&batches[0]).unwrap();
-        est.estimate().unwrap(); // seed the engine
-        est.ingest(&batches[1]).unwrap();
-        let bits = |fit: &EmFit| {
-            fit.posterior
-                .iter()
-                .map(|p| p.to_bits())
-                .collect::<Vec<_>>()
-        };
-        let (peek_a, _) = est.peek_estimate().unwrap();
-        let (peek_b, _) = est.peek_estimate().unwrap();
-        assert_eq!(bits(&peek_a), bits(&peek_b), "delta peeks are reproducible");
-        let (fit, stats) = est.estimate_with_stats().unwrap();
-        assert_eq!(bits(&peek_a), bits(&fit), "peek = the estimate it previews");
-        assert!(matches!(
-            stats.mode,
-            RefitOutcome::Delta | RefitOutcome::Fallback
-        ));
     }
 
     #[test]

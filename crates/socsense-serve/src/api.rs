@@ -54,19 +54,9 @@ impl PersistConfig {
 /// Configuration for a [`QueryService`](crate::QueryService).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
-    /// EM configuration for every refit (cold and warm).
+    /// EM configuration for every refit (cold and warm). Spawning
+    /// refuses one that [`EmConfig::validate`] rejects.
     pub em: EmConfig,
-    /// Ingest-driven refit debounce: after a batch is ingested, the
-    /// warm-start chain advances (a full refit runs and its `θ̂` becomes
-    /// the next warm start) only once at least this many claims are
-    /// pending. `1` refits on every batch — the lowest-latency setting,
-    /// and the one whose refit trajectory a serial
-    /// `StreamingEstimator` replay reproduces exactly. Larger values
-    /// debounce high-rate streams: between chain refits, queries are
-    /// answered from cached *probe* refits (see the crate docs). `0`
-    /// never advances the chain on ingest; every query probes from the
-    /// initial cold fit.
-    pub refit_pending_claims: usize,
     /// Worker threads for bound evaluation
     /// ([`bound_for_assertions_with`](socsense_core::bound_for_assertions_with))
     /// inside the service worker. Never changes the numbers — only
@@ -99,7 +89,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             em: EmConfig::default(),
-            refit_pending_claims: 1,
             parallelism: Parallelism::Auto,
             bound: BoundMethod::default(),
             refit_mode: RefitMode::Full,
@@ -184,16 +173,12 @@ impl From<PersistError> for ServeError {
     }
 }
 
-/// Acknowledgement of one ingested batch.
+/// Acknowledgement of one ingested batch: its claims are in the log and
+/// the chain refit over them has run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IngestAck {
     /// Claims in the log after the batch.
     pub total_claims: usize,
-    /// Claims not yet covered by a chain refit.
-    pub pending_claims: usize,
-    /// Whether this batch tripped the pending-claims threshold and
-    /// advanced the warm-start chain.
-    pub refitted: bool,
 }
 
 /// One entry of a source-reliability ranking.
@@ -242,21 +227,16 @@ pub struct ClusterAssignment {
 pub struct ServeStats {
     /// Claims ingested over the service's lifetime.
     pub total_claims: usize,
-    /// Claims not yet covered by a chain refit.
-    pub pending_claims: usize,
     /// Requests answered (including the one reporting these stats).
     pub requests_served: u64,
-    /// Warm-start-chain refits (ingest-driven, threshold-tripped).
+    /// Successful warm-start-chain refits, one per ingest that left
+    /// claims pending.
     pub chain_refits: u64,
-    /// Query-driven probe refits (fresh fits that leave the chain
-    /// untouched).
-    pub probe_refits: u64,
-    /// Queries answered from the cached probe fit without refitting.
-    pub probe_cache_hits: u64,
     /// Refits that returned an error. The warm-start state survives
-    /// these (see `StreamingEstimator::estimate_with_stats`).
+    /// these (see `StreamingEstimator::estimate_with_stats`), and reads
+    /// keep serving the last good fit.
     pub failed_refits: u64,
-    /// Refits (chain or probe) that warm-started from a previous `θ̂`.
+    /// Refits that warm-started from a previous `θ̂`.
     pub warm_refits: u64,
     /// Refits the delta engine answered with a scoped, `O(touched)`
     /// E-step (only in [`RefitMode::Delta`](socsense_core::RefitMode)).

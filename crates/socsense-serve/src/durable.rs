@@ -35,9 +35,10 @@ pub(crate) struct WalRecord {
 /// every [`WorkerSnapshot`] and [`RouterSnapshot`]. Bump it whenever
 /// their encoding changes, [`SlotCheckpoint`] included: recovery refuses
 /// a checkpoint of any other format, or one without a stamp, instead of
-/// skipping it. Format 2 stores a slot's chain-fit `θ` once, as the
-/// stream's warm start; format 1 stored it twice.
-pub(crate) const CHECKPOINT_FORMAT: u64 = 2;
+/// skipping it. Format 3 drops a slot's probe-refit and probe-cache-hit
+/// counters, which reads no longer move; format 2 stored them, and
+/// format 1 also stored a slot's chain-fit `θ` twice.
+pub(crate) const CHECKPOINT_FORMAT: u64 = 3;
 
 /// The unsharded worker's checkpoint: its slot plus the request count.
 /// The ingest sequence position it covers is the snapshot's own

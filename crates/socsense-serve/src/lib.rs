@@ -20,23 +20,20 @@
 //! natural semantics (drain the queue, then join). Clients pay one
 //! channel round trip — negligible next to an EM iteration.
 //!
-//! # Refit policy: chain vs. probe
+//! # Refit policy: every ingest refits, no read fits
 //!
-//! Refits are demand-driven and debounced, and split into two kinds:
+//! Each `Ingest` that leaves claims pending advances the warm-start
+//! chain once before it is acked: a refit (full, or scoped under
+//! [`ServeConfig::refit_mode`]) whose `θ̂` becomes the next warm start.
+//! Reads — posterior, top-sources, bound, stats —
+//! answer from the newest chain fit and never run EM; before the first
+//! refit they answer the neutral prior (posterior `0.5`, source
+//! parameters `0.5` under prior `0.5`, the coin-flip bound). A refit
+//! that fails leaves its claims ingested, and reads keep serving the
+//! last good fit.
 //!
-//! * **Chain refits** advance the warm-start chain: the refit's `θ̂`
-//!   becomes the next warm start. They run only while processing an
-//!   `Ingest`, when at least [`ServeConfig::refit_pending_claims`]
-//!   claims are pending — so the chain is a pure function of the ingest
-//!   sequence.
-//! * **Probe refits** answer queries that arrive while claims are
-//!   pending below the threshold: a full, fresh fit over the whole log
-//!   that leaves the chain untouched
-//!   ([`StreamingEstimator::peek_estimate`](socsense_core::StreamingEstimator::peek_estimate)),
-//!   cached until the next batch lands.
-//!
-//! Because probes never mutate the chain, **every served number is a
-//! pure function of the ingest sequence and the query parameters** —
+//! Because only ingest moves the chain, **every served number is a pure
+//! function of the ingest sequence and the query parameters** —
 //! byte-identical no matter how many clients query concurrently, or
 //! when. The service integration tests pin exactly this.
 //!

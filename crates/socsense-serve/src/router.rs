@@ -41,9 +41,7 @@ use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use socsense_core::{
-    exact_bound, BoundResult, ClusterTracker, ClusterUpdate, SenseError, SourceParams,
-};
+use socsense_core::{BoundResult, ClusterTracker, ClusterUpdate, SenseError};
 use socsense_graph::{FollowerGraph, TimedClaim};
 use socsense_obs::{Obs, Recorder};
 
@@ -51,11 +49,11 @@ use crate::api::{
     ClusterAssignment, IngestAck, PersistConfig, ServeConfig, ServeError, ServeStats, ShardTopology,
 };
 use crate::durable::{dense_from, DurableLog, RouterSnapshot, CHECKPOINT_FORMAT};
-use crate::service::{panic_message, recorded, Backend, FrontEnd, Request, Response, ServeHandle};
-use crate::shard::{
-    ClusterAck, ClusterOp, ShardMsg, ShardQuery, ShardReply, ShardReturn, ShardWorker,
+use crate::service::{
+    check_assertions, panic_message, recorded, Backend, FrontEnd, Request, Response, ServeHandle,
 };
-use crate::slot::{rank_sources, Slot, SlotStats};
+use crate::shard::{ClusterOp, ShardMsg, ShardQuery, ShardReply, ShardReturn, ShardWorker};
+use crate::slot::{neutral_bound, rank_sources, Slot, SlotStats, NEUTRAL_PRIOR, NEUTRAL_SOURCE};
 
 /// SplitMix64 finalizer: a full-avalanche mix of one 64-bit word.
 fn splitmix64(x: u64) -> u64 {
@@ -82,24 +80,11 @@ pub(crate) fn rendezvous_shard(key: u32, shards: usize) -> usize {
     best
 }
 
-/// The Bayes-risk contribution of an assertion no source ever claimed:
-/// with no claim pattern to condition on, the optimal decision is the
-/// prior coin flip.
-fn neutral_bound() -> BoundResult {
-    exact_bound(&[], 0.5).unwrap_or(BoundResult {
-        error: 0.5,
-        false_positive: 0.5,
-        false_negative: 0.0,
-    })
-}
-
 /// What the router knows about one live cluster.
 struct RecordedCluster {
     shard: usize,
     n_sources: usize,
     n_assertions: usize,
-    /// Pending-claim count from the owning shard's last ack.
-    pending: usize,
 }
 
 /// One entry of a cluster's claim history: `(ingest epoch, position in
@@ -130,6 +115,18 @@ fn history_batches(history: &[HistoryEntry]) -> Vec<Vec<TimedClaim>> {
         }
     }
     out
+}
+
+/// The first refit error of one ingest fan-out, in shard order (each
+/// shard reports its first, in cluster-operation order).
+fn first_error(
+    returns: Vec<ShardReturn<Option<SenseError>>>,
+) -> Result<Option<SenseError>, ServeError> {
+    let mut first = None;
+    for ret in returns {
+        first = first.or(ret.payload?);
+    }
+    Ok(first)
 }
 
 /// A sharded drop-in for [`QueryService`](crate::QueryService): the
@@ -222,7 +219,7 @@ impl ShardedService {
                 what: "sharded service needs at least one shard",
             }));
         }
-        // Probe construction: surface exactly the shape/config errors
+        // Trial construction: surface exactly the shape/config errors
         // the unsharded service would, before any thread exists.
         Slot::new(n, m, graph.clone(), &config, Obs::none())?;
         let tracker = ClusterTracker::new(n, m, graph.clone())?;
@@ -442,40 +439,18 @@ impl Router {
                 return Err(e);
             }
         };
-        let (refitted, first_error) = self.absorb_acks(returns)?;
+        let refit_error = first_error(returns)?;
         if log {
             self.checkpoint_if(DurableLog::should_snapshot)?;
         }
-        // Mirror the unsharded service: a failed eager refit surfaces as
-        // an error, but the claims stay ingested.
-        if let Some(e) = first_error {
+        // Mirror the unsharded service: a failed refit surfaces as an
+        // error, but the claims stay ingested.
+        if let Some(e) = refit_error {
             return Err(ServeError::Sense(e));
         }
         Ok(Response::Ingested(IngestAck {
             total_claims: self.total_claims,
-            pending_claims: self.recorded.values().map(|rc| rc.pending).sum(),
-            refitted,
         }))
-    }
-
-    /// Records each acked cluster's pending count; returns whether any
-    /// cluster's chain advanced and the first refit error.
-    fn absorb_acks(
-        &mut self,
-        returns: Vec<ShardReturn<Vec<ClusterAck>>>,
-    ) -> Result<(bool, Option<SenseError>), ServeError> {
-        let mut refitted = false;
-        let mut first_error = None;
-        for ret in returns {
-            for ack in ret.payload? {
-                if let Some(rc) = self.recorded.get_mut(&ack.key) {
-                    rc.pending = ack.pending;
-                }
-                refitted |= ack.refitted;
-                first_error = first_error.or(ack.error);
-            }
-        }
-        Ok((refitted, first_error))
     }
 
     /// The wedge-guarded half of one ingest epoch: WAL append, history
@@ -487,7 +462,7 @@ impl Router {
         batch: &[TimedClaim],
         update: &ClusterUpdate,
         log: bool,
-    ) -> Result<Vec<ShardReturn<Vec<ClusterAck>>>, ServeError> {
+    ) -> Result<Vec<ShardReturn<Option<SenseError>>>, ServeError> {
         // Log the accepted batch before the fan-out and the ack — with
         // `fsync_every = 1`, an acked batch is on disk.
         if log {
@@ -545,14 +520,12 @@ impl Router {
                 }
             };
             ops.entry(shard).or_default().push(op);
-            let pending = self.recorded.get(&key).map_or(0, |rc| rc.pending);
             self.recorded.insert(
                 key,
                 RecordedCluster {
                     shard,
                     n_sources: sizes.0,
                     n_assertions: sizes.1,
-                    pending,
                 },
             );
         }
@@ -612,7 +585,7 @@ impl Router {
     fn dispatch_ops(
         &mut self,
         mut ops: BTreeMap<usize, Vec<ClusterOp>>,
-    ) -> Result<Vec<ShardReturn<Vec<ClusterAck>>>, ServeError> {
+    ) -> Result<Vec<ShardReturn<Option<SenseError>>>, ServeError> {
         let (ack_tx, ack_rx) = mpsc::channel();
         let mut involved = 0usize;
         for (i, tx) in self.shard_tx.iter().enumerate() {
@@ -708,15 +681,13 @@ impl Router {
                         shard,
                         n_sources: cluster.sources.len(),
                         n_assertions: cluster.assertions.len(),
-                        pending: 0,
                     },
                 );
                 ops.entry(shard)
                     .or_default()
                     .push(ClusterOp::Restore(Box::new(cluster)));
             }
-            let returns = self.dispatch_ops(ops)?;
-            if let (_, Some(e)) = self.absorb_acks(returns)? {
+            if let Some(e) = first_error(self.dispatch_ops(ops)?)? {
                 return Err(ServeError::Sense(e));
             }
         }
@@ -773,17 +744,11 @@ impl Router {
 
     fn posterior(&mut self, j: u32) -> Result<Response, ServeError> {
         let m = self.tracker.assertion_count();
-        if j >= m {
-            return Err(ServeError::Sense(SenseError::DimensionMismatch {
-                what: "query assertion id vs m",
-                expected: m as usize,
-                actual: j as usize,
-            }));
-        }
+        check_assertions(&[j], m, "query assertion id vs m")?;
         let Some(key) = self.tracker.cluster_key_of(j) else {
             // Never claimed: no cluster owns it, the posterior is the
             // neutral prior.
-            return Ok(Response::Posterior(0.5));
+            return Ok(Response::Posterior(NEUTRAL_PRIOR));
         };
         let shard = self.owning_shard(key)?;
         let replies = self.scatter(vec![(shard, ShardQuery::Posterior { key, assertion: j })])?;
@@ -795,7 +760,7 @@ impl Router {
 
     fn posteriors(&mut self) -> Result<Response, ServeError> {
         let m = self.tracker.assertion_count() as usize;
-        let mut out = vec![0.5; m];
+        let mut out = vec![NEUTRAL_PRIOR; m];
         for (_, reply) in self.scatter(self.all_shards(|| ShardQuery::Posteriors))? {
             let ShardReply::Posteriors(list) = reply else {
                 return Err(ServeError::Protocol("expected shard Posteriors"));
@@ -817,17 +782,10 @@ impl Router {
             entries.extend(list);
         }
         // Sources in no cluster rank with neutral behaviour parameters
-        // under a neutral prior, exactly the prior a fit has nothing to
-        // move away from.
-        let neutral = SourceParams {
-            a: 0.5,
-            b: 0.5,
-            f: 0.5,
-            g: 0.5,
-        };
+        // under a neutral prior.
         for i in 0..n {
             if !self.tracker.is_active_source(i) {
-                entries.push((i, neutral, 0.5));
+                entries.push((i, NEUTRAL_SOURCE, NEUTRAL_PRIOR));
             }
         }
         Ok(Response::TopSources(rank_sources(entries, k)))
@@ -844,15 +802,7 @@ impl Router {
         } else {
             assertions
         };
-        for &j in &assertions {
-            if j >= m {
-                return Err(ServeError::Sense(SenseError::DimensionMismatch {
-                    what: "bound assertion id vs m",
-                    expected: m as usize,
-                    actual: j as usize,
-                }));
-            }
-        }
+        check_assertions(&assertions, m, "bound assertion id vs m")?;
         let method = method.unwrap_or_else(|| self.cfg.bound.clone());
         let mut groups: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
         let mut unowned = 0usize;
@@ -1034,12 +984,6 @@ mod tests {
         assert!(!history.contains_key(&2), "the absorbed key reads empty");
         let keys: Vec<(u64, u32)> = history[&1].iter().map(|&(e, p, _)| (e, p)).collect();
         assert_eq!(keys, [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (3, 0)]);
-    }
-
-    #[test]
-    fn neutral_bound_is_the_prior_coin_flip() {
-        let b = neutral_bound();
-        assert!((b.error - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -29,6 +29,18 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// Rejects any of `ids` outside `0..m`, naming the check `what`.
+pub(crate) fn check_assertions(ids: &[u32], m: u32, what: &'static str) -> Result<(), SenseError> {
+    match ids.iter().find(|&&j| j >= m) {
+        Some(&j) => Err(SenseError::DimensionMismatch {
+            what,
+            expected: m as usize,
+            actual: j as usize,
+        }),
+        None => Ok(()),
+    }
+}
+
 /// A typed request, one per client call. Shared verbatim by the
 /// unsharded worker and the sharded router, so both backends present
 /// the same client surface.
@@ -176,18 +188,16 @@ impl ServeHandle {
         rx
     }
 
-    /// Appends a batch of claims to the service's log.
-    ///
-    /// The warm-start chain advances immediately when the batch leaves at
-    /// least [`ServeConfig::refit_pending_claims`] claims pending;
-    /// otherwise the refit is deferred until a query needs it.
+    /// Appends a batch of claims to the service's log and advances the
+    /// warm-start chain with one refit before acking.
     ///
     /// # Errors
     ///
     /// [`ServeError::Sense`] when a claim is out of range (the batch is
-    /// rejected atomically) or an eager refit fails — the claims stay
-    /// ingested and the warm-start state survives; [`ServeError::Closed`]
-    /// when the service is gone.
+    /// rejected atomically) or the refit fails — the claims stay
+    /// ingested, the warm-start state survives, and reads keep serving
+    /// the last good fit; [`ServeError::Closed`] when the service is
+    /// gone.
     pub fn ingest(&self, batch: Vec<TimedClaim>) -> Result<IngestAck, ServeError> {
         match self.call(Request::Ingest(batch))? {
             Response::Ingested(ack) => Ok(ack),
@@ -195,12 +205,14 @@ impl ServeHandle {
         }
     }
 
-    /// The current truth posterior `P(C_j = 1 | ·)` of one assertion.
+    /// The current truth posterior `P(C_j = 1 | ·)` of one assertion,
+    /// from the last chain refit (`0.5` before the first). Reads never
+    /// refit.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Sense`] for an out-of-range assertion id or a failed
-    /// refit; [`ServeError::Closed`] when the service is gone.
+    /// [`ServeError::Sense`] for an out-of-range assertion id;
+    /// [`ServeError::Closed`] when the service is gone.
     pub fn posterior(&self, assertion: u32) -> Result<f64, ServeError> {
         match self.call(Request::Posterior(assertion))? {
             Response::Posterior(p) => Ok(p),
@@ -242,6 +254,8 @@ impl ServeHandle {
     ///
     /// As [`posterior`](Self::posterior), plus whatever the bound
     /// evaluation reports (e.g. too many sources for an exact bound).
+    /// Before the first refit every assertion contributes the prior coin
+    /// flip.
     pub fn bound(
         &self,
         assertions: Vec<u32>,
@@ -253,7 +267,7 @@ impl ServeHandle {
         }
     }
 
-    /// Current operating statistics. Never triggers a refit.
+    /// Current operating statistics.
     ///
     /// # Errors
     ///
@@ -267,9 +281,8 @@ impl ServeHandle {
 
     /// A snapshot of the service's metrics recorder: per-request-type
     /// latency histograms (`serve.request.<type>.seconds`), queue
-    /// wait/depth, refit and cache counters, plus the `em.*`,
-    /// `stream.*`, and `bound.*` metrics of the work the service ran.
-    /// Never triggers a refit.
+    /// wait/depth, refit counters, plus the `em.*`, `stream.*`, and
+    /// `bound.*` metrics of the work the service ran.
     ///
     /// # Errors
     ///
@@ -474,7 +487,8 @@ impl QueryService {
     /// # Errors
     ///
     /// [`ServeError::Sense`] for an invalid shape (`n == 0`, `m == 0`, a
-    /// graph over a different source count).
+    /// graph over a different source count) or an invalid EM or refit
+    /// configuration.
     pub fn spawn(
         n: u32,
         m: u32,
@@ -594,7 +608,7 @@ impl Worker {
             // Refit errors during replay mirror the live path: the
             // original run surfaced them to the client and kept the
             // claims ingested, so replay keeps the claims and moves on.
-            let _ = self.slot.refit_if_due(self.seq, 0);
+            let _ = self.slot.refit(self.seq, 0);
         }
         self.durable = Some(log);
         Ok(())
@@ -652,45 +666,33 @@ impl Backend for Worker {
                         return Err(e);
                     }
                 }
-                let refitted = self.slot.refit_if_due(self.seq, 0)?;
+                self.slot.refit(self.seq, 0)?;
                 self.checkpoint_if(DurableLog::should_snapshot)?;
                 Ok(Response::Ingested(IngestAck {
                     total_claims: self.slot.claim_count(),
-                    pending_claims: self.slot.pending(),
-                    refitted,
                 }))
             }
             Request::Posterior(j) => {
                 let m = self.slot.assertion_count();
-                if j >= m {
-                    return Err(ServeError::Sense(SenseError::DimensionMismatch {
-                        what: "query assertion id vs m",
-                        expected: m as usize,
-                        actual: j as usize,
-                    }));
-                }
-                let fit = self.slot.fresh_fit(self.seq, 0)?;
-                Ok(Response::Posterior(fit.posterior[j as usize]))
+                check_assertions(&[j], m, "query assertion id vs m")?;
+                Ok(Response::Posterior(self.slot.posteriors()[j as usize]))
             }
-            Request::Posteriors => {
-                let fit = self.slot.fresh_fit(self.seq, 0)?;
-                Ok(Response::Posteriors(fit.posterior.clone()))
-            }
+            Request::Posteriors => Ok(Response::Posteriors(self.slot.posteriors().into_owned())),
             Request::TopSources(k) => {
-                let fit = self.slot.fresh_fit(self.seq, 0)?;
-                let z = fit.theta.z();
-                let entries = (0u32..).zip(fit.theta.sources()).map(|(i, s)| (i, *s, z));
+                let (z, params) = self.slot.sources();
+                let entries = (0u32..).zip(params.iter()).map(|(i, s)| (i, *s, z));
                 Ok(Response::TopSources(rank_sources(entries, k)))
             }
             Request::Bound { assertions, method } => {
+                let m = self.slot.assertion_count();
                 let assertions = if assertions.is_empty() {
-                    (0..self.slot.assertion_count()).collect()
+                    (0..m).collect()
                 } else {
                     assertions
                 };
+                check_assertions(&assertions, m, "bound assertion id vs m")?;
                 let method = method.unwrap_or_else(|| self.bound.clone());
-                let bound = self.slot.bound(&assertions, &method, self.seq, 0)?;
-                Ok(Response::Bound(bound))
+                Ok(Response::Bound(self.slot.bound(&assertions, &method)?))
             }
             Request::Stats => Ok(Response::Stats(self.stats())),
             Request::Metrics => Ok(Response::Metrics(Box::new(self.rec.snapshot()))),
@@ -792,34 +794,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_cache_serves_repeat_queries_between_batches() {
-        let svc = QueryService::spawn(
-            3,
-            2,
-            FollowerGraph::new(3),
-            ServeConfig {
-                // Debounced: the threshold never trips, so queries probe.
-                refit_pending_claims: 100,
-                ..ServeConfig::default()
-            },
-        )
-        .unwrap();
-        let client = svc.handle();
-        let ack = client
-            .ingest(vec![TimedClaim::new(0, 0, 1), TimedClaim::new(1, 1, 2)])
-            .unwrap();
-        assert!(!ack.refitted);
-        client.posterior(0).unwrap();
-        client.posterior(1).unwrap();
-        client.posteriors().unwrap();
-        let stats = client.stats().unwrap();
-        assert_eq!(stats.chain_refits, 0);
-        assert_eq!(stats.probe_refits, 1, "one probe covers all three queries");
-        assert_eq!(stats.probe_cache_hits, 2);
-        svc.shutdown().unwrap();
-    }
-
-    #[test]
     fn delta_mode_counts_scoped_refits_and_surfaces_metrics() {
         use socsense_core::{DeltaConfig, RefitMode};
         let svc = QueryService::spawn(
@@ -865,22 +839,33 @@ mod tests {
 
     #[test]
     fn spawn_rejects_invalid_delta_config() {
-        use socsense_core::{DeltaConfig, RefitMode};
-        assert!(matches!(
-            QueryService::spawn(
-                2,
-                2,
-                FollowerGraph::new(2),
-                ServeConfig {
-                    refit_mode: RefitMode::Delta(DeltaConfig {
-                        max_drift: -1.0,
-                        ..DeltaConfig::default()
-                    }),
-                    ..ServeConfig::default()
-                }
-            ),
-            Err(ServeError::Sense(SenseError::BadConfig { .. }))
-        ));
+        use socsense_core::{DeltaConfig, EmConfig, RefitMode};
+        let bad_delta = ServeConfig {
+            refit_mode: RefitMode::Delta(DeltaConfig {
+                max_drift: -1.0,
+                ..DeltaConfig::default()
+            }),
+            ..ServeConfig::default()
+        };
+        // An EM config every refit would reject: refused at spawn, not
+        // left to fail each ingest behind neutral answers.
+        let bad_em = ServeConfig {
+            em: EmConfig {
+                max_iters: 0,
+                ..EmConfig::default()
+            },
+            ..ServeConfig::default()
+        };
+        for cfg in [bad_delta, bad_em] {
+            assert!(matches!(
+                QueryService::spawn(2, 2, FollowerGraph::new(2), cfg.clone()),
+                Err(ServeError::Sense(SenseError::BadConfig { .. }))
+            ));
+            assert!(matches!(
+                crate::ShardedService::spawn(2, 2, FollowerGraph::new(2), cfg, 2),
+                Err(ServeError::Sense(SenseError::BadConfig { .. }))
+            ));
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! it, each as an independent compacted sub-problem
 //! ([`ClusterWorld`]) served by its own [`Slot`] — the same slot the
 //! serial worker runs over the global world, with the same chain fit,
-//! probe cache, counters, refit policy, and checkpoint. The shard adds
-//! only the global-to-local id remap. So a cluster's answers are a pure
+//! counters, refit policy, and checkpoint. The shard adds only the
+//! global-to-local id remap. So a cluster's answers are a pure
 //! function of its membership and its batch history, never of which
 //! shard hosts it or when it was (re)built.
 
@@ -30,11 +30,13 @@ use crate::slot::{Slot, SlotStats};
 pub(crate) enum ShardMsg {
     /// Epoch advance with no work for this shard.
     Epoch(u64),
-    /// Apply cluster operations for one ingest batch, then ack.
+    /// Apply cluster operations for one ingest batch, then ack with the
+    /// first error hit applying them (a failed refit leaves the claims
+    /// ingested).
     Ingest {
         epoch: u64,
         ops: Vec<ClusterOp>,
-        reply: Sender<ShardReturn<Vec<ClusterAck>>>,
+        reply: Sender<ShardReturn<Option<SenseError>>>,
     },
     /// Answer a query at the given expected epoch.
     Query {
@@ -74,29 +76,6 @@ pub(crate) enum ClusterOp {
     /// compacted world and restore its slot bit-identically — no
     /// history replay.
     Restore(Box<ClusterSnapshot>),
-}
-
-/// Per-cluster acknowledgement of one ingest operation.
-pub(crate) struct ClusterAck {
-    pub key: u32,
-    /// Claims not yet covered by the cluster's chain refit.
-    pub pending: usize,
-    /// Whether the final (current) batch advanced the chain.
-    pub refitted: bool,
-    /// First refit error hit while applying the operation; the claims
-    /// stay ingested either way.
-    pub error: Option<SenseError>,
-}
-
-impl ClusterAck {
-    fn failed(key: u32, error: SenseError) -> Self {
-        Self {
-            key,
-            pending: 0,
-            refitted: false,
-            error: Some(error),
-        }
-    }
 }
 
 /// A query forwarded to one shard.
@@ -142,25 +121,11 @@ struct ClusterSlot {
 
 impl ClusterSlot {
     /// Remaps a global-id sub-batch to local ids, ingests it, and
-    /// applies the slot's refit policy (the pending-claims debounce
-    /// counts this cluster's pending claims only). Returns whether the
-    /// chain advanced and the error, if any; a failed refit leaves the
-    /// claims ingested.
-    fn ingest(
-        &mut self,
-        claims: &[TimedClaim],
-        epoch: u64,
-        key: u32,
-    ) -> (bool, Option<SenseError>) {
-        let applied = self
-            .world
-            .localize_batch(claims)
-            .and_then(|local| self.slot.ingest(&local))
-            .and_then(|()| self.slot.refit_if_due(epoch, key));
-        match applied {
-            Ok(refitted) => (refitted, None),
-            Err(e) => (false, Some(e)),
-        }
+    /// refits the cluster; a failed refit leaves the claims ingested.
+    fn ingest(&mut self, claims: &[TimedClaim], epoch: u64, key: u32) -> Result<(), SenseError> {
+        let local = self.world.localize_batch(claims)?;
+        self.slot.ingest(&local)?;
+        self.slot.refit(epoch, key)
     }
 }
 
@@ -212,11 +177,11 @@ impl ShardWorker {
                 ShardMsg::Ingest { epoch, ops, reply } => {
                     self.epoch = epoch;
                     self.obs.counter(&self.requests_counter, 1);
-                    let acks = self.apply_ops(ops);
+                    let error = self.apply_ops(ops);
                     let _ = reply.send(ShardReturn {
                         shard: self.idx,
                         epoch: self.epoch,
-                        payload: Ok(acks),
+                        payload: Ok(error),
                     });
                 }
                 ShardMsg::Query {
@@ -244,24 +209,27 @@ impl ShardWorker {
         }
     }
 
-    fn apply_ops(&mut self, ops: Vec<ClusterOp>) -> Vec<ClusterAck> {
-        let mut acks = Vec::with_capacity(ops.len());
+    /// Applies every operation in order; returns the first error.
+    fn apply_ops(&mut self, ops: Vec<ClusterOp>) -> Option<SenseError> {
+        let mut first = None;
         for op in ops {
-            match op {
+            let applied = match op {
                 ClusterOp::Drop { key } => {
                     self.clusters.remove(&key);
+                    Ok(())
                 }
-                ClusterOp::Append { key, claims } => acks.push(self.append(key, &claims)),
+                ClusterOp::Append { key, claims } => self.append(key, &claims),
                 ClusterOp::Build {
                     key,
                     sources,
                     assertions,
                     batches,
-                } => acks.push(self.build(key, &sources, &assertions, &batches)),
-                ClusterOp::Restore(snap) => acks.push(self.restore(*snap)),
-            }
+                } => self.build(key, &sources, &assertions, &batches),
+                ClusterOp::Restore(snap) => self.restore(*snap),
+            };
+            first = first.or(applied.err());
         }
-        acks
+        first
     }
 
     /// A fresh cluster over the given global members.
@@ -280,75 +248,41 @@ impl ShardWorker {
     /// Installs a cluster from its checkpoint slice: same construction
     /// path as [`build`](Self::build), but the slot state comes
     /// bit-exact from the snapshot instead of a history replay.
-    fn restore(&mut self, snap: ClusterSnapshot) -> ClusterAck {
-        let key = snap.key;
-        let restored = self
-            .new_cluster(&snap.sources, &snap.assertions)
-            .and_then(|mut cluster| cluster.slot.restore(&snap.slot).map(|()| cluster));
-        match restored {
-            Ok(cluster) => {
-                let pending = cluster.slot.pending();
-                self.clusters.insert(key, cluster);
-                ClusterAck {
-                    key,
-                    pending,
-                    refitted: false,
-                    error: None,
-                }
-            }
-            Err(e) => ClusterAck::failed(key, e),
-        }
+    fn restore(&mut self, snap: ClusterSnapshot) -> Result<(), SenseError> {
+        let mut cluster = self.new_cluster(&snap.sources, &snap.assertions)?;
+        cluster.slot.restore(&snap.slot)?;
+        self.clusters.insert(snap.key, cluster);
+        Ok(())
     }
 
     /// Creates or rebuilds a cluster by replaying its batch history
-    /// under the live refit policy, making the resulting state — fits,
-    /// warm-start chain, pending count, and replay-scoped counters — a
-    /// pure function of `(membership, batch history)` regardless of
-    /// when the cluster landed on this shard.
+    /// under the live refit policy, making the resulting state — chain
+    /// fit, warm-start chain, and counters — a pure function of
+    /// `(membership, batch history)` regardless of when the cluster
+    /// landed on this shard.
     fn build(
         &mut self,
         key: u32,
         sources: &[u32],
         assertions: &[u32],
         batches: &[Vec<TimedClaim>],
-    ) -> ClusterAck {
-        let old = self.clusters.remove(&key);
-        let mut cluster = match self.new_cluster(sources, assertions) {
-            Ok(cluster) => cluster,
-            Err(e) => return ClusterAck::failed(key, e),
-        };
-        if let Some(old) = &old {
-            cluster.slot.inherit_query_counters(&old.slot);
-        }
-        let mut first_error = None;
-        let mut last_refitted = false;
+    ) -> Result<(), SenseError> {
+        self.clusters.remove(&key);
+        let mut cluster = self.new_cluster(sources, assertions)?;
+        let mut replayed = Ok(());
         for batch in batches {
-            let (refitted, err) = cluster.ingest(batch, self.epoch, key);
-            last_refitted = refitted;
-            first_error = first_error.or(err);
+            // Every batch replays; the first error is kept.
+            let refit = cluster.ingest(batch, self.epoch, key);
+            replayed = replayed.and(refit);
         }
-        let pending = cluster.slot.pending();
         self.clusters.insert(key, cluster);
-        ClusterAck {
-            key,
-            pending,
-            refitted: last_refitted,
-            error: first_error,
-        }
+        replayed
     }
 
-    fn append(&mut self, key: u32, claims: &[TimedClaim]) -> ClusterAck {
+    fn append(&mut self, key: u32, claims: &[TimedClaim]) -> Result<(), SenseError> {
         let epoch = self.epoch;
-        let Some(cluster) = self.clusters.get_mut(&key) else {
-            return ClusterAck::failed(key, SenseError::EmptyData);
-        };
-        let (refitted, error) = cluster.ingest(claims, epoch, key);
-        ClusterAck {
-            key,
-            pending: cluster.slot.pending(),
-            refitted,
-            error,
-        }
+        let cluster = self.clusters.get_mut(&key).ok_or(SenseError::EmptyData)?;
+        cluster.ingest(claims, epoch, key)
     }
 
     fn cluster(&mut self, key: u32) -> Result<&mut ClusterSlot, ServeError> {
@@ -358,7 +292,6 @@ impl ShardWorker {
     }
 
     fn answer(&mut self, query: ShardQuery) -> Result<ShardReply, ServeError> {
-        let epoch = self.epoch;
         match query {
             ShardQuery::Posterior { key, assertion } => {
                 let cluster = self.cluster(key)?;
@@ -366,14 +299,14 @@ impl ShardWorker {
                     .world
                     .local_assertion(assertion)
                     .ok_or(ServeError::Protocol("assertion not in routed cluster"))?;
-                let fit = cluster.slot.fresh_fit(epoch, key)?;
-                Ok(ShardReply::Posterior(fit.posterior[local as usize]))
+                Ok(ShardReply::Posterior(
+                    cluster.slot.posteriors()[local as usize],
+                ))
             }
             ShardQuery::Posteriors => {
                 let mut out = Vec::new();
-                for (&key, cluster) in &mut self.clusters {
-                    let fit = cluster.slot.fresh_fit(epoch, key)?;
-                    for (local, p) in fit.posterior.iter().enumerate() {
+                for cluster in self.clusters.values() {
+                    for (local, p) in cluster.slot.posteriors().iter().enumerate() {
                         out.push((cluster.world.global_assertion(local as u32), *p));
                     }
                 }
@@ -381,15 +314,10 @@ impl ShardWorker {
             }
             ShardQuery::TopSources => {
                 let mut out = Vec::new();
-                for (&key, cluster) in &mut self.clusters {
-                    let fit = cluster.slot.fresh_fit(epoch, key)?;
-                    let z = fit.theta.z();
+                for cluster in self.clusters.values() {
+                    let (z, params) = cluster.slot.sources();
                     let ids = cluster.world.global_sources();
-                    out.extend(
-                        ids.iter()
-                            .zip(fit.theta.sources())
-                            .map(|(&i, s)| (i, *s, z)),
-                    );
+                    out.extend(ids.iter().zip(params.iter()).map(|(&i, s)| (i, *s, z)));
                 }
                 Ok(ShardReply::TopSources(out))
             }
@@ -406,7 +334,7 @@ impl ShardWorker {
                                 .ok_or(ServeError::Protocol("assertion not in routed cluster"))
                         })
                         .collect::<Result<_, _>>()?;
-                    let bound = cluster.slot.bound(&locals, &method, epoch, key)?;
+                    let bound = cluster.slot.bound(&locals, &method)?;
                     out.push((key, bound, locals.len()));
                 }
                 Ok(ShardReply::Bound(out))

@@ -3,26 +3,51 @@
 //! global world; each shard owns one per hosted cluster, over the
 //! cluster's compacted (local-id) world.
 //!
-//! A slot holds the [`StreamingEstimator`], the fit of the last chain
-//! refit, the query-driven probe fit and its cache, the refit counters,
-//! and the ingest-time refit policy (see the crate docs for chain vs.
-//! probe refits), plus one checkpoint type covering all of it. Whatever
-//! a slot serves is a pure function of its constructor arguments and
-//! the batches it ingested.
+//! A slot holds the [`StreamingEstimator`], the fit of its last chain
+//! refit, and the refit counters, plus one checkpoint type covering all
+//! of it. Every ingest refits; a read answers from the chain fit and
+//! never runs EM. Before the first refit a slot answers the neutral
+//! values below, which the router also answers for whatever no cluster
+//! owns. Whatever a slot serves is a pure function of its constructor
+//! arguments and the batches it ingested.
 
-use std::sync::Arc;
+use std::borrow::Cow;
 
 use serde::{Deserialize, Serialize};
 
 use socsense_core::{
-    bound_for_assertions_traced, BoundMethod, BoundResult, EmFit, EmFitBits, RefitOutcome,
-    RefitStats, SenseError, SourceParams, StreamingEstimator, StreamingState,
+    bound_for_assertions_traced, exact_bound, BoundMethod, BoundResult, EmFit, EmFitBits,
+    RefitOutcome, RefitStats, SenseError, SourceParams, StreamingEstimator, StreamingState,
 };
 use socsense_graph::{FollowerGraph, TimedClaim};
 use socsense_matrix::Parallelism;
 use socsense_obs::Obs;
 
 use crate::api::{ServeConfig, ServeStats, SourceRank};
+
+/// The prior `z` of a world no fit covers, and so the posterior of each
+/// of its assertions: with nothing to condition on, a coin flip.
+pub(crate) const NEUTRAL_PRIOR: f64 = 0.5;
+
+/// The behaviour parameters of a source no fit covers, ranked under
+/// [`NEUTRAL_PRIOR`]: the prior a fit has nothing to move away from.
+pub(crate) const NEUTRAL_SOURCE: SourceParams = SourceParams {
+    a: 0.5,
+    b: 0.5,
+    f: 0.5,
+    g: 0.5,
+};
+
+/// The Bayes-risk contribution of an assertion no fit covers: with no
+/// claim pattern to condition on, the optimal decision is the prior
+/// coin flip.
+pub(crate) fn neutral_bound() -> BoundResult {
+    exact_bound(&[], NEUTRAL_PRIOR).unwrap_or(BoundResult {
+        error: 0.5,
+        false_positive: 0.5,
+        false_negative: 0.0,
+    })
+}
 
 /// The most recent successful refit of a slot, ordered by
 /// `(epoch, key)` — within one ingest epoch clusters refit in key
@@ -39,11 +64,9 @@ pub(crate) struct LastRefit {
     ll_exact: bool,
 }
 
-/// Refit counters of one slot. A cluster rebuild resets the
-/// replay-scoped half (replaying history reconstructs it, keeping every
-/// counter a pure function of the cluster's batch history) and keeps
-/// the query-scoped half (probe refits and cache hits), because queries
-/// are not replayed.
+/// Refit counters of one slot. A cluster rebuild resets them and
+/// replaying the cluster's history counts them again, so every counter
+/// is a pure function of the batch history.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub(crate) struct SlotCounters {
     chain_refits: u64,
@@ -51,16 +74,12 @@ pub(crate) struct SlotCounters {
     delta_refits: u64,
     fallback_refits: u64,
     failed_refits: u64,
-    probe_refits: u64,
-    probe_cache_hits: u64,
 }
 
-/// Summable statistics of one or more slots: pending claims and
-/// counters add, the most recent refit wins. Both tiers build their
-/// [`ServeStats`] from this.
+/// Summable statistics of one or more slots: counters add, the most
+/// recent refit wins. Both tiers build their [`ServeStats`] from this.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SlotStats {
-    pending: usize,
     counters: SlotCounters,
     last_refit: Option<LastRefit>,
 }
@@ -74,9 +93,6 @@ impl SlotStats {
         c.delta_refits += o.delta_refits;
         c.fallback_refits += o.fallback_refits;
         c.failed_refits += o.failed_refits;
-        c.probe_refits += o.probe_refits;
-        c.probe_cache_hits += o.probe_cache_hits;
-        self.pending += other.pending;
         self.last_refit = self.last_refit.max(other.last_refit);
     }
 
@@ -87,11 +103,8 @@ impl SlotStats {
         let last = self.last_refit;
         ServeStats {
             total_claims,
-            pending_claims: self.pending,
             requests_served,
             chain_refits: c.chain_refits,
-            probe_refits: c.probe_refits,
-            probe_cache_hits: c.probe_cache_hits,
             failed_refits: c.failed_refits,
             warm_refits: c.warm_refits,
             delta_refits: c.delta_refits,
@@ -105,11 +118,9 @@ impl SlotStats {
 }
 
 /// A slot's checkpoint: the estimator's full streaming state, the
-/// cached chain fit, and the counters — everything the slot needs to
-/// answer bit-identically after a restart. The probe cache is not
-/// saved; it refills on the next query. Chain-refit counters are
-/// advanced exactly by tail replay; query-driven counters resume from
-/// their checkpoint values and are not replayed.
+/// chain fit, and the counters — everything the slot needs to answer
+/// bit-identically after a restart. Tail replay advances the counters
+/// exactly as the live path did.
 #[derive(Serialize, Deserialize)]
 pub(crate) struct SlotCheckpoint {
     stream: StreamingState,
@@ -120,19 +131,14 @@ pub(crate) struct SlotCheckpoint {
     last_refit: Option<LastRefit>,
 }
 
-/// One warm-started refit chain with its cached fits and counters.
+/// One warm-started refit chain with its chain fit and counters.
 pub(crate) struct Slot {
     est: StreamingEstimator,
-    /// Fit of the last warm-start-chain refit (covers the log up to the
-    /// last chain advance; exactly current while nothing is pending).
-    chain_fit: Option<Arc<EmFit>>,
-    /// Query-driven probe fit, keyed on the claim count it covered.
-    probe_fit: Option<(usize, Arc<EmFit>)>,
+    /// Fit of the last successful chain refit: current unless that
+    /// batch's refit failed, `None` before the first.
+    chain_fit: Option<EmFit>,
     counters: SlotCounters,
     last_refit: Option<LastRefit>,
-    /// [`ServeConfig::refit_pending_claims`], counted over this slot's
-    /// pending claims only.
-    refit_pending_claims: usize,
     /// [`ServeConfig::parallelism`], for bound evaluation.
     parallelism: Parallelism,
     obs: Obs,
@@ -146,7 +152,8 @@ impl Slot {
     ///
     /// # Errors
     ///
-    /// [`SenseError`] for an invalid shape or refit mode.
+    /// [`SenseError`] for an invalid shape, EM configuration or refit
+    /// mode.
     pub fn new(
         n: u32,
         m: u32,
@@ -154,16 +161,15 @@ impl Slot {
         cfg: &ServeConfig,
         obs: Obs,
     ) -> Result<Self, SenseError> {
+        cfg.em.validate()?;
         let mut est = StreamingEstimator::new(n, m, graph, cfg.em)?;
         est.set_refit_mode(cfg.refit_mode)?;
         est.set_obs(obs.clone());
         Ok(Self {
             est,
             chain_fit: None,
-            probe_fit: None,
             counters: SlotCounters::default(),
             last_refit: None,
-            refit_pending_claims: cfg.refit_pending_claims,
             parallelism: cfg.parallelism,
             obs,
         })
@@ -174,7 +180,7 @@ impl Slot {
     pub fn restore(&mut self, ckpt: &SlotCheckpoint) -> Result<(), SenseError> {
         self.est.restore_state(&ckpt.stream)?;
         self.chain_fit = match (&ckpt.chain_fit, self.est.last_theta()) {
-            (Some(bits), Some(theta)) => Some(Arc::new(bits.to_fit(theta.clone()))),
+            (Some(bits), Some(theta)) => Some(bits.to_fit(theta.clone())),
             (Some(_), None) => {
                 return Err(SenseError::BadConfig {
                     what: "checkpoint holds a chain fit but no warm start",
@@ -195,17 +201,10 @@ impl Slot {
         );
         SlotCheckpoint {
             stream: self.est.export_state(),
-            chain_fit: self.chain_fit.as_deref().map(EmFitBits::from_fit),
+            chain_fit: self.chain_fit.as_ref().map(EmFitBits::from_fit),
             counters: self.counters,
             last_refit: self.last_refit,
         }
-    }
-
-    /// Carries the query-scoped counters of `old`, the slot this one
-    /// rebuilds, over (see [`SlotCounters`]).
-    pub fn inherit_query_counters(&mut self, old: &Slot) {
-        self.counters.probe_refits = old.counters.probe_refits;
-        self.counters.probe_cache_hits = old.counters.probe_cache_hits;
     }
 
     pub fn assertion_count(&self) -> u32 {
@@ -216,14 +215,8 @@ impl Slot {
         self.est.claim_count()
     }
 
-    /// Claims not yet covered by a chain refit.
-    pub fn pending(&self) -> usize {
-        self.est.pending()
-    }
-
     pub fn stats(&self) -> SlotStats {
         SlotStats {
-            pending: self.est.pending(),
             counters: self.counters,
             last_refit: self.last_refit,
         }
@@ -232,62 +225,53 @@ impl Slot {
     /// Appends a batch (slot-local ids) to the log. A batch with an
     /// out-of-range claim is rejected atomically.
     pub fn ingest(&mut self, claims: &[TimedClaim]) -> Result<(), SenseError> {
-        self.est.ingest(claims)?;
-        // The log changed: any cached probe is stale.
-        self.probe_fit = None;
+        self.est.ingest(claims)
+    }
+
+    /// Advances the warm-start chain — a full refit whose `θ̂` seeds the
+    /// next one — when claims are pending. Only ingest processing calls
+    /// this, so the chain, and with it every served number, is a pure
+    /// function of the ingest sequence, never of query timing. A failed
+    /// refit leaves the claims ingested (pending for the next refit),
+    /// the warm-start state intact, and reads on the last good fit.
+    pub fn refit(&mut self, epoch: u64, key: u32) -> Result<(), SenseError> {
+        if self.est.pending() == 0 {
+            return Ok(());
+        }
+        let refit = self.est.estimate_with_stats();
+        self.chain_fit = Some(self.book(refit, epoch, key)?);
         Ok(())
     }
 
-    /// The ingest-time refit policy: advances the warm-start chain — a
-    /// full refit whose `θ̂` seeds the next one — once at least
-    /// `refit_pending_claims` claims are pending, and reports whether it
-    /// did. Only ingest processing calls this, so the chain, and with it
-    /// every served number, is a pure function of the ingest sequence,
-    /// never of query timing. A failed refit leaves the claims ingested
-    /// and the warm-start state intact.
-    pub fn refit_if_due(&mut self, epoch: u64, key: u32) -> Result<bool, SenseError> {
-        if self.refit_pending_claims == 0 || self.est.pending() < self.refit_pending_claims {
-            return Ok(false);
+    /// Every assertion's posterior, in slot-local order.
+    pub fn posteriors(&self) -> Cow<'_, [f64]> {
+        match &self.chain_fit {
+            Some(fit) => Cow::Borrowed(&fit.posterior),
+            None => Cow::Owned(vec![NEUTRAL_PRIOR; self.assertion_count() as usize]),
         }
-        let refit = self.est.estimate_with_stats();
-        self.chain_fit = Some(self.book(refit, true, epoch, key)?);
-        Ok(true)
     }
 
-    /// The fit covering the full current log: the chain fit when nothing
-    /// is pending, else a cached *probe* refit — fresh, but leaving the
-    /// warm-start chain untouched (see
-    /// [`StreamingEstimator::peek_estimate`]).
-    pub fn fresh_fit(&mut self, epoch: u64, key: u32) -> Result<Arc<EmFit>, SenseError> {
-        if self.est.pending() == 0 {
-            if let Some(fit) = &self.chain_fit {
-                return Ok(Arc::clone(fit));
+    /// The fitted prior `z` and every source's parameters, in slot-local
+    /// order.
+    pub fn sources(&self) -> (f64, Cow<'_, [SourceParams]>) {
+        match &self.chain_fit {
+            Some(fit) => (fit.theta.z(), Cow::Borrowed(fit.theta.sources())),
+            None => {
+                let n = self.est.source_count() as usize;
+                (NEUTRAL_PRIOR, Cow::Owned(vec![NEUTRAL_SOURCE; n]))
             }
         }
-        let claims = self.est.claim_count();
-        if let Some((at, fit)) = &self.probe_fit {
-            if *at == claims {
-                self.counters.probe_cache_hits += 1;
-                self.obs.counter("serve.cache.probe_hits_total", 1);
-                return Ok(Arc::clone(fit));
-            }
-        }
-        let refit = self.est.peek_estimate();
-        let fit = self.book(refit, false, epoch, key)?;
-        self.probe_fit = Some((claims, Arc::clone(&fit)));
-        Ok(fit)
     }
 
-    /// Mean Bayes-risk bound over `assertions` (slot-local ids) under
-    /// the fresh fit.
+    /// Mean Bayes-risk bound over `assertions` (slot-local, in range).
     pub fn bound(
         &mut self,
         assertions: &[u32],
         method: &BoundMethod,
-        epoch: u64,
-        key: u32,
     ) -> Result<BoundResult, SenseError> {
-        let fit = self.fresh_fit(epoch, key)?;
+        let Some(fit) = &self.chain_fit else {
+            return Ok(neutral_bound());
+        };
         let data = self.est.snapshot();
         bound_for_assertions_traced(
             &data,
@@ -299,17 +283,15 @@ impl Slot {
         )
     }
 
-    /// Per-refit bookkeeping of chain and probe refits alike: the
-    /// refit-kind, warm, and delta-mode counters plus the last refit's
-    /// shape, stamped `(epoch, key)`; a failure counts as a failed
-    /// refit.
+    /// Per-refit bookkeeping: the refit-kind, warm, and delta-mode
+    /// counters plus the last refit's shape, stamped `(epoch, key)`; a
+    /// failure counts as a failed refit.
     fn book(
         &mut self,
         refit: Result<(EmFit, RefitStats), SenseError>,
-        chain: bool,
         epoch: u64,
         key: u32,
-    ) -> Result<Arc<EmFit>, SenseError> {
+    ) -> Result<EmFit, SenseError> {
         let (fit, stats) = match refit {
             Ok(done) => done,
             Err(e) => {
@@ -318,13 +300,8 @@ impl Slot {
                 return Err(e);
             }
         };
-        if chain {
-            self.counters.chain_refits += 1;
-            self.obs.counter("serve.refit.chain_total", 1);
-        } else {
-            self.counters.probe_refits += 1;
-            self.obs.counter("serve.refit.probe_total", 1);
-        }
+        self.counters.chain_refits += 1;
+        self.obs.counter("serve.refit.chain_total", 1);
         if stats.warm {
             self.counters.warm_refits += 1;
             self.obs.counter("serve.refit.warm_total", 1);
@@ -348,7 +325,7 @@ impl Slot {
             touched_sources: stats.touched_sources,
             ll_exact: stats.ll_exact,
         });
-        Ok(Arc::new(fit))
+        Ok(fit)
     }
 }
 
@@ -404,5 +381,11 @@ mod tests {
         assert!(ranks[0].precision > ranks[1].precision);
         assert_eq!(ranks[2].precision, 0.5, "neutral parameters rank at 0.5");
         assert_eq!(rank_sources(entries, 2).len(), 2);
+    }
+
+    #[test]
+    fn neutral_bound_is_the_prior_coin_flip() {
+        let b = neutral_bound();
+        assert!((b.error - 0.5).abs() < 1e-12);
     }
 }

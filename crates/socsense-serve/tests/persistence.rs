@@ -7,7 +7,7 @@
 //! shutdown checkpoints the last batch, so only a crash image leaves a
 //! WAL tail to replay.
 //!
-//! Probe/request counters are deliberately *not* compared: a recovered
+//! Request counters are deliberately *not* compared: a recovered
 //! service resumes them from the checkpoint, not from the control's
 //! full query history. Served numbers are the contract.
 
@@ -513,6 +513,7 @@ fn checkpoint_of_another_format_is_refused_and_left_as_is() {
 
         for (stamp, named) in [
             (Some(1), "checkpoint format 1"),
+            (Some(2), "checkpoint format 2"),
             (Some(7), "checkpoint format 7"),
             (None, "an unstamped checkpoint format"),
         ] {
@@ -522,7 +523,7 @@ fn checkpoint_of_another_format_is_refused_and_left_as_is() {
                 .expect_err("recovery refuses another format")
                 .to_string();
             assert!(
-                err.contains(named) && err.contains("reads checkpoint format 2"),
+                err.contains(named) && err.contains("reads checkpoint format 3"),
                 "{tier}: the refusal names both formats: {err}"
             );
             assert!(
@@ -532,7 +533,7 @@ fn checkpoint_of_another_format_is_refused_and_left_as_is() {
         }
 
         // Stamped back, the same directory recovers.
-        restamp_checkpoint(&dir, Some(2));
+        restamp_checkpoint(&dir, Some(3));
         run(&[]).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 use socsense_core::{DeltaConfig, RefitMode};
 use socsense_graph::{FollowerGraph, TimedClaim};
 use socsense_serve::{
-    QueryService, ServeConfig, ServeError, ServeStats, ShardedService, SourceRank,
+    QueryService, ServeConfig, ServeError, ServeHandle, ServeStats, ShardedService, SourceRank,
 };
 
 const N: u32 = 6;
@@ -94,23 +94,13 @@ fn rank_bits(ranks: &[SourceRank]) -> Vec<(u32, u64, [u64; 4])> {
 /// the sharded tier at shard counts 1, 2, and 4 reproduces the
 /// unsharded `QueryService` bit for bit — acks, posteriors, source
 /// ranks, bounds, and operating statistics — in both full and delta
-/// refit modes, and under a debounced (25) and a never-advancing (0)
-/// chain, where queries probe: probe refits, probe-cache hits, and
-/// pending counts must match too.
+/// refit modes.
 #[test]
 fn single_cluster_world_matches_unsharded_service_bit_for_bit() {
     let configs = [
         ServeConfig::default(),
         ServeConfig {
             refit_mode: RefitMode::Delta(DeltaConfig::default()),
-            ..ServeConfig::default()
-        },
-        ServeConfig {
-            refit_pending_claims: 25,
-            ..ServeConfig::default()
-        },
-        ServeConfig {
-            refit_pending_claims: 0,
             ..ServeConfig::default()
         },
     ];
@@ -236,28 +226,39 @@ fn mid_stream_cluster_birth_is_bit_identical_to_single_shard_replay() {
     wide.shutdown().unwrap();
 }
 
-/// With ingest refits debounced off, the final answers are a pure
-/// function of the claim multiset — so two ingesters racing against a
-/// four-shard tier must land on the same bits as a serial single-shard
-/// replay.
+/// Before any ingest both tiers answer the neutral prior alike, bit for
+/// bit: posteriors, source ranks, the bound, and the statistics (no
+/// refit has run on either).
+#[test]
+fn both_tiers_answer_alike_before_any_ingest() {
+    let (n, m) = (3, 2);
+    let single = QueryService::spawn(n, m, FollowerGraph::new(n), ServeConfig::default()).unwrap();
+    let sharded =
+        ShardedService::spawn(n, m, FollowerGraph::new(n), ServeConfig::default(), 2).unwrap();
+    let answers = |client: &ServeHandle| {
+        let b = client.bound(vec![], None).unwrap();
+        (
+            bits(&client.posteriors().unwrap()),
+            rank_bits(&client.top_sources(n as usize).unwrap()),
+            [b.error, b.false_positive, b.false_negative].map(f64::to_bits),
+            client.stats().unwrap(),
+        )
+    };
+    let want = answers(&single.handle());
+    assert_eq!(want, answers(&sharded.handle()));
+    assert_eq!(want.0, bits(&[0.5, 0.5]), "the neutral posterior");
+    assert_eq!(want.3.last_refit_iterations, None, "reads never refit");
+    single.shutdown().unwrap();
+    sharded.shutdown().unwrap();
+}
+
+/// Two ingesters race against a four-shard tier: the acks'
+/// `total_claims` give the order the router applied the batches in, and
+/// a serial single-shard replay in that order lands on the same bits.
 #[test]
 fn racing_ingesters_match_serial_single_shard_replay() {
-    let debounced = || ServeConfig {
-        refit_pending_claims: 0,
-        ..ServeConfig::default()
-    };
     let batches = random_batches(6, 15, 7, 0);
-
-    let serial = ShardedService::spawn(N, M, follow_graph(), debounced(), 1).unwrap();
-    let serial_client = serial.handle();
-    for batch in &batches {
-        serial_client.ingest(batch.clone()).unwrap();
-    }
-    let want_posteriors = bits(&serial_client.posteriors().unwrap());
-    let want_top = rank_bits(&serial_client.top_sources(N as usize).unwrap());
-    serial.shutdown().unwrap();
-
-    let racing = ShardedService::spawn(N, M, follow_graph(), debounced(), 4).unwrap();
+    let racing = ShardedService::spawn(N, M, follow_graph(), ServeConfig::default(), 4).unwrap();
     let ingesters: Vec<_> = [0usize, 1]
         .into_iter()
         .map(|half| {
@@ -265,22 +266,36 @@ fn racing_ingesters_match_serial_single_shard_replay() {
             let mine: Vec<Vec<TimedClaim>> =
                 batches.iter().skip(half).step_by(2).cloned().collect();
             std::thread::spawn(move || {
-                for batch in mine {
-                    client.ingest(batch).unwrap();
-                }
+                mine.into_iter()
+                    .map(|batch| (client.ingest(batch.clone()).unwrap().total_claims, batch))
+                    .collect::<Vec<_>>()
             })
         })
         .collect();
-    for i in ingesters {
-        i.join().unwrap();
-    }
+    let mut applied: Vec<(usize, Vec<TimedClaim>)> = ingesters
+        .into_iter()
+        .flat_map(|i| i.join().unwrap())
+        .collect();
     let client = racing.handle();
-    assert_eq!(want_posteriors, bits(&client.posteriors().unwrap()));
-    assert_eq!(
-        want_top,
-        rank_bits(&client.top_sources(N as usize).unwrap())
-    );
+    let got_posteriors = bits(&client.posteriors().unwrap());
+    let got_top = rank_bits(&client.top_sources(N as usize).unwrap());
     racing.shutdown().unwrap();
+
+    // Every batch holds 15 claims, so the acks number them 15, 30, ….
+    applied.sort_by_key(|&(total, _)| total);
+    let totals: Vec<usize> = applied.iter().map(|&(total, _)| total).collect();
+    assert_eq!(totals, (1..=6).map(|k| 15 * k).collect::<Vec<_>>());
+    let serial = ShardedService::spawn(N, M, follow_graph(), ServeConfig::default(), 1).unwrap();
+    let serial_client = serial.handle();
+    for (_, batch) in applied {
+        serial_client.ingest(batch).unwrap();
+    }
+    assert_eq!(bits(&serial_client.posteriors().unwrap()), got_posteriors);
+    assert_eq!(
+        rank_bits(&serial_client.top_sources(N as usize).unwrap()),
+        got_top
+    );
+    serial.shutdown().unwrap();
 }
 
 /// Epoch consistency: fan-out queries racing hard against ingests never
@@ -345,8 +360,8 @@ mod properties {
     const PN: u32 = 7;
     const PM: u32 = 9;
 
-    /// `(follow edges, batched claim stream, refit_pending_claims)`.
-    type World = (Vec<(u32, u32)>, Vec<Vec<(u32, u32)>>, usize);
+    /// `(follow edges, batched claim stream)`.
+    type World = (Vec<(u32, u32)>, Vec<Vec<(u32, u32)>>);
 
     /// All served numbers of one replay, as bits: posteriors,
     /// top-sources rows, a bound triple, and the final stats.
@@ -357,27 +372,17 @@ mod properties {
         (
             pvec((0..PN, 0..PN), 0..8),
             pvec(pvec((0..PN, 0..PM), 1..10), 1..5),
-            0usize..3,
         )
     }
 
-    fn run(
-        follows: &[(u32, u32)],
-        batches: &[Vec<(u32, u32)>],
-        refit_pending_claims: usize,
-        shards: usize,
-    ) -> Fingerprint {
+    fn run(follows: &[(u32, u32)], batches: &[Vec<(u32, u32)>], shards: usize) -> Fingerprint {
         let mut g = FollowerGraph::new(PN);
         for &(f, a) in follows {
             if f != a {
                 g.add_follow(f, a);
             }
         }
-        let cfg = ServeConfig {
-            refit_pending_claims,
-            ..ServeConfig::default()
-        };
-        let svc = ShardedService::spawn(PN, PM, g, cfg, shards).unwrap();
+        let svc = ShardedService::spawn(PN, PM, g, ServeConfig::default(), shards).unwrap();
         let client = svc.handle();
         let mut t = 0u64;
         for batch in batches {
@@ -408,13 +413,12 @@ mod properties {
 
         /// The acceptance pin: `Shards(1) ≡ Shards(2) ≡ Shards(4)` down
         /// to the bit for every query kind, on arbitrary worlds
-        /// (multi-cluster, cluster merges, silent followers, any refit
-        /// debounce).
+        /// (multi-cluster, cluster merges, silent followers).
         #[test]
-        fn shard_count_never_changes_a_bit((follows, batches, threshold) in world()) {
-            let reference = run(&follows, &batches, threshold, 1);
+        fn shard_count_never_changes_a_bit((follows, batches) in world()) {
+            let reference = run(&follows, &batches, 1);
             for shards in [2usize, 4] {
-                let got = run(&follows, &batches, threshold, shards);
+                let got = run(&follows, &batches, shards);
                 prop_assert_eq!(&reference.0, &got.0, "posteriors, shards={}", shards);
                 prop_assert_eq!(&reference.1, &got.1, "top sources, shards={}", shards);
                 prop_assert_eq!(&reference.2, &got.2, "bound, shards={}", shards);
