@@ -70,8 +70,9 @@ pub struct StreamingEstimator {
     mode: RefitMode,
     claims: Vec<TimedClaim>,
     /// Incrementally maintained earliest-claim index: rebuilds the
-    /// `SC`/`D` pair in `O(nnz)` (never re-walking the claim log) and
-    /// reports which cells each batch changed.
+    /// `SC`/`D` pair in `O(nnz)` (never re-walking the claim log) and,
+    /// while a delta engine is live, reports which cells each batch
+    /// changed.
     log_index: ClaimLogIndex,
     last_theta: Option<Theta>,
     /// Claims ingested since the last [`estimate`](Self::estimate).
@@ -253,12 +254,17 @@ impl StreamingEstimator {
             }
         }
         self.claims.extend_from_slice(batch);
-        // The index ingest shares build_matrices' bounds contract; the
-        // loop above already guaranteed it cannot panic here.
-        let changes = self.log_index.ingest(&self.graph, batch);
+        // The index shares build_matrices' bounds contract; the loop
+        // above already guaranteed it cannot panic here. A live delta
+        // engine is the only reader of cell changes, so every other
+        // ingest (full mode, and `restore_state`, which installs the
+        // engine only afterwards) merges without tracking them.
         if matches!(self.mode, RefitMode::Delta(_)) && self.engine.is_some() {
+            let changes = self.log_index.ingest(&self.graph, batch);
             self.pending_changes.extend(changes);
             self.pending_sources.extend(batch.iter().map(|c| c.source));
+        } else {
+            self.log_index.merge(&self.graph, batch);
         }
         self.pending += batch.len();
         self.obs
@@ -511,8 +517,8 @@ impl StreamingEstimator {
             .transpose()?;
         // Replay the whole log as one batch: the claim-log index is
         // batching-invariant, and with no engine installed yet the
-        // replay records no pending changes (the snapshot's own pending
-        // buffers are installed verbatim below).
+        // replay only merges, tracking no cell changes (the snapshot's
+        // own pending buffers are installed verbatim below).
         self.ingest(&state.claims)?;
         self.last_theta = last_theta;
         self.engine = engine;

@@ -14,7 +14,7 @@
 //! would have spoken after hearing its ancestor). This choice is recorded
 //! in `DESIGN.md` §4.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 
 use socsense_matrix::{SparseBinaryMatrix, SparseBinaryMatrixBuilder};
@@ -26,7 +26,13 @@ use crate::follow::FollowerGraph;
 /// Times are opaque monotone ticks; only their relative order matters.
 /// Repeated claims by the same source on the same assertion collapse to
 /// the earliest occurrence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+///
+/// Serialized as the array `[source, assertion, time]`, not as an object
+/// with named keys: claim logs are most of what the durable serving tier
+/// writes and decodes (WAL records and checkpoints), and an array holds
+/// no key strings. Decoding refuses an array of another length, an
+/// out-of-range id, and the object form.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TimedClaim {
     /// Claiming source id.
     pub source: u32,
@@ -44,6 +50,19 @@ impl TimedClaim {
             assertion,
             time,
         }
+    }
+}
+
+impl Serialize for TimedClaim {
+    fn serialize_value(&self) -> Value {
+        (self.source, self.assertion, self.time).serialize_value()
+    }
+}
+
+impl Deserialize for TimedClaim {
+    fn deserialize_value(value: &Value) -> Result<Self, DeError> {
+        let (source, assertion, time) = <(u32, u32, u64)>::deserialize_value(value)?;
+        Ok(Self::new(source, assertion, time))
     }
 }
 
@@ -209,23 +228,13 @@ impl ClaimLogIndex {
     ///
     /// # Panics
     ///
-    /// Panics if a claim references `source >= n` or `assertion >= m` —
-    /// the same contract as [`build_matrices`]. Validate first when the
-    /// batch must be rejected atomically.
+    /// As [`merge`](Self::merge).
     pub fn ingest(&mut self, graph: &FollowerGraph, batch: &[TimedClaim]) -> Vec<CellChange> {
         // Pass 1: snapshot the prior state of every cell this batch can
         // touch — the claim cells themselves plus each claimant's
         // follower cells (the only rows of `anc_time` a claim reaches).
         let mut before: BTreeMap<(u32, u32), CellState> = BTreeMap::new();
         for c in batch {
-            assert!(
-                c.source < self.n && c.assertion < self.m,
-                "claim ({}, {}) out of bounds for {}x{}",
-                c.source,
-                c.assertion,
-                self.n,
-                self.m
-            );
             before
                 .entry((c.source, c.assertion))
                 .or_insert_with(|| self.cell_state(c.source, c.assertion));
@@ -237,18 +246,7 @@ impl ClaimLogIndex {
         }
 
         // Pass 2: min-merge the batch into both maps.
-        for c in batch {
-            self.first_claim
-                .entry((c.source, c.assertion))
-                .and_modify(|t| *t = (*t).min(c.time))
-                .or_insert(c.time);
-            for &f in graph.followers(c.source) {
-                self.anc_time
-                    .entry((f, c.assertion))
-                    .and_modify(|t| *t = (*t).min(c.time))
-                    .or_insert(c.time);
-            }
-        }
+        self.merge(graph, batch);
 
         // Pass 3: report the cells whose membership actually changed.
         before
@@ -263,6 +261,41 @@ impl ClaimLogIndex {
                 })
             })
             .collect()
+    }
+
+    /// Folds a batch of claims into the index without reporting which
+    /// cells changed: [`ingest`](Self::ingest)'s min-merge alone, for
+    /// callers that have no reader for the changes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a claim references `source >= n` or `assertion >= m` —
+    /// the same contract as [`build_matrices`] — before any claim is
+    /// merged. Validate first when the batch must be rejected without a
+    /// panic.
+    pub fn merge(&mut self, graph: &FollowerGraph, batch: &[TimedClaim]) {
+        for c in batch {
+            assert!(
+                c.source < self.n && c.assertion < self.m,
+                "claim ({}, {}) out of bounds for {}x{}",
+                c.source,
+                c.assertion,
+                self.n,
+                self.m
+            );
+        }
+        for c in batch {
+            self.first_claim
+                .entry((c.source, c.assertion))
+                .and_modify(|t| *t = (*t).min(c.time))
+                .or_insert(c.time);
+            for &f in graph.followers(c.source) {
+                self.anc_time
+                    .entry((f, c.assertion))
+                    .and_modify(|t| *t = (*t).min(c.time))
+                    .or_insert(c.time);
+            }
+        }
     }
 
     /// Materialises the current `(SC, D)` pair.
@@ -431,6 +464,11 @@ mod tests {
             index.ingest(&g, &claims[..split]);
             index.ingest(&g, &claims[split..]);
             assert_eq!(index.build(), fresh, "split at {split}");
+            // `merge` is `ingest` without the change report: same maps.
+            let mut merged = ClaimLogIndex::new(4, 2);
+            merged.merge(&g, &claims[..split]);
+            merged.ingest(&g, &claims[split..]);
+            assert_eq!(merged, index, "split at {split}");
         }
     }
 
@@ -503,5 +541,39 @@ mod tests {
         let g = FollowerGraph::new(1);
         let mut index = ClaimLogIndex::new(1, 1);
         index.ingest(&g, &[TimedClaim::new(0, 7, 0)]);
+    }
+
+    #[test]
+    fn index_merge_panics_out_of_bounds_before_merging_any_claim() {
+        let g = FollowerGraph::new(1);
+        let mut index = ClaimLogIndex::new(1, 1);
+        let batch = [TimedClaim::new(0, 0, 1), TimedClaim::new(0, 7, 0)];
+        let merged = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            index.merge(&g, &batch);
+        }));
+        assert!(merged.is_err());
+        assert_eq!(index, ClaimLogIndex::new(1, 1));
+    }
+
+    #[test]
+    fn timed_claim_persists_as_a_three_element_array() {
+        let claim = TimedClaim::new(3, 7, u64::MAX);
+        let value = claim.serialize_value();
+        assert_eq!(value, (3u32, 7u32, u64::MAX).serialize_value());
+        assert_eq!(TimedClaim::deserialize_value(&value), Ok(claim));
+        // A wrong length, an id past `u32`, and the object form are refused.
+        for bad in [
+            (3u32, 7u32).serialize_value(),
+            (3u32, 7u32, 1u64, 0u64).serialize_value(),
+            (u64::from(u32::MAX) + 1, 7u32, 1u64).serialize_value(),
+            Value::Object(
+                [("source", 3u64), ("assertion", 7), ("time", 1)]
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), v.serialize_value()))
+                    .collect(),
+            ),
+        ] {
+            assert!(TimedClaim::deserialize_value(&bad).is_err(), "{bad:?}");
+        }
     }
 }

@@ -25,6 +25,11 @@
 //!   writer, but possible via external truncation) recoverable by
 //!   falling back to its predecessor.
 //!
+//! Both guard every line with a CRC-32 (IEEE polynomial, the checksum
+//! gzip and PNG use) that steps eight bytes at a time through slice-by-8
+//! tables built at compile time: every WAL append and every checkpoint
+//! read and write checksums its whole payload.
+//!
 //! Opening either one creates what is missing and fsyncs each directory
 //! that gained an entry, so a fresh data directory's `snapshots/` and
 //! WAL file are durable before the first checkpoint truncates the WAL.

@@ -35,10 +35,12 @@ pub(crate) struct WalRecord {
 /// every [`WorkerSnapshot`] and [`RouterSnapshot`]. Bump it whenever
 /// their encoding changes, [`SlotCheckpoint`] included: recovery refuses
 /// a checkpoint of any other format, or one without a stamp, instead of
-/// skipping it. Format 3 drops a slot's probe-refit and probe-cache-hit
-/// counters, which reads no longer move; format 2 stored them, and
-/// format 1 also stored a slot's chain-fit `θ` twice.
-pub(crate) const CHECKPOINT_FORMAT: u64 = 3;
+/// skipping it. Format 4 stores each claim of a slot's claim log as the
+/// array `[source, assertion, time]`; format 3 stored it as an object
+/// with three named keys. Format 3 dropped a slot's probe-refit and
+/// probe-cache-hit counters, which format 2 stored, and format 1 also
+/// stored a slot's chain-fit `θ` twice.
+pub(crate) const CHECKPOINT_FORMAT: u64 = 4;
 
 /// The unsharded worker's checkpoint: its slot plus the request count.
 /// The ingest sequence position it covers is the snapshot's own
@@ -127,18 +129,22 @@ impl DurableLog {
     /// torn final WAL line — the signature of a crash mid-append — is
     /// truncated away and counted on `serve.wal.truncated_tail_total`.
     /// A snapshot of another checkpoint format is refused (see
-    /// [`decode_checkpoint`]) before any file is touched. Each fsync the
-    /// two stores issue, here and later, is counted on
-    /// `serve.wal.fsyncs_total` or `serve.snapshot.fsyncs_total`.
+    /// [`decode_checkpoint`]) before any file is touched. Reading the
+    /// snapshot — the file read, its CRC check and the decode — is timed
+    /// on `serve.snapshot.read.seconds`. Each fsync the two stores issue,
+    /// here and later, is counted on `serve.wal.fsyncs_total` or
+    /// `serve.snapshot.fsyncs_total`.
     pub fn open<S: Deserialize>(
         cfg: &PersistConfig,
         obs: &Obs,
     ) -> Result<(Self, Recovered<S>), ServeError> {
         let snaps = SnapshotStore::open(&cfg.data_dir.join("snapshots"))?;
+        let read = obs.timer("serve.snapshot.read.seconds");
         let snapshot = match snaps.latest::<serde_json::Value>()? {
             Some((seq, payload)) => Some((seq, decode_checkpoint(seq, payload)?)),
             None => None,
         };
+        read.stop();
         let wal_path = cfg.data_dir.join("wal.jsonl");
         let rx = recover::<WalRecord>(&wal_path)?;
         if rx.truncated_tail {
@@ -174,7 +180,7 @@ impl DurableLog {
 
     /// Appends one accepted batch to the WAL (write-ahead of the ack:
     /// with `fsync_every = 1`, a batch the client saw acknowledged is on
-    /// disk).
+    /// disk), timed on `serve.wal.append.seconds`.
     pub fn append(&mut self, seq: u64, claims: &[TimedClaim], obs: &Obs) -> Result<(), ServeError> {
         #[cfg(test)]
         if std::mem::take(&mut self.fail_next_append) {
@@ -182,10 +188,12 @@ impl DurableLog {
         }
         let bytes_before = self.wal.bytes_total();
         let fsyncs_before = self.wal.fsyncs_total();
+        let timer = obs.timer("serve.wal.append.seconds");
         self.wal.append(&WalRecord {
             seq,
             claims: claims.to_vec(),
         })?;
+        timer.stop();
         obs.counter("serve.wal.appends_total", 1);
         obs.counter(
             "serve.wal.bytes_total",
@@ -215,6 +223,8 @@ impl DurableLog {
     /// snapshots, and — when `truncate_wal` — empties the WAL, whose
     /// records the checkpoint has fully absorbed. (The router keeps its
     /// WAL: the full record sequence is its membership replay source.)
+    /// The write — encode, CRC, file and directory fsyncs — is timed on
+    /// `serve.snapshot.write.seconds`.
     pub fn write_snapshot<S: Serialize>(
         &mut self,
         seq: u64,
@@ -224,7 +234,9 @@ impl DurableLog {
     ) -> Result<(), ServeError> {
         let bytes_before = self.snaps.bytes_total();
         let fsyncs_before = self.snaps.fsyncs_total();
+        let timer = obs.timer("serve.snapshot.write.seconds");
         self.snaps.write(seq, payload)?;
+        timer.stop();
         self.checkpointed = seq;
         self.snaps.prune(2)?;
         obs.counter("serve.snapshot.writes_total", 1);

@@ -368,6 +368,10 @@ impl Backend for Router {
                 Ok(Response::Stats(self.stats_snapshot()?))
             }
             #[cfg(test)]
+            Request::FailNextRefit => Err(ServeError::Protocol(
+                "refit failures are injected on the single worker only",
+            )),
+            #[cfg(test)]
             Request::Park { ack, release } => {
                 let _ = ack.send(());
                 let _ = release.recv();
@@ -651,19 +655,22 @@ impl Router {
     /// cluster's state to whichever shard the rendezvous hash picks
     /// *now*, so restarting with a different shard count is just a
     /// cluster move; (3) replay the WAL tail through the normal ingest
-    /// path.
+    /// path. Phases (1) and (2) run only when there is a checkpoint
+    /// (without one, no record is covered) and are timed together on
+    /// `serve.recovery.restore.seconds`.
     fn recover(&mut self, pcfg: &PersistConfig) -> Result<(), ServeError> {
         let _timer = self.obs.timer("serve.recovery.seconds");
         let (log, recovered) = DurableLog::open::<RouterSnapshot>(pcfg, &self.obs)?;
         let since = recovered.snapshot.as_ref().map_or(0, |(seq, _)| *seq);
         let mut covered = dense_from(recovered.records, 1)?;
         let tail = covered.split_off(covered.partition_point(|r| r.seq <= since));
-        for record in &covered {
-            let update = self.tracker.ingest(&record.claims)?;
-            self.epoch = record.seq;
-            self.advance_history(record.seq, &record.claims, &update.removed)?;
-        }
         if let Some((_, snap)) = recovered.snapshot {
+            let restore = self.obs.timer("serve.recovery.restore.seconds");
+            for record in &covered {
+                let update = self.tracker.ingest(&record.claims)?;
+                self.epoch = record.seq;
+                self.advance_history(record.seq, &record.claims, &update.removed)?;
+            }
             if snap.epoch != self.epoch {
                 return Err(ServeError::Persist(format!(
                     "WAL ends at batch {} but the snapshot covers {}",
@@ -690,6 +697,7 @@ impl Router {
             if let Some(e) = first_error(self.dispatch_ops(ops)?)? {
                 return Err(ServeError::Sense(e));
             }
+            restore.stop();
         }
         for record in tail {
             // Refit errors during replay mirror the live path: the

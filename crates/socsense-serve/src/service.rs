@@ -65,6 +65,10 @@ pub(crate) enum Request {
     /// Test hook: make the next WAL append fail (exercises the wedge).
     #[cfg(test)]
     FailNextAppend,
+    /// Test hook: make the worker's next refit fail without touching
+    /// the estimator (exercises the failed-refit path).
+    #[cfg(test)]
+    FailNextRefit,
     /// Test hook: ack on `ack`, then block until `release` yields —
     /// turns the worker into a deterministic "slow worker" so queue
     /// backpressure can be tested without timing races.
@@ -93,6 +97,8 @@ impl Request {
             Request::InjectPanic => "serve.request.inject_panic.seconds",
             #[cfg(test)]
             Request::FailNextAppend => "serve.request.fail_next_append.seconds",
+            #[cfg(test)]
+            Request::FailNextRefit => "serve.request.fail_next_refit.seconds",
             #[cfg(test)]
             Request::Park { .. } => "serve.request.park.seconds",
         }
@@ -590,7 +596,8 @@ struct Worker {
 
 impl Worker {
     /// Restores whatever a previous service left under the data
-    /// directory: install the newest snapshot, then replay the WAL tail
+    /// directory: install the newest snapshot (timed on
+    /// `serve.recovery.restore.seconds`), then replay the WAL tail
     /// through the normal ingest path. Runs before the worker thread
     /// exists, so the first client request already sees the recovered
     /// state.
@@ -598,7 +605,9 @@ impl Worker {
         let _timer = self.obs.timer("serve.recovery.seconds");
         let (log, recovered) = DurableLog::open::<WorkerSnapshot>(pcfg, &self.obs)?;
         if let Some((seq, snap)) = recovered.snapshot {
+            let restore = self.obs.timer("serve.recovery.restore.seconds");
             self.slot.restore(&snap.slot)?;
+            restore.stop();
             self.requests_served = snap.requests_served;
             self.seq = seq;
         }
@@ -710,6 +719,11 @@ impl Backend for Worker {
                 if let Some(d) = &mut self.durable {
                     d.fail_next_append = true;
                 }
+                Ok(Response::Stats(self.stats()))
+            }
+            #[cfg(test)]
+            Request::FailNextRefit => {
+                self.slot.fail_next_refit = true;
                 Ok(Response::Stats(self.stats()))
             }
             #[cfg(test)]
@@ -1017,6 +1031,78 @@ mod tests {
         restarted.shutdown().unwrap();
         control.shutdown().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A refit that fails leaves its batch ingested and the warm-start
+    /// chain where it was: reads keep serving the last good fit, and the
+    /// next refit covers the failed batch's claims too. No restart here:
+    /// replay would refit after the failed batch, since an injected
+    /// failure is not a function of the data.
+    #[test]
+    fn failed_refit_serves_the_last_good_fit_until_the_next_refit() {
+        let (n, m) = (4, 3);
+        let spawn = || {
+            let mut g = FollowerGraph::new(n);
+            g.add_follow(1, 0);
+            g.add_follow(3, 2);
+            QueryService::spawn(n, m, g, ServeConfig::default()).unwrap()
+        };
+        let claims = |raw: &[(u32, u32, u64)]| -> Vec<TimedClaim> {
+            let claim = |&(s, j, t): &(u32, u32, u64)| TimedClaim::new(s, j, t);
+            raw.iter().map(claim).collect()
+        };
+        let a = claims(&[(0, 0, 1), (1, 0, 2), (2, 1, 3), (3, 2, 4), (0, 2, 5)]);
+        let b = claims(&[(2, 0, 6), (3, 1, 7), (1, 2, 8)]);
+        let c = claims(&[(0, 1, 9), (2, 2, 10)]);
+        // Every served bit of the posteriors and the source ranking.
+        let answers = |client: &ServeHandle| {
+            let posteriors = client.posteriors().unwrap();
+            let ranks = client.top_sources(n as usize).unwrap();
+            let ranks: Vec<(u32, u64, [u64; 4])> = ranks
+                .iter()
+                .map(|r| {
+                    let s = r.params;
+                    let params = [s.a, s.b, s.f, s.g].map(f64::to_bits);
+                    (r.source, r.precision.to_bits(), params)
+                })
+                .collect();
+            (
+                posteriors.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+                ranks,
+            )
+        };
+
+        let svc = spawn();
+        let client = svc.handle();
+        client.ingest(a.clone()).unwrap();
+        let after_a = answers(&client);
+        assert!(client
+            .raw_send(Request::FailNextRefit)
+            .recv()
+            .unwrap()
+            .is_ok());
+        assert!(matches!(
+            client.ingest(b.clone()),
+            Err(ServeError::Sense(_))
+        ));
+        let stats = client.stats().unwrap();
+        assert_eq!((stats.failed_refits, stats.chain_refits), (1, 1));
+        assert_eq!(stats.total_claims, a.len() + b.len(), "B stays ingested");
+        let metrics = client.metrics().unwrap();
+        assert_eq!(metrics.counter("serve.refit.failed_total"), 1);
+        assert_eq!(answers(&client), after_a);
+
+        client.ingest(c.clone()).unwrap();
+        let control = spawn();
+        control.handle().ingest(a).unwrap();
+        control.handle().ingest([b, c].concat()).unwrap();
+        let after_c = answers(&client);
+        assert_eq!(after_c, answers(&control.handle()));
+        assert_ne!(after_c.0, after_a.0, "C's refit moved the fit");
+        let stats = client.stats().unwrap();
+        assert_eq!((stats.failed_refits, stats.chain_refits), (1, 2));
+        svc.shutdown().unwrap();
+        control.shutdown().unwrap();
     }
 
     #[test]

@@ -142,6 +142,10 @@ pub(crate) struct Slot {
     /// [`ServeConfig::parallelism`], for bound evaluation.
     parallelism: Parallelism,
     obs: Obs,
+    /// Test hook: the next [`refit`](Self::refit) fails before it
+    /// reaches the estimator.
+    #[cfg(test)]
+    pub fail_next_refit: bool,
 }
 
 impl Slot {
@@ -172,6 +176,8 @@ impl Slot {
             last_refit: None,
             parallelism: cfg.parallelism,
             obs,
+            #[cfg(test)]
+            fail_next_refit: false,
         })
     }
 
@@ -237,6 +243,13 @@ impl Slot {
     pub fn refit(&mut self, epoch: u64, key: u32) -> Result<(), SenseError> {
         if self.est.pending() == 0 {
             return Ok(());
+        }
+        #[cfg(test)]
+        if std::mem::take(&mut self.fail_next_refit) {
+            let injected = Err(SenseError::BadConfig {
+                what: "injected refit failure",
+            });
+            return self.book(injected, epoch, key).map(drop);
         }
         let refit = self.est.estimate_with_stats();
         self.chain_fit = Some(self.book(refit, epoch, key)?);

@@ -20,7 +20,7 @@ use rand::{Rng, SeedableRng};
 
 use socsense_core::{DeltaConfig, RefitMode};
 use socsense_graph::{FollowerGraph, TimedClaim};
-use socsense_persist::SnapshotStore;
+use socsense_persist::{SnapshotStore, WalWriter};
 use socsense_serve::{
     IngestAck, Obs, PersistConfig, QueryService, ServeConfig, ServeError, ServeHandle,
     ShardedService, SourceRank,
@@ -514,6 +514,7 @@ fn checkpoint_of_another_format_is_refused_and_left_as_is() {
         for (stamp, named) in [
             (Some(1), "checkpoint format 1"),
             (Some(2), "checkpoint format 2"),
+            (Some(3), "checkpoint format 3"),
             (Some(7), "checkpoint format 7"),
             (None, "an unstamped checkpoint format"),
         ] {
@@ -523,7 +524,7 @@ fn checkpoint_of_another_format_is_refused_and_left_as_is() {
                 .expect_err("recovery refuses another format")
                 .to_string();
             assert!(
-                err.contains(named) && err.contains("reads checkpoint format 3"),
+                err.contains(named) && err.contains("reads checkpoint format 4"),
                 "{tier}: the refusal names both formats: {err}"
             );
             assert!(
@@ -533,8 +534,45 @@ fn checkpoint_of_another_format_is_refused_and_left_as_is() {
         }
 
         // Stamped back, the same directory recovers.
-        restamp_checkpoint(&dir, Some(3));
+        restamp_checkpoint(&dir, Some(4));
         run(&[]).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A WAL record whose claims are objects with named keys, as builds
+/// before checkpoint format 4 wrote them, is refused on either tier: a
+/// complete, CRC-valid line that does not decode is corruption, never a
+/// torn tail, so spawning fails naming the line and truncates nothing.
+#[test]
+fn wal_record_with_object_encoded_claims_is_refused_and_left_as_is() {
+    for shards in [None, Some(2)] {
+        let dir = tmp_dir(&format!("object-claims-{shards:?}"));
+        std::fs::create_dir_all(dir.join("snapshots")).unwrap();
+        let claim = |source: u32, assertion: u32, time: u64| serde_json::json!({ "source": source, "assertion": assertion, "time": time });
+        let record = serde_json::json!({
+            "seq": 1u64,
+            "claims": [claim(0, 0, 1), claim(1, 0, 2)],
+        });
+        let mut wal = WalWriter::open(&dir.join("wal.jsonl"), 1).unwrap();
+        wal.append(&record).unwrap();
+        drop(wal);
+        let before = dir_bytes(&dir);
+
+        let cfg = persisted(&ServeConfig::default(), &dir, 4);
+        let err = Tier::open(shards, &cfg, Obs::none())
+            .map(drop)
+            .expect_err("an undecodable WAL record is refused");
+        assert!(matches!(err, ServeError::Persist(_)), "{shards:?}: {err}");
+        let err = err.to_string();
+        assert!(
+            err.contains("wal.jsonl is corrupt at line 1"),
+            "{shards:?}: the refusal names the WAL line: {err}"
+        );
+        assert!(
+            dir_bytes(&dir) == before,
+            "{shards:?}: the refused data directory changed"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -614,10 +652,25 @@ fn failed_shutdown_checkpoint_surfaces_and_leaves_the_directory_recoverable() {
     }
 }
 
+/// How many times each of recovery's, the snapshot read's, the restore's,
+/// the WAL append's and the snapshot write's timers recorded in `metrics`.
+fn timed(metrics: &socsense_serve::MetricsSnapshot) -> [u64; 5] {
+    [
+        "serve.recovery.seconds",
+        "serve.snapshot.read.seconds",
+        "serve.recovery.restore.seconds",
+        "serve.wal.append.seconds",
+        "serve.snapshot.write.seconds",
+    ]
+    .map(|name| metrics.histogram(name).map_or(0, |h| h.count))
+}
+
 /// Recovery — open, restore and tail replay — is timed once on
 /// `serve.recovery.seconds`, in the service's own metrics and in an
 /// attached recorder, and attaching the recorder changes no recovered
-/// answer.
+/// answer. So are the durable tier's steps: each WAL append, each
+/// snapshot write, the snapshot read (read, CRC check and decode) and
+/// the restore of a checkpoint.
 #[test]
 fn recovery_is_timed_and_the_recorder_changes_no_bit() {
     let mut batches = vec![bootstrap_batch()];
@@ -629,12 +682,11 @@ fn recovery_is_timed_and_the_recorder_changes_no_bit() {
         for batch in &batches {
             client.ingest(batch.clone()).unwrap();
         }
-        assert!(
-            client
-                .metrics()
-                .unwrap()
-                .histogram("serve.recovery.seconds")
-                .is_some_and(|h| h.count == 1),
+        // Over an empty directory: a read that finds no snapshot and
+        // nothing to restore; then six appends and checkpoint 4.
+        assert_eq!(
+            timed(&client.metrics().unwrap()),
+            [1, 1, 0, 6, 1],
             "{shards:?}: recovery over an empty directory is timed too"
         );
         // Both restarts replay checkpoint 4 plus batches 5 and 6.
@@ -652,9 +704,10 @@ fn recovery_is_timed_and_the_recorder_changes_no_bit() {
             fingerprint(&plain_client),
             "{shards:?}: the recorder must be observation-only"
         );
+        // Each restart reads and restores checkpoint 4 and replays the
+        // tail without appending it again.
         for metrics in [traced_client.metrics().unwrap(), rec.snapshot()] {
-            let timed = metrics.histogram("serve.recovery.seconds");
-            assert!(timed.is_some_and(|h| h.count == 1), "{shards:?}");
+            assert_eq!(timed(&metrics), [1, 1, 1, 0, 0], "{shards:?}");
             assert_eq!(metrics.counter("serve.wal.recovered_batches_total"), 2);
         }
         plain.shutdown().unwrap();
