@@ -31,6 +31,16 @@
 //! source's sums from the layout's lists and writes into buffers
 //! allocated once per run.
 //!
+//! The tables (Eqs. 4–5, 9) and the M-step (Eqs. 24–28) see a source
+//! only through its `SC` and `D` rows and its own rates, so the sources
+//! of one layout class (equal rows) with equal rates get the same terms
+//! and the same update, bit for bit. Each per-source loop does a class's
+//! work once: a copy takes its leader's M-step counts, and, when its
+//! rates have the leader's bits, the leader's table terms and new rates.
+//! Every sum still adds each source's term in source order, so sharing
+//! moves only the work counters. A copy whose rates differ from its
+//! leader's, as after a warm start, runs the loop's own code.
+//!
 //! Cold fits ([`EmExt::fit`]) take one map and one pass per iteration.
 //! Warm fits ([`EmExt::fit_warm`]) step in SQUAREM cycles (Varadhan &
 //! Roland, Scand. J. Stat. 2008): two maps `θ₀ → θ₁ → θ₂`, the second
@@ -53,7 +63,9 @@ use socsense_obs::Obs;
 
 use crate::data::ClaimData;
 use crate::error::SenseError;
-use crate::likelihood::{ClaimLayout, ColumnFit, LikelihoodTables, ShrinkagePrior};
+use crate::likelihood::{
+    runs, same_rates, ClaimLayout, ColumnFit, LikelihoodTables, Shared, ShrinkagePrior,
+};
 use crate::model::{SourceParams, Theta};
 
 /// How the EM parameters are initialised.
@@ -445,6 +457,8 @@ impl EmExt {
             self.obs.counter("em.passes_total", passes.passes);
             self.obs
                 .counter("em.column_evals_total", passes.column_evals);
+            self.obs
+                .counter("em.source_evals_total", passes.source_evals);
             self.obs.counter("em.logs_total", passes.logs);
             self.obs.counter("em.extrapolations_total", extrapolations);
             self.obs
@@ -480,8 +494,9 @@ impl EmExt {
     /// M-step (Eqs. 24–28), sparse form: accumulates each source's
     /// posterior-weighted claim counts and exposures into `counts` from
     /// the last pass's posteriors, then writes `θₜ₊₁` into `next` via
-    /// [`apply_m_step`]. Returns `max |Δθ|` from `theta` to `next` and
-    /// the population rates.
+    /// [`apply_m_step`]. A copy in a source class holds its leader's
+    /// lists, so it takes its leader's counts. Returns `max |Δθ|` from
+    /// `theta` to `next` and the population rates.
     fn m_step(
         &self,
         passes: &Passes<'_>,
@@ -493,9 +508,7 @@ impl EmExt {
         let m = posterior.len() as f64;
         let sum_z: f64 = posterior.iter().sum();
         let sum_y = m - sum_z;
-        // Each source's counts read only its own lists, so the fill
-        // parallelises over fixed source chunks.
-        par_fill(passes.par, counts, |i| {
+        let count = |i: usize| {
             let (dep_row, independent, dependent) = layout.source_cells(i);
             let mut dep_z = 0.0;
             for &j in dep_row {
@@ -525,8 +538,39 @@ impl EmExt {
                 num_g,
                 dep_y,
             ]
-        });
-        apply_m_step(&self.config, theta, counts, sum_z / m, next)
+        };
+        // Each source's counts read only its own lists, so the fill
+        // parallelises over fixed source chunks. The copies take their
+        // leader's counts once every chunk is filled.
+        par_fill_reduce(
+            passes.par,
+            counts,
+            (),
+            |range, out| {
+                let start = range.start;
+                let copies = layout
+                    .shared_in(range.clone())
+                    .iter()
+                    .filter(|m| m.is_copy());
+                for (run, _) in runs(range, copies) {
+                    for (c, i) in out[run.start - start..run.end - start].iter_mut().zip(run) {
+                        *c = count(i);
+                    }
+                }
+            },
+            |(), ()| (),
+        );
+        for copy in layout.shared().iter().filter(|m| m.is_copy()) {
+            counts[copy.source as usize] = counts[copy.leader as usize];
+        }
+        apply_m_step(
+            &self.config,
+            theta,
+            counts,
+            sum_z / m,
+            next,
+            layout.shared(),
+        )
     }
 }
 
@@ -559,10 +603,11 @@ struct Passes<'a> {
     /// The last pass's posterior of each column, which the next M-step
     /// reads.
     posterior: Vec<f64>,
-    /// Passes run, distinct columns evaluated, and logarithms the table
-    /// builds took.
+    /// Passes run, distinct columns evaluated, sources whose terms the
+    /// table builds computed, and logarithms they took.
     passes: u64,
     column_evals: u64,
+    source_evals: u64,
     logs: u64,
 }
 
@@ -576,6 +621,7 @@ impl<'a> Passes<'a> {
             posterior: vec![0.0; layout.assertion_count()],
             passes: 0,
             column_evals: 0,
+            source_evals: 0,
             logs: 0,
         }
     }
@@ -615,6 +661,7 @@ impl<'a> Passes<'a> {
         );
         self.passes += 1;
         self.column_evals += fits.len() as u64;
+        self.source_evals += tables.source_evals();
         self.logs += tables.logs();
         Pass {
             log_likelihood,
@@ -690,12 +737,18 @@ fn extrapolate(theta0: &mut Theta, theta1: &Theta, theta2: &Theta, eps: f64) -> 
 /// `max |Δθ|` from `theta` to `next`, taken over `z` first and then the
 /// sources in order, as [`Theta::max_abs_diff`] does, and the population
 /// rates of `a`, `b`, `f` and `g`.
+///
+/// `shared` lists the members of source classes ([`ClaimLayout`]), each
+/// copy holding its leader's counts; the delta engine passes none. A
+/// copy whose rates in `theta` have its leader's bits takes the leader's
+/// new rates, and its `|Δθ|` is the leader's, already in the maximum.
 pub(crate) fn apply_m_step(
     config: &EmConfig,
     theta: &Theta,
     counts: &[[f64; 8]],
     z: f64,
     next: &mut Theta,
+    shared: &[Shared],
 ) -> (f64, [f64; 4]) {
     let mut pop = [0.0f64; 8];
     for c in counts {
@@ -716,8 +769,9 @@ pub(crate) fn apply_m_step(
     let z = z.clamp(eps, 1.0 - eps);
     next.set_z(z);
     let mut delta = (theta.z() - z).abs();
-    for (i, c) in counts.iter().enumerate() {
-        let prev = *theta.source(i);
+    // Source `i`'s new rates, written into `next`, folded into `delta`.
+    let mut update = |i: usize, next: &mut Theta| {
+        let (c, prev) = (&counts[i], *theta.source(i));
         let fallback = [prev.a, prev.b, prev.f, prev.g];
         let mut vals = [0.0f64; 4];
         for k in 0..4 {
@@ -741,6 +795,21 @@ pub(crate) fn apply_m_step(
             .max((prev.f - p.f).abs())
             .max((prev.g - p.g).abs());
         next.set_source(i, p);
+    };
+    let copies = shared.iter().filter(|m| m.is_copy());
+    for (run, copy) in runs(0..counts.len(), copies) {
+        for i in run {
+            update(i, next);
+        }
+        let Some(copy) = copy else {
+            break;
+        };
+        let (i, leader) = (copy.source as usize, copy.leader as usize);
+        if same_rates(theta.source(i), theta.source(leader)) {
+            next.set_source(i, *next.source(leader));
+        } else {
+            update(i, next);
+        }
     }
     (delta, pop_rates)
 }
@@ -1031,30 +1100,39 @@ mod tests {
     /// (but may hold dependent cells) and a run of two or three that
     /// hold no cell at all, with `D` cells only when `with_d`. Up to 150
     /// assertions, so the log-likelihood chunks hold several terms each,
-    /// then copies of up to 15 of them, so some columns are equal.
+    /// then copies of up to 15 of them, so some columns are equal. Last
+    /// come copies of up to two claiming sources, `D` cells included, so
+    /// some sources share a class with an earlier one.
     fn random_world() -> impl Strategy<Value = ClaimData> {
-        (1u32..8, 1u32..150, 0u32..2, 2u32..4, 0u32..16).prop_flat_map(
-            |(n, m, with_d, idle, copies)| {
+        (1u32..8, 1u32..150, 0u32..2, 2u32..4, 0u32..16, 0u32..3).prop_flat_map(
+            |(n, m, with_d, idle, copies, dups)| {
                 let sc = proptest::collection::vec((0..n, 0..m), 1..150);
                 let d = proptest::collection::vec((0..n + 1, 0..m), 0..(1 + 60 * with_d as usize));
-                (Just(n + 1 + idle), Just(m), Just(copies.min(m)), sc, d).prop_map(
-                    |(rows, m, copies, sc, d)| {
-                        // Column m + k repeats column k's cells.
-                        let with_copies = |cells: Vec<(u32, u32)>| {
-                            let repeated: Vec<(u32, u32)> = cells
-                                .iter()
-                                .filter(|&&(_, j)| j < copies)
-                                .map(|&(i, j)| (i, m + j))
-                                .collect();
-                            cells.into_iter().chain(repeated).collect::<Vec<_>>()
-                        };
-                        ClaimData::new(
-                            SparseBinaryMatrix::from_entries(rows, m + copies, with_copies(sc)),
-                            SparseBinaryMatrix::from_entries(rows, m + copies, with_copies(d)),
-                        )
-                        .expect("shapes match")
-                    },
-                )
+                let shape = (n + 1 + idle, m, copies.min(m), dups.min(n));
+                (Just(shape), sc, d).prop_map(|((rows, m, copies, dups), sc, d)| {
+                    // Column m + k repeats column k's cells, then row
+                    // rows + k repeats row k's.
+                    let with_copies = |cells: Vec<(u32, u32)>| {
+                        let columns: Vec<(u32, u32)> = cells
+                            .iter()
+                            .filter(|&&(_, j)| j < copies)
+                            .map(|&(i, j)| (i, m + j))
+                            .chain(cells.iter().copied())
+                            .collect();
+                        let rows: Vec<(u32, u32)> = columns
+                            .iter()
+                            .filter(|&&(i, _)| i < dups)
+                            .map(|&(i, j)| (rows + i, j))
+                            .collect();
+                        columns.into_iter().chain(rows).collect::<Vec<_>>()
+                    };
+                    let (rows, cols) = (rows + dups, m + copies);
+                    ClaimData::new(
+                        SparseBinaryMatrix::from_entries(rows, cols, with_copies(sc)),
+                        SparseBinaryMatrix::from_entries(rows, cols, with_copies(d)),
+                    )
+                    .expect("shapes match")
+                })
             },
         )
     }
@@ -1118,14 +1196,18 @@ mod tests {
 
     /// A [`random_world`] with its dependent claims removed, so every `D`
     /// cell is a silence (`SC ∩ D = ∅`): the `(SC∖D, D)` that EM-Social
-    /// fits. The last source, which holds no cell, gets a `D` cell on
+    /// fits. The last source that holds no cell gets a `D` cell on
     /// assertion 0, so `D` is never empty.
     fn silent_dependence_world() -> impl Strategy<Value = ClaimData> {
         random_world().prop_map(|data| {
             let sc = data.sc();
             let (n, m) = (sc.nrows(), sc.ncols());
+            let idle = (0..n)
+                .rev()
+                .find(|&i| sc.row_nnz(i) == 0 && data.d().row_nnz(i) == 0)
+                .expect("every world has a run of sources without a cell");
             let independent = sc.entries().filter(|&(i, j)| !data.dependent(i, j));
-            let dependent = data.d().entries().chain([(n - 1, 0)]);
+            let dependent = data.d().entries().chain([(idle, 0)]);
             ClaimData::new(
                 SparseBinaryMatrix::from_entries(n, m, independent),
                 SparseBinaryMatrix::from_entries(n, m, dependent),
@@ -1419,6 +1501,10 @@ mod tests {
         // four logarithms; the sources of each block share their rates,
         // so the others reuse them.
         assert_eq!(snap.counter("em.column_evals_total"), 2 * passes);
+        // Sources 0..3 hold the same cells, as do 4 and 5, and both
+        // deterministic starts give every source the same rates: each
+        // block's first source computes its terms, the others copy them.
+        assert_eq!(snap.counter("em.source_evals_total"), 2 * passes);
         let logs = snap.counter("em.logs_total");
         assert!(
             (6 * passes..(4 * 6 + 2) * passes).contains(&logs),
@@ -1487,6 +1573,7 @@ mod tests {
                     "em.iterations_total",
                     "em.passes_total",
                     "em.column_evals_total",
+                    "em.source_evals_total",
                     "em.logs_total",
                     "em.extrapolations_total",
                     "em.extrapolations_rejected_total",
@@ -1571,6 +1658,61 @@ mod tests {
             fit_bits(&fit),
             fit_bits(&reference_run(&em, &data, start, true))
         );
+    }
+
+    /// The source classes' test Miri runs: warm fits in which sources 0
+    /// and 1 hold the same cells, as do sources 3 and 4, so the table
+    /// fill, the M-step's counts and its update share a class's work
+    /// under the interpreter, against the three-pass reference. Each copy
+    /// starts from rates other than its leader's, so its first pass takes
+    /// the unshared path. Source 4 starts from source 3's `a` and `b`
+    /// only: at smoothing 0 its `f` and `g`, which no cell informs, keep
+    /// their own values, so it never shares.
+    #[test]
+    fn tiny_warm_fit_over_copied_sources_matches_the_reference() {
+        // Sources 0 and 1 claim assertion 0 and copy on assertion 1;
+        // source 2 claims 2. Sources 3 and 4 hold nothing.
+        let sc = SparseBinaryMatrix::from_entries(5, 3, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]);
+        let d = SparseBinaryMatrix::from_entries(5, 3, [(0, 1), (1, 1)]);
+        let data = ClaimData::new(sc, d).unwrap();
+        let mut start = Theta::random(5, &mut StdRng::seed_from_u64(7));
+        let (s3, s4) = (*start.source(3), *start.source(4));
+        start.set_source(
+            4,
+            SourceParams {
+                f: s4.f,
+                g: s4.g,
+                ..s3
+            },
+        );
+        for smoothing in [0.0, 2.0] {
+            let em = EmExt::new(EmConfig {
+                max_iters: 6,
+                smoothing,
+                parallelism: Parallelism::Serial,
+                ..EmConfig::default()
+            });
+            let (obs, rec) = Obs::recorder();
+            let fit = em
+                .clone()
+                .with_obs(obs)
+                .fit_warm(&data, start.clone())
+                .unwrap();
+            let snap = rec.snapshot();
+            // Sources 0, 2 and 3 lead; the first pass computes the
+            // copies' terms too, and a later one shares some.
+            let passes = snap.counter("em.passes_total");
+            let evals = snap.counter("em.source_evals_total");
+            assert!(
+                (3 * passes + 2..5 * passes).contains(&evals),
+                "premise: {evals} source evaluations over {passes} passes"
+            );
+            assert_eq!(
+                fit_bits(&fit),
+                fit_bits(&reference_run(&em, &data, start.clone(), true)),
+                "smoothing {smoothing}"
+            );
+        }
     }
 
     #[test]

@@ -25,23 +25,30 @@
 //! below and the delta engine) pass them to `column`, which merges them
 //! into slots on the fly. EM-Ext builds a [`ClaimLayout`] once per fit
 //! instead: every distinct column's slot list, each column's group of
-//! equal columns, and each source's `D` row and claims split by `D`. Its
-//! passes evaluate one column per group through the same accumulation,
-//! and its M-step gathers from the source lists without a merge.
+//! equal columns, each source's `D` row and claims split by `D`, and the
+//! classes of sources whose three lists are all equal. Its passes
+//! evaluate one column per group through the same accumulation, and its
+//! M-step gathers from the source lists without a merge.
 //!
 //! A table build takes each logarithm once per source, and fewer where a
 //! source's rate has the same bits as the previous source's: it reuses
-//! that source's `ln x` and `ln(1−x)`. Built with a [`ShrinkagePrior`],
+//! that source's `ln x` and `ln(1−x)`. Over a layout, a copy in a source
+//! class whose rates have its leader's bits takes no logarithm at all:
+//! it takes the leader's three pairs, and adds the leader's `ln(1−a)`,
+//! `ln(1−b)` and prior term to the sums at its own place in source
+//! order, so every sum keeps its bits. Built with a [`ShrinkagePrior`],
 //! the tables also sum the log-prior that turns Eq. 7 into the objective
 //! the shrinkage M-step ascends, which EM-Ext's warm runs use to
 //! safeguard their extrapolations.
+
+use std::ops::Range;
 
 use socsense_matrix::logprob::{log_sum_exp2, safe_ln, safe_ln_1m};
 use socsense_matrix::parallel::{par_map_collect, par_map_reduce, Parallelism};
 
 use crate::data::ClaimData;
 use crate::error::SenseError;
-use crate::model::Theta;
+use crate::model::{SourceParams, Theta};
 
 /// The slot of source `i`'s independent-claim pair, `ln a − ln(1−a)` and
 /// `ln b − ln(1−b)`. Source `i`'s three pairs sit at `3i + kind`.
@@ -100,6 +107,12 @@ pub struct LikelihoodTables {
     log_prior: f64,
     /// The logarithms the last build took.
     logs: u64,
+    /// The sources whose terms the last build computed; a copy that took
+    /// its leader's terms is not one of them.
+    source_evals: u64,
+    /// Per source class, the leader's `ln(1−a)`, `ln(1−b)` and prior
+    /// term from the last build, which its copies add in its place.
+    class_sums: Vec<[f64; 3]>,
 }
 
 /// The Beta prior behind the M-step's shrinkage: each rate update
@@ -185,6 +198,73 @@ impl RateLogs {
     }
 }
 
+/// One table build's running state: the logarithms kept for the next
+/// source, the logarithms taken, and the sums in source order.
+struct Build<'p> {
+    rates: [RateLogs; 4],
+    logs: u64,
+    base1: f64,
+    base0: f64,
+    prior_sum: f64,
+    prior: Option<&'p ShrinkagePrior>,
+}
+
+impl Build<'_> {
+    /// Writes source `s`'s three pairs into `row`: its claim pair when
+    /// `claims`, its dependent pairs when `deps`, and the rest
+    /// [`LEFT_OUT`]. Adds its `ln(1−a)`, `ln(1−b)` and, with a prior, its
+    /// prior term to the sums and returns them.
+    #[inline(always)]
+    fn source(
+        &mut self,
+        s: &SourceParams,
+        row: &mut [[f64; 2]],
+        claims: bool,
+        deps: bool,
+    ) -> [f64; 3] {
+        let [a, b, f, g] = &mut self.rates;
+        let logs = &mut self.logs;
+        let ln_1a = a.ln_1m(s.a, logs);
+        let ln_1b = b.ln_1m(s.b, logs);
+        let mut claim = LEFT_OUT;
+        if claims {
+            claim = [a.ln(s.a, logs) - ln_1a, b.ln(s.b, logs) - ln_1b];
+        }
+        let (mut ln_1fg, mut dep, mut dep_claim) = (LEFT_OUT, LEFT_OUT, LEFT_OUT);
+        if deps {
+            ln_1fg = [f.ln_1m(s.f, logs), g.ln_1m(s.g, logs)];
+            dep = [ln_1fg[0] - ln_1a, ln_1fg[1] - ln_1b];
+            dep_claim = [f.ln(s.f, logs) - ln_1fg[0], g.ln(s.g, logs) - ln_1fg[1]];
+        }
+        let mut prior_term = 0.0;
+        if let Some(p) = self.prior {
+            prior_term = p.source_term(
+                [ln_1a, ln_1b, ln_1fg[0], ln_1fg[1]],
+                [claim[0], claim[1], dep_claim[0], dep_claim[1]],
+            );
+        }
+        row[CLAIM] = claim;
+        row[DEP] = dep;
+        row[DEP_CLAIM] = dep_claim;
+        let sums = [ln_1a, ln_1b, prior_term];
+        self.add(sums);
+        sums
+    }
+
+    /// Adds one source's `ln(1−a)`, `ln(1−b)` and prior term to the sums.
+    #[inline(always)]
+    fn add(&mut self, [ln_1a, ln_1b, prior_term]: [f64; 3]) {
+        self.base1 += ln_1a;
+        self.base0 += ln_1b;
+        self.prior_sum += prior_term;
+    }
+}
+
+/// Whether two sources' rates have the same bits.
+pub(crate) fn same_rates(p: &SourceParams, q: &SourceParams) -> bool {
+    [p.a, p.b, p.f, p.g].map(f64::to_bits) == [q.a, q.b, q.f, q.g].map(f64::to_bits)
+}
+
 impl LikelihoodTables {
     /// Builds the tables for `theta`, every term of every source.
     pub fn new(theta: &Theta) -> Self {
@@ -215,7 +295,7 @@ impl LikelihoodTables {
         has_deps: impl Fn(usize) -> bool,
     ) -> Self {
         let mut tables = Self::empty();
-        tables.fill(theta, has_claims, has_deps, None);
+        tables.fill(theta, has_claims, has_deps, None, &[]);
         tables
     }
 
@@ -230,6 +310,8 @@ impl LikelihoodTables {
             ln_1z: 0.0,
             log_prior: 0.0,
             logs: 0,
+            source_evals: 0,
+            class_sums: Vec::new(),
         }
     }
 
@@ -237,7 +319,9 @@ impl LikelihoodTables {
     /// under `theta`, as [`for_data`](Self::for_data) builds them for the
     /// layout's data. With a `prior`, also sums the log-prior of `theta`,
     /// read back by [`log_prior`](Self::log_prior); every source's terms
-    /// are then filled, since the prior reads them all.
+    /// are then filled, since the prior reads them all. A copy in one of
+    /// the layout's source classes whose rates have its leader's bits
+    /// takes the leader's terms.
     pub(crate) fn refill(
         &mut self,
         theta: &Theta,
@@ -249,6 +333,7 @@ impl LikelihoodTables {
             |i| layout.has_claims(i),
             |i| layout.has_deps(i),
             prior,
+            &layout.shared,
         );
     }
 
@@ -258,58 +343,68 @@ impl LikelihoodTables {
     /// [`ShrinkagePrior::source_term`]s, folded in source order from
     /// `0.0`. The prior reuses the logarithms the terms take, so with one
     /// every term of every source is filled. Each logarithm is reused
-    /// from the previous source when its rate has the same bits.
+    /// from the previous source computed when its rate has the same bits.
+    ///
+    /// `shared` lists the members of the source classes, in source order
+    /// ([`ClaimLayout`]). A leader's `ln(1−a)`, `ln(1−b)` and prior term
+    /// are kept for its class; a copy whose rates have its leader's bits
+    /// takes the leader's three pairs and adds the kept sums at its own
+    /// place in the order, so every sum has the bits of a build without
+    /// classes. The other sources run the same loop as without classes.
     fn fill(
         &mut self,
         theta: &Theta,
         has_claims: impl Fn(usize) -> bool,
         has_deps: impl Fn(usize) -> bool,
         prior: Option<&ShrinkagePrior>,
+        shared: &[Shared],
     ) {
-        let mut logs = 0;
-        let mut rates: [RateLogs; 4] = Default::default();
-        let [a, b, f, g] = &mut rates;
-        let (mut base1, mut base0, mut prior_sum) = (0.0, 0.0, 0.0);
-        self.terms.resize(3 * theta.source_count(), LEFT_OUT);
-        for (i, (s, row)) in theta
-            .sources()
-            .iter()
-            .zip(self.terms.chunks_exact_mut(3))
-            .enumerate()
-        {
-            let ln_1a = a.ln_1m(s.a, &mut logs);
-            let ln_1b = b.ln_1m(s.b, &mut logs);
-            base1 += ln_1a;
-            base0 += ln_1b;
-            let mut claim = LEFT_OUT;
-            if prior.is_some() || has_claims(i) {
-                claim = [a.ln(s.a, &mut logs) - ln_1a, b.ln(s.b, &mut logs) - ln_1b];
+        let mut build = Build {
+            rates: Default::default(),
+            logs: 0,
+            base1: 0.0,
+            base0: 0.0,
+            prior_sum: 0.0,
+            prior,
+        };
+        let sources = theta.sources();
+        let n = sources.len();
+        // The prior reads every term.
+        let all = prior.is_some();
+        let claims = |i| all || has_claims(i);
+        let deps = |i| all || has_deps(i);
+        let mut copies = 0;
+        self.terms.resize(3 * n, LEFT_OUT);
+        self.class_sums.clear();
+        for (run, member) in runs(0..n, shared.iter()) {
+            let rows = self.terms[3 * run.start..3 * run.end].chunks_exact_mut(3);
+            for (i, (s, row)) in run.clone().zip(sources[run].iter().zip(rows)) {
+                build.source(s, row, claims(i), deps(i));
             }
-            let (mut ln_1fg, mut dep, mut dep_claim) = (LEFT_OUT, LEFT_OUT, LEFT_OUT);
-            if prior.is_some() || has_deps(i) {
-                ln_1fg = [f.ln_1m(s.f, &mut logs), g.ln_1m(s.g, &mut logs)];
-                dep = [ln_1fg[0] - ln_1a, ln_1fg[1] - ln_1b];
-                dep_claim = [
-                    f.ln(s.f, &mut logs) - ln_1fg[0],
-                    g.ln(s.g, &mut logs) - ln_1fg[1],
-                ];
+            let Some(member) = member else {
+                break;
+            };
+            let (i, leader) = (member.source as usize, member.leader as usize);
+            if i != leader && same_rates(&sources[i], &sources[leader]) {
+                self.terms.copy_within(3 * leader..3 * leader + 3, 3 * i);
+                build.add(self.class_sums[member.class as usize]);
+                copies += 1;
+            } else {
+                let row = &mut self.terms[3 * i..3 * i + 3];
+                let sums = build.source(&sources[i], row, claims(i), deps(i));
+                // Classes are numbered in the order of their leaders.
+                if i == leader {
+                    self.class_sums.push(sums);
+                }
             }
-            if let Some(p) = prior {
-                prior_sum += p.source_term(
-                    [ln_1a, ln_1b, ln_1fg[0], ln_1fg[1]],
-                    [claim[0], claim[1], dep_claim[0], dep_claim[1]],
-                );
-            }
-            row[CLAIM] = claim;
-            row[DEP] = dep;
-            row[DEP_CLAIM] = dep_claim;
         }
-        self.base1 = base1;
-        self.base0 = base0;
+        self.base1 = build.base1;
+        self.base0 = build.base0;
         self.ln_z = safe_ln(theta.z());
         self.ln_1z = safe_ln_1m(theta.z());
-        self.log_prior = prior.map_or(0.0, |p| p.smoothing * prior_sum);
-        self.logs = logs + 2;
+        self.log_prior = prior.map_or(0.0, |p| p.smoothing * build.prior_sum);
+        self.logs = build.logs + 2;
+        self.source_evals = (n - copies) as u64;
     }
 
     /// The log-prior of the tables' `θ` under the [`ShrinkagePrior`]
@@ -323,6 +418,12 @@ impl LikelihoodTables {
     /// included.
     pub(crate) fn logs(&self) -> u64 {
         self.logs
+    }
+
+    /// The sources whose terms the last build computed, leaving out the
+    /// copies that took their leader's.
+    pub(crate) fn source_evals(&self) -> u64 {
+        self.source_evals
     }
 
     /// Number of sources the tables cover.
@@ -387,6 +488,39 @@ impl LikelihoodTables {
 /// `u32`s.
 const MAX_LAYOUT_SOURCES: usize = u32::MAX as usize / 3;
 
+/// A member of a source class of two or more ([`ClaimLayout`]): the
+/// class's first source, its *leader*, or one of its *copies*.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Shared {
+    pub source: u32,
+    pub leader: u32,
+    /// The class, numbered in the order of the leaders.
+    pub class: u32,
+}
+
+impl Shared {
+    /// Whether the member is a copy of its leader.
+    pub(crate) fn is_copy(&self) -> bool {
+        self.source != self.leader
+    }
+}
+
+/// Splits `range` at `members`, which lie in it in source order: each
+/// run of sources before a member, paired with that member, then the run
+/// after the last member, paired with `None`.
+pub(crate) fn runs<'a>(
+    range: Range<usize>,
+    members: impl Iterator<Item = &'a Shared>,
+) -> impl Iterator<Item = (Range<usize>, Option<&'a Shared>)> {
+    let mut from = range.start;
+    members.map(Some).chain([None]).map(move |member| {
+        let to = member.map_or(range.end, |m| m.source as usize);
+        let run = from..to;
+        from = to + 1;
+        (run, member)
+    })
+}
+
 /// `SC` and `D` arranged for EM-Ext's passes, built once per fit.
 ///
 /// * Columns with the same slot list form a *group*. The layout keeps
@@ -397,6 +531,14 @@ const MAX_LAYOUT_SOURCES: usize = u32::MAX as usize / 3;
 /// * Per source, it keeps the `D` row, the independent claims and the
 ///   dependent claims as three sorted lists, so the M-step gathers each
 ///   sum from its own list without merging `SC` and `D` rows.
+/// * Sources whose three lists are all equal form a *class*: the tables
+///   (Eqs. 4–5, 9) and the M-step (Eqs. 24–28) see a source only through
+///   those lists and its own rates, so a class's sources with equal
+///   rates get the same terms and the same update. The layout lists the
+///   members of every class of two or more in source order, so each
+///   per-source loop does a class's work once. Classes are found by
+///   hashing every source's lists and comparing the sources whose hashes
+///   are equal.
 #[derive(Debug, Clone)]
 pub(crate) struct ClaimLayout {
     /// Group `g`'s slots are `group_slots[group_start[g]..group_start[g + 1]]`.
@@ -408,6 +550,9 @@ pub(crate) struct ClaimLayout {
     /// the three runs of `row_cols` that `row_start[3i..3i + 4]` bound.
     row_start: Vec<usize>,
     row_cols: Vec<u32>,
+    /// The leader and the copies of every class of two or more sources,
+    /// in source order.
+    shared: Vec<Shared>,
 }
 
 impl ClaimLayout {
@@ -480,12 +625,86 @@ impl ClaimLayout {
             row_cols.extend_from_slice(&dependent);
             row_start.push(row_cols.len());
         }
-        Ok(Self {
+        let mut layout = Self {
             group_start,
             group_slots,
             group_of,
             row_start,
             row_cols,
+            shared: Vec::new(),
+        };
+        layout.shared = layout.source_classes();
+        Ok(layout)
+    }
+
+    /// The members of every class of two or more sources, in source
+    /// order. Each source in turn looks up an earlier source with equal
+    /// lists in a table of leaders keyed by the hash of their lists
+    /// (open addressing, never iterated), and joins its class or leads a
+    /// class of its own.
+    fn source_classes(&self) -> Vec<Shared> {
+        const EMPTY: u32 = u32::MAX;
+        let n = self.source_count();
+        let bits = (2 * n).max(2).next_power_of_two().trailing_zeros();
+        let mut table = vec![(0u64, EMPTY); 1 << bits];
+        let mut leader_of = Vec::with_capacity(n);
+        for i in 0..n {
+            let (hash, cells) = (self.cells_hash(i), self.source_cells(i));
+            // Fibonacci hashing: the product's top bits pick the slot.
+            let mut slot = (hash.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - bits)) as usize;
+            let leader = loop {
+                match table[slot] {
+                    (_, EMPTY) => {
+                        table[slot] = (hash, i as u32);
+                        break i as u32;
+                    }
+                    (h, l) if h == hash && self.source_cells(l as usize) == cells => break l,
+                    _ => slot = (slot + 1) & (table.len() - 1),
+                }
+            };
+            leader_of.push(leader);
+        }
+        let mut has_copy = vec![false; n];
+        for (i, &l) in leader_of.iter().enumerate() {
+            has_copy[l as usize] |= l as usize != i;
+        }
+        // Number the classes in the order of their leaders, each of which
+        // comes before its copies.
+        let mut class_of = vec![0; n];
+        let mut classes = 0;
+        let mut shared = Vec::new();
+        for (i, &leader) in leader_of.iter().enumerate() {
+            let source = i as u32;
+            if leader != source {
+                let class = class_of[leader as usize];
+                shared.push(Shared {
+                    source,
+                    leader,
+                    class,
+                });
+            } else if has_copy[i] {
+                class_of[i] = classes;
+                shared.push(Shared {
+                    source,
+                    leader,
+                    class: classes,
+                });
+                classes += 1;
+            }
+        }
+        shared
+    }
+
+    /// A hash of source `i`'s three lists (FNV-1a over their lengths and
+    /// cells): sources with equal lists hash alike.
+    fn cells_hash(&self, i: usize) -> u64 {
+        let bounds = &self.row_start[3 * i..3 * i + 4];
+        let lengths = bounds.windows(2).map(|w| (w[1] - w[0]) as u64);
+        let cells = self.row_cols[bounds[0]..bounds[3]]
+            .iter()
+            .map(|&j| u64::from(j));
+        lengths.chain(cells).fold(0xcbf2_9ce4_8422_2325, |h, x| {
+            (h ^ x).wrapping_mul(0x0100_0000_01b3)
         })
     }
 
@@ -520,6 +739,18 @@ impl ClaimLayout {
         let run =
             |k: usize| &self.row_cols[self.row_start[3 * i + k]..self.row_start[3 * i + k + 1]];
         (run(0), run(1), run(2))
+    }
+
+    /// The leader and the copies of every class of two or more sources,
+    /// in source order.
+    pub(crate) fn shared(&self) -> &[Shared] {
+        &self.shared
+    }
+
+    /// The members of [`shared`](Self::shared) in `range`.
+    pub(crate) fn shared_in(&self, range: Range<usize>) -> &[Shared] {
+        let at = |i: usize| self.shared.partition_point(|m| (m.source as usize) < i);
+        &self.shared[at(range.start)..at(range.end)]
     }
 
     /// Whether source `i` claims anything.
@@ -672,39 +903,65 @@ mod tests {
     /// (but may hold dependent cells) and a run of two or three that
     /// hold no cell and share one set of rates, with `D` cells only when
     /// `with_d`, and a random θ. Up to 100 assertions, then copies of up
-    /// to 15 of them, so some columns are equal.
+    /// to 15 of them, so some columns are equal. Last come copies of up
+    /// to two claiming sources, `D` cells included, each with its
+    /// leader's rates or rates of its own.
     fn random_world() -> impl Strategy<Value = (ClaimData, Theta)> {
-        (1u32..8, 1u32..100, 0u32..2, 2u32..4, 0u32..16).prop_flat_map(
-            |(n, m, with_d, idle, copies)| {
+        (1u32..8, 1u32..100, 0u32..2, 2u32..4, 0u32..16, 0u32..3).prop_flat_map(
+            |(n, m, with_d, idle, copies, dups)| {
                 let sc = vec((0..n, 0..m), 0..120);
                 let d = vec((0..n + 1, 0..m), 0..(1 + 40 * with_d as usize));
                 let rates = (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0);
                 let params = vec(rates.clone(), n as usize + 1);
+                let dups = dups.min(n);
+                let dup_params = vec((0u32..2, rates.clone()), dups as usize);
                 (
                     (Just(n + 1), Just(idle), Just(m), Just(copies.min(m))),
-                    sc,
-                    d,
-                    params,
+                    (sc, d),
+                    (params, dup_params),
                     rates,
                     0.0f64..1.0,
                 )
                     .prop_map(
-                        |((claimers, idle, m, copies), sc, d, params, shared, z)| {
-                            // Column m + k repeats column k's cells.
+                        |(
+                            (claimers, idle, m, copies),
+                            (sc, d),
+                            (params, dup_params),
+                            shared,
+                            z,
+                        )| {
+                            let rows = claimers + idle;
+                            let dups = dup_params.len() as u32;
+                            // Column m + k repeats column k's cells, then
+                            // row rows + k repeats row k's.
                             let with_copies = |cells: Vec<(u32, u32)>| {
-                                let repeated: Vec<(u32, u32)> = cells
+                                let columns: Vec<(u32, u32)> = cells
                                     .iter()
                                     .filter(|&&(_, j)| j < copies)
                                     .map(|&(i, j)| (i, m + j))
+                                    .chain(cells.iter().copied())
                                     .collect();
-                                cells.into_iter().chain(repeated).collect::<Vec<_>>()
+                                let copied: Vec<(u32, u32)> = columns
+                                    .iter()
+                                    .filter(|&&(i, _)| i < dups)
+                                    .map(|&(i, j)| (rows + i, j))
+                                    .collect();
+                                columns.into_iter().chain(copied).collect::<Vec<_>>()
                             };
-                            let (rows, cols) = (claimers + idle, m + copies);
+                            let (rows, cols) = (rows + dups, m + copies);
                             let sc = SparseBinaryMatrix::from_entries(rows, cols, with_copies(sc));
                             let d = SparseBinaryMatrix::from_entries(rows, cols, with_copies(d));
+                            let dup_rates: Vec<_> = dup_params
+                                .into_iter()
+                                .zip(&params)
+                                .map(
+                                    |((own, rates), &leader)| if own == 1 { rates } else { leader },
+                                )
+                                .collect();
                             let sources = params
                                 .into_iter()
                                 .chain(std::iter::repeat_n(shared, idle as usize))
+                                .chain(dup_rates)
                                 .map(|(a, b, f, g)| SourceParams { a, b, f, g })
                                 .collect();
                             let theta = Theta::new(sources, z).expect("rates drawn in [0, 1)");
@@ -730,6 +987,7 @@ mod tests {
             let layout = ClaimLayout::new(&data).unwrap();
             let mut laid = LikelihoodTables::empty();
             laid.refill(&theta, &layout, None);
+            prop_assert_eq!(table_bits(&laid), table_bits(&compact));
             let bits = |(a, b): (f64, f64)| (a.to_bits(), b.to_bits());
             for j in 0..data.assertion_count() as u32 {
                 let (sc, d) = (data.sc().col(j), data.d().col(j));
@@ -749,6 +1007,74 @@ mod tests {
                 prop_assert_eq!(fit.posterior.to_bits(), normalize_log_pair(w1, w0).0.to_bits());
                 prop_assert_eq!(fit.log_odds.to_bits(), (w1 - w0).to_bits());
                 prop_assert_eq!(fit.log_marginal.to_bits(), log_sum_exp2(w1, w0).to_bits());
+            }
+        }
+    }
+
+    /// Every term, both base sums and the log-prior, as bits.
+    fn table_bits(tables: &LikelihoodTables) -> (Vec<[u64; 2]>, [u64; 3]) {
+        let terms = tables.terms.iter().map(|t| t.map(f64::to_bits)).collect();
+        let sums = [tables.base1, tables.base0, tables.log_prior].map(f64::to_bits);
+        (terms, sums)
+    }
+
+    /// The layout's classes, each as its members in source order.
+    fn classes_of(layout: &ClaimLayout) -> Vec<Vec<u32>> {
+        let mut classes: Vec<Vec<u32>> = Vec::new();
+        for m in layout.shared() {
+            match classes.get_mut(m.class as usize) {
+                Some(class) => class.push(m.source),
+                None => classes.push(vec![m.source]),
+            }
+        }
+        classes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The layout's classes are exactly the sets of two or more
+        /// sources with equal cells, each led by its first source and
+        /// numbered in the order of the leaders. A fill that shares a
+        /// class's terms, with or without a prior, gives every term, base
+        /// sum and log-prior the bits of a fill without classes.
+        #[test]
+        fn shared_fills_match_unshared_fills_bit_for_bit(
+            (data, theta) in random_world(),
+            smoothing in 0.0f64..4.0,
+            (a, b, f, g) in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+        ) {
+            let layout = ClaimLayout::new(&data).unwrap();
+            let n = data.source_count();
+            let mut want: Vec<Vec<u32>> = Vec::new();
+            for i in 0..n as u32 {
+                let same = |k: u32| data.sc().row(k) == data.sc().row(i) && data.d().row(k) == data.d().row(i);
+                if (0..i).all(|k| !same(k)) && (i + 1..n as u32).any(same) {
+                    want.push((i..n as u32).filter(|&k| same(k)).collect());
+                }
+            }
+            let classes = classes_of(&layout);
+            prop_assert_eq!(&classes, &want);
+            for m in layout.shared() {
+                prop_assert_eq!(m.leader, classes[m.class as usize][0]);
+            }
+
+            let prior = ShrinkagePrior { smoothing, rates: [a, b, f, g] };
+            for prior in [None, Some(&prior)] {
+                let mut shared = LikelihoodTables::empty();
+                shared.refill(&theta, &layout, prior);
+                let mut plain = LikelihoodTables::empty();
+                plain.fill(&theta, |i| layout.has_claims(i), |i| layout.has_deps(i), prior, &[]);
+                prop_assert_eq!(table_bits(&shared), table_bits(&plain));
+                prop_assert_eq!(plain.source_evals(), n as u64);
+                let copied = layout
+                    .shared()
+                    .iter()
+                    .filter(|m| {
+                        m.is_copy() && same_rates(theta.source(m.source as usize), theta.source(m.leader as usize))
+                    })
+                    .count();
+                prop_assert_eq!(shared.source_evals(), (n - copied) as u64);
             }
         }
     }

@@ -1000,7 +1000,8 @@ mod tests {
         let mut est = StreamingEstimator::new(10, 20, graph.clone(), EmConfig::default()).unwrap();
         est.ingest(&batches[0]).unwrap();
         est.estimate().unwrap();
-        est.ingest(&batches[1]).unwrap(); // left pending: mid-debounce kill
+        // Ingested but not refit: the export carries the batch as pending.
+        est.ingest(&batches[1]).unwrap();
         let state = est.export_state();
 
         let mut restored = StreamingEstimator::new(10, 20, graph, EmConfig::default()).unwrap();

@@ -39,6 +39,17 @@ impl SnapshotStore {
         })
     }
 
+    /// The store at `dir` as it stands, creating nothing: until
+    /// [`open`](Self::open) creates the directory, a missing one holds no
+    /// snapshot. For reading a directory that may yet be refused.
+    pub fn at(dir: &Path) -> Self {
+        Self {
+            dir: dir.to_path_buf(),
+            bytes_total: 0,
+            fsyncs_total: 0,
+        }
+    }
+
     /// The path of snapshot `seq` (zero-padded so lexical order is
     /// numeric order).
     fn path_of(&self, seq: u64) -> PathBuf {
@@ -60,14 +71,18 @@ impl SnapshotStore {
         Ok(())
     }
 
-    /// Every snapshot sequence number on disk, ascending.
+    /// Every snapshot sequence number on disk, ascending; none when the
+    /// directory does not exist.
     ///
     /// # Errors
     ///
     /// [`PersistError::Io`] on filesystem failures.
     pub fn sequences(&self) -> Result<Vec<u64>, PersistError> {
-        let entries =
-            std::fs::read_dir(&self.dir).map_err(|e| PersistError::io(&self.dir, "read dir", e))?;
+        let entries = match std::fs::read_dir(&self.dir) {
+            Ok(entries) => entries,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+            Err(e) => return Err(PersistError::io(&self.dir, "read dir", e)),
+        };
         let mut seqs = Vec::new();
         for entry in entries {
             let entry = entry.map_err(|e| PersistError::io(&self.dir, "read dir", e))?;
@@ -179,6 +194,16 @@ mod tests {
         assert_eq!(store.fsyncs_total(), 1 + 3 * 2, "new directory, 3 writes");
         assert_eq!(SnapshotStore::open(&dir).unwrap().fsyncs_total(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_store_at_a_missing_directory_reads_nothing_and_creates_nothing() {
+        let dir = tmp_dir("missing");
+        let store = SnapshotStore::at(&dir);
+        assert!(store.latest::<Snap>().unwrap().is_none());
+        assert!(store.sequences().unwrap().is_empty());
+        assert_eq!(store.fsyncs_total(), 0);
+        assert!(!dir.exists(), "reading created {}", dir.display());
     }
 
     #[test]

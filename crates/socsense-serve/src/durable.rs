@@ -81,9 +81,10 @@ pub(crate) struct RouterSnapshot {
 pub(crate) struct Recovered<S> {
     /// The newest valid snapshot, if any: `(sequence, payload)`.
     pub snapshot: Option<(u64, S)>,
-    /// Every valid WAL record, in append order (including records the
-    /// snapshot already covers — the router's membership dry-replay
-    /// needs the full sequence). Replay them through [`dense_from`].
+    /// The valid WAL records to replay, in append order and without a
+    /// gap: every record when `open` was asked to keep the ones the
+    /// snapshot covers (the router's membership dry-replay needs the full
+    /// sequence), else the records after the snapshot.
     pub records: Vec<WalRecord>,
 }
 
@@ -92,10 +93,7 @@ pub(crate) struct Recovered<S> {
 /// truncated the log — are skipped; the rest must run densely `first,
 /// first + 1, …`, so recovery fails loudly instead of replaying around
 /// a hole.
-pub(crate) fn dense_from(
-    records: Vec<WalRecord>,
-    first: u64,
-) -> Result<Vec<WalRecord>, ServeError> {
+fn dense_from(records: Vec<WalRecord>, first: u64) -> Result<Vec<WalRecord>, ServeError> {
     let tail: Vec<WalRecord> = records.into_iter().filter(|r| r.seq >= first).collect();
     for (expected, record) in (first..).zip(&tail) {
         if record.seq != expected {
@@ -123,24 +121,28 @@ pub(crate) struct DurableLog {
 }
 
 impl DurableLog {
-    /// Opens (creating as needed) the durable state under
-    /// `cfg.data_dir` and recovers whatever a previous service left
-    /// there: the newest valid snapshot and every valid WAL record. A
-    /// torn final WAL line — the signature of a crash mid-append — is
-    /// truncated away and counted on `serve.wal.truncated_tail_total`.
-    /// A snapshot of another checkpoint format is refused (see
-    /// [`decode_checkpoint`]) before any file is touched. Reading the
-    /// snapshot — the file read, its CRC check and the decode — is timed
-    /// on `serve.snapshot.read.seconds`. Each fsync the two stores issue,
+    /// Recovers whatever a previous service left under `cfg.data_dir`
+    /// and opens the durable state there: the newest valid snapshot and
+    /// the valid WAL records from the first one to replay on — every
+    /// record when `keep_covered`, else those after the snapshot — which
+    /// must run without a gap. A torn final WAL line — the signature of a
+    /// crash mid-append — is truncated away and counted on
+    /// `serve.wal.truncated_tail_total`. A snapshot of another checkpoint
+    /// format (see [`decode_checkpoint`]), a corrupt WAL line or a gap is
+    /// refused before anything is created: only an accepted directory
+    /// gains `snapshots/` and then the WAL file. Reading the snapshot —
+    /// the file read, its CRC check and the decode — is timed on
+    /// `serve.snapshot.read.seconds`. Each fsync the two stores issue,
     /// here and later, is counted on `serve.wal.fsyncs_total` or
     /// `serve.snapshot.fsyncs_total`.
     pub fn open<S: Deserialize>(
         cfg: &PersistConfig,
         obs: &Obs,
+        keep_covered: bool,
     ) -> Result<(Self, Recovered<S>), ServeError> {
-        let snaps = SnapshotStore::open(&cfg.data_dir.join("snapshots"))?;
+        let snap_dir = cfg.data_dir.join("snapshots");
         let read = obs.timer("serve.snapshot.read.seconds");
-        let snapshot = match snaps.latest::<serde_json::Value>()? {
+        let snapshot = match SnapshotStore::at(&snap_dir).latest::<serde_json::Value>()? {
             Some((seq, payload)) => Some((seq, decode_checkpoint(seq, payload)?)),
             None => None,
         };
@@ -156,6 +158,8 @@ impl DurableLog {
         let since = snapshot.as_ref().map_or(0, |(seq, _)| *seq);
         let replayable = rx.records.iter().filter(|r| r.seq > since).count();
         obs.counter("serve.wal.recovered_batches_total", replayable as u64);
+        let records = dense_from(rx.records, if keep_covered { 1 } else { since + 1 })?;
+        let snaps = SnapshotStore::open(&snap_dir)?;
         let wal = WalWriter::open(&wal_path, cfg.fsync_every)?;
         obs.counter(
             "serve.wal.fsyncs_total",
@@ -171,10 +175,7 @@ impl DurableLog {
                 #[cfg(test)]
                 fail_next_append: false,
             },
-            Recovered {
-                snapshot,
-                records: rx.records,
-            },
+            Recovered { snapshot, records },
         ))
     }
 

@@ -48,7 +48,7 @@ use socsense_obs::{Obs, Recorder};
 use crate::api::{
     ClusterAssignment, IngestAck, PersistConfig, ServeConfig, ServeError, ServeStats, ShardTopology,
 };
-use crate::durable::{dense_from, DurableLog, RouterSnapshot, CHECKPOINT_FORMAT};
+use crate::durable::{DurableLog, RouterSnapshot, CHECKPOINT_FORMAT};
 use crate::service::{
     check_assertions, panic_message, recorded, Backend, FrontEnd, Request, Response, ServeHandle,
 };
@@ -660,9 +660,9 @@ impl Router {
     /// `serve.recovery.restore.seconds`.
     fn recover(&mut self, pcfg: &PersistConfig) -> Result<(), ServeError> {
         let _timer = self.obs.timer("serve.recovery.seconds");
-        let (log, recovered) = DurableLog::open::<RouterSnapshot>(pcfg, &self.obs)?;
+        let (log, recovered) = DurableLog::open::<RouterSnapshot>(pcfg, &self.obs, true)?;
         let since = recovered.snapshot.as_ref().map_or(0, |(seq, _)| *seq);
-        let mut covered = dense_from(recovered.records, 1)?;
+        let mut covered = recovered.records;
         let tail = covered.split_off(covered.partition_point(|r| r.seq <= since));
         if let Some((_, snap)) = recovered.snapshot {
             let restore = self.obs.timer("serve.recovery.restore.seconds");

@@ -14,7 +14,7 @@ use socsense_obs::{MetricsSnapshot, Obs, Recorder, Tee};
 use crate::api::{
     IngestAck, PersistConfig, ServeConfig, ServeError, ServeStats, ShardTopology, SourceRank,
 };
-use crate::durable::{dense_from, DurableLog, WorkerSnapshot, CHECKPOINT_FORMAT};
+use crate::durable::{DurableLog, WorkerSnapshot, CHECKPOINT_FORMAT};
 use crate::slot::{rank_sources, Slot};
 
 /// Renders a worker thread's panic payload for
@@ -603,7 +603,7 @@ impl Worker {
     /// state.
     fn recover(&mut self, pcfg: &PersistConfig) -> Result<(), ServeError> {
         let _timer = self.obs.timer("serve.recovery.seconds");
-        let (log, recovered) = DurableLog::open::<WorkerSnapshot>(pcfg, &self.obs)?;
+        let (log, recovered) = DurableLog::open::<WorkerSnapshot>(pcfg, &self.obs, false)?;
         if let Some((seq, snap)) = recovered.snapshot {
             let restore = self.obs.timer("serve.recovery.restore.seconds");
             self.slot.restore(&snap.slot)?;
@@ -611,7 +611,7 @@ impl Worker {
             self.requests_served = snap.requests_served;
             self.seq = seq;
         }
-        for record in dense_from(recovered.records, self.seq + 1)? {
+        for record in recovered.records {
             self.seq = record.seq;
             self.slot.ingest(&record.claims)?;
             // Refit errors during replay mirror the live path: the

@@ -451,20 +451,22 @@ fn sharded_restart_with_different_shard_count_is_bit_identical() {
     let _ = std::fs::remove_dir_all(&crashed);
 }
 
-/// Every file under `dir`, by path, with its bytes.
-fn dir_bytes(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
-    let mut files = BTreeMap::new();
+/// Every directory and file under `dir`, by path, each file with its
+/// bytes.
+fn dir_bytes(dir: &Path) -> BTreeMap<PathBuf, Option<Vec<u8>>> {
+    let mut entries = BTreeMap::new();
     let mut pending = vec![dir.to_path_buf()];
     while let Some(path) = pending.pop() {
         if path.is_dir() {
             for entry in std::fs::read_dir(&path).unwrap() {
                 pending.push(entry.unwrap().path());
             }
+            entries.insert(path, None);
         } else {
-            files.insert(path.clone(), std::fs::read(&path).unwrap());
+            entries.insert(path.clone(), Some(std::fs::read(&path).unwrap()));
         }
     }
-    files
+    entries
 }
 
 /// Rewrites the newest checkpoint under `dir` with its format stamp set
@@ -548,7 +550,6 @@ fn checkpoint_of_another_format_is_refused_and_left_as_is() {
 fn wal_record_with_object_encoded_claims_is_refused_and_left_as_is() {
     for shards in [None, Some(2)] {
         let dir = tmp_dir(&format!("object-claims-{shards:?}"));
-        std::fs::create_dir_all(dir.join("snapshots")).unwrap();
         let claim = |source: u32, assertion: u32, time: u64| serde_json::json!({ "source": source, "assertion": assertion, "time": time });
         let record = serde_json::json!({
             "seq": 1u64,
@@ -568,6 +569,41 @@ fn wal_record_with_object_encoded_claims_is_refused_and_left_as_is() {
         assert!(
             err.contains("wal.jsonl is corrupt at line 1"),
             "{shards:?}: the refusal names the WAL line: {err}"
+        );
+        assert!(
+            dir_bytes(&dir) == before,
+            "{shards:?}: the refused data directory changed"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A WAL whose sequence numbers skip a batch is refused on either tier,
+/// naming the gap, and the data directory is left as it was: recovery
+/// creates nothing before the gap check passes.
+#[test]
+fn wal_gap_is_refused_and_left_as_is() {
+    for shards in [None, Some(2)] {
+        let dir = tmp_dir(&format!("wal-gap-{shards:?}"));
+        let mut wal = WalWriter::open(&dir.join("wal.jsonl"), 1).unwrap();
+        for (seq, claims) in [
+            (1u64, [[0u64, 0, 1], [1, 0, 2]]),
+            (3, [[2, 1, 3], [3, 1, 4]]),
+        ] {
+            wal.append(&serde_json::json!({ "seq": seq, "claims": claims }))
+                .unwrap();
+        }
+        drop(wal);
+        let before = dir_bytes(&dir);
+
+        let cfg = persisted(&ServeConfig::default(), &dir, 4);
+        let err = Tier::open(shards, &cfg, Obs::none())
+            .map(drop)
+            .expect_err("a WAL with a gap is refused");
+        assert!(
+            err.to_string()
+                .contains("WAL gap: expected batch 2, found 3"),
+            "{shards:?}: the refusal names the gap: {err}"
         );
         assert!(
             dir_bytes(&dir) == before,

@@ -1,7 +1,9 @@
 //! What each EM-Ext pass skips, pinned as deterministic work counts on
 //! the stream of `tests/warm_refits.rs`: a pass evaluates one column per
-//! group of equal columns, and a table build reuses the previous
-//! source's logarithms when its rate has the same bits.
+//! group of equal columns, a table build computes the terms of one
+//! source per class of sources with equal cells and equal rates, and it
+//! reuses the previous source's logarithms when its rate has the same
+//! bits.
 
 use socsense::core::{EmConfig, Obs, StreamingEstimator};
 use socsense::graph::TimedClaim;
@@ -12,9 +14,15 @@ use socsense::twitter::{ScenarioConfig, TwitterDataset};
 /// column evaluations at one per column, 52,126 at one per group.
 const COLUMN_EVAL_CAP: u64 = 65_000;
 
-/// Without reuse the table builds take 1,144,882 logarithms, every one
-/// the compact tables read; with it, 959,530.
-const LOG_CAP: u64 = 1_080_000;
+/// The 650 passes over 270 sources visit 175,500 sources; a copy whose
+/// rates have its leader's bits takes the leader's terms, so the table
+/// builds compute the terms of 87,046.
+const SOURCE_EVAL_CAP: u64 = 97_000;
+
+/// Without reuse or sharing the table builds take 1,144,882 logarithms,
+/// every one the compact tables read; with reuse, 959,530; with copies
+/// taking their leader's terms as well, 630,805.
+const LOG_CAP: u64 = 710_000;
 
 #[test]
 fn passes_evaluate_each_distinct_column_and_rate_once() {
@@ -39,6 +47,7 @@ fn passes_evaluate_each_distinct_column_and_rate_once() {
     let snap = rec.snapshot();
     let passes = snap.counter("em.passes_total");
     let evals = snap.counter("em.column_evals_total");
+    let sources = snap.counter("em.source_evals_total");
     let logs = snap.counter("em.logs_total");
     let every_column = passes * ds.assertion_count() as u64;
     assert!(
@@ -48,6 +57,15 @@ fn passes_evaluate_each_distinct_column_and_rate_once() {
     assert!(
         evals <= COLUMN_EVAL_CAP,
         "{evals} column evaluations over {passes} passes, above {COLUMN_EVAL_CAP}"
+    );
+    let every_source = passes * ds.source_count() as u64;
+    assert!(
+        SOURCE_EVAL_CAP < every_source,
+        "premise: the cap sits below one evaluation per source ({every_source})"
+    );
+    assert!(
+        sources <= SOURCE_EVAL_CAP,
+        "{sources} source evaluations over {passes} passes, above {SOURCE_EVAL_CAP}"
     );
     assert!(
         logs <= LOG_CAP,
