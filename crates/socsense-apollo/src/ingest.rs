@@ -17,7 +17,6 @@
 //! deterministic regardless of input order).
 
 use serde::Deserialize;
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -262,37 +261,49 @@ pub fn assemble_corpus(
         return Err(IngestError::Empty);
     }
     // Deterministic interning: sorted unique handles from both inputs.
-    let mut usernames: Vec<String> = tweets
+    // Every occurrence (each tweet's author, then both ends of each
+    // follow) is sorted once, so numbering the distinct handles in that
+    // order also gives each occurrence its id, with no lookup.
+    let mut occurrences: Vec<(&str, usize)> = tweets
         .iter()
-        .map(|t| t.user.clone())
-        .chain(follows.iter().flat_map(|(a, b)| [a.clone(), b.clone()]))
-        .collect();
-    usernames.sort_unstable();
-    usernames.dedup();
-    let id_of: HashMap<&str, u32> = usernames
-        .iter()
+        .map(|t| t.user.as_str())
+        .chain(follows.iter().flat_map(|(a, b)| [a.as_str(), b.as_str()]))
         .enumerate()
-        .map(|(i, u)| (u.as_str(), i as u32))
+        .map(|(k, user)| (user, k))
         .collect();
+    occurrences.sort_unstable();
+    let mut usernames: Vec<String> = Vec::new();
+    let mut id_of = vec![0u32; occurrences.len()];
+    for &(user, k) in &occurrences {
+        if usernames.last().map(String::as_str) != Some(user) {
+            usernames.push(user.to_owned());
+        }
+        id_of[k] = usernames.len() as u32 - 1;
+    }
+    let (author, follow_ends) = id_of.split_at(tweets.len());
 
     let mut graph = FollowerGraph::new(usernames.len() as u32);
-    for (follower, followee) in follows {
-        let (a, b) = (id_of[follower.as_str()], id_of[followee.as_str()]);
-        if a != b {
-            graph.add_follow(a, b);
+    for ends in follow_ends.chunks_exact(2) {
+        if ends[0] != ends[1] {
+            graph.add_follow(ends[0], ends[1]);
         }
     }
-    // Retweet-derived edges.
-    let author_of: HashMap<u64, &str> = tweets
+    // Retweet-derived edges. Tweet ids with their authors, sorted by id;
+    // the sort is stable, so the last tweet with a repeated id is its
+    // author.
+    let mut author_of: Vec<(u64, u32)> = tweets
         .iter()
-        .filter_map(|t| t.id.map(|id| (id, t.user.as_str())))
+        .zip(author)
+        .filter_map(|(t, &a)| t.id.map(|id| (id, a)))
         .collect();
-    for t in &tweets {
+    author_of.sort_by_key(|&(id, _)| id);
+    for (t, &a) in tweets.iter().zip(author) {
         if let Some(orig) = t.retweet_of {
-            let original_author = author_of
-                .get(&orig)
-                .ok_or(IngestError::UnknownRetweetTarget { id: orig })?;
-            let (a, b) = (id_of[t.user.as_str()], id_of[*original_author]);
+            let last = author_of.partition_point(|&(id, _)| id <= orig);
+            let b = match last.checked_sub(1).map(|k| author_of[k]) {
+                Some((id, b)) if id == orig => b,
+                _ => return Err(IngestError::UnknownRetweetTarget { id: orig }),
+            };
             if a != b {
                 graph.add_follow(a, b);
             }
@@ -301,8 +312,9 @@ pub fn assemble_corpus(
 
     let mut out: Vec<CorpusTweet> = tweets
         .into_iter()
-        .map(|t| CorpusTweet {
-            source: id_of[t.user.as_str()],
+        .zip(author)
+        .map(|(t, &source)| CorpusTweet {
+            source,
             time: t.time,
             text: t.text,
         })
@@ -377,6 +389,20 @@ mod tests {
         for w in corpus.tweets.windows(2) {
             assert!(w[0].time <= w[1].time);
         }
+    }
+
+    #[test]
+    fn a_repeated_tweet_id_resolves_to_its_last_tweet() {
+        let jsonl = r#"
+            {"id": 7, "user": "ann", "time": 1, "text": "a"}
+            {"id": 7, "user": "bea", "time": 2, "text": "b"}
+            {"id": 3, "user": "cat", "time": 3, "text": "c"}
+            {"user": "dan", "time": 4, "text": "b", "retweet_of": 7}
+        "#;
+        let corpus = assemble_corpus(parse_tweets_jsonl(jsonl).unwrap(), &[]).unwrap();
+        let id = |user| corpus.source_id(user).unwrap();
+        assert!(corpus.graph.follows(id("dan"), id("bea")));
+        assert!(!corpus.graph.follows(id("dan"), id("ann")));
     }
 
     #[test]

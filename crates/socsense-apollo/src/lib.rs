@@ -36,9 +36,6 @@
 //! ```
 
 // detlint: contract = deterministic
-// Hash collections serve keyed lookups here; detlint's D1 rejects any
-// iteration over one.
-#![allow(clippy::disallowed_types)]
 #![warn(missing_docs)]
 
 mod cluster;

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use socsense_baselines::FactFinder;
+use socsense_baselines::{best_first, FactFinder};
 use socsense_core::{ClaimData, Obs, Parallelism, SenseError};
 use socsense_discover::{discover_dependencies_traced, DiscoverConfig};
 use socsense_graph::{FollowerGraph, TimedClaim};
@@ -203,6 +203,51 @@ impl Apollo {
         Ok(Some(discovery.graph))
     }
 
+    /// The stages both runs share once each tweet `(source, time, text)`
+    /// has its cluster in `cluster_of`: the claims, the dependency graph
+    /// (discovered, or else `graph`), `SC`/`D`, the finder's ranking
+    /// scores, and the top-k clusters by [`best_first`], each with its
+    /// first tweet's text. Ranking scores (log-odds for the EM family)
+    /// avoid posterior saturation ties in the top-k.
+    fn rank<'t>(
+        &self,
+        n: u32,
+        tweets: impl Iterator<Item = (u32, u64, &'t str)> + Clone,
+        cluster_of: &[u32],
+        cluster_count: u32,
+        graph: &FollowerGraph,
+        finder: &dyn FactFinder,
+    ) -> Result<(Vec<CorpusRanked>, ClaimData), SenseError> {
+        let m = cluster_count.max(1);
+        let claims: Vec<TimedClaim> = tweets
+            .clone()
+            .zip(cluster_of)
+            .map(|((source, time, _), &c)| TimedClaim::new(source, c, time))
+            .collect();
+        let discovered = self.dependency_graph(n, m, &claims)?;
+        let data = ClaimData::from_claims(n, m, &claims, discovered.as_ref().unwrap_or(graph));
+
+        let fit_timer = self.obs.timer("pipeline.estimate.seconds");
+        let scores = finder.ranking_scores(&data)?;
+        fit_timer.stop();
+
+        let mut sample_text: Vec<Option<&str>> = vec![None; cluster_count as usize];
+        for ((_, _, text), &c) in tweets.zip(cluster_of) {
+            sample_text[c as usize].get_or_insert(text);
+        }
+        let ranked = best_first(&scores[..cluster_count as usize])
+            .into_iter()
+            .take(self.config.top_k)
+            .map(|c| CorpusRanked {
+                assertion: c,
+                score: scores[c as usize],
+                support: data.sc().col_nnz(c),
+                sample_text: sample_text[c as usize].unwrap_or_default().to_owned(),
+            })
+            .collect();
+        Ok((ranked, data))
+    }
+
     /// Runs ingest → cluster → matrix construction → estimation → ranking.
     ///
     /// # Errors
@@ -238,65 +283,43 @@ impl Apollo {
             (ids, dataset.assertion_count(), 1.0)
         };
 
-        // Stage 3: SC / D from clustered claims + follow graph (given
-        // or discovered from the claim log itself).
-        let claims: Vec<TimedClaim> = dataset
+        // Stages 3–5: SC / D from the clustered claims and the follow
+        // graph (given or discovered), estimation, ranking.
+        let tweets = dataset
             .tweets
             .iter()
-            .zip(&tweet_cluster)
-            .map(|(t, &c)| TimedClaim::new(t.source, c, t.time))
-            .collect();
-        let graph = self.dependency_graph(dataset.source_count(), cluster_count.max(1), &claims)?;
-        let data = ClaimData::from_claims(
+            .map(|t| (t.source, t.time, t.text.as_str()));
+        let (ranked, data) = self.rank(
             dataset.source_count(),
-            cluster_count.max(1),
-            &claims,
-            graph.as_ref().unwrap_or(&dataset.graph),
-        );
+            tweets,
+            &tweet_cluster,
+            cluster_count,
+            &dataset.graph,
+            finder,
+        )?;
 
-        // Stage 4: estimation. Ranking scores (log-odds for the EM
-        // family) avoid posterior saturation ties in the top-k.
-        let fit_timer = self.obs.timer("pipeline.estimate.seconds");
-        let scores = finder.ranking_scores(&data)?;
-        fit_timer.stop();
-
-        // Stage 5: ranking with representative text + ground truth.
-        let mut sample_text: Vec<Option<&str>> = vec![None; cluster_count as usize];
-        // BTreeMap, not HashMap: a count tie must resolve by assertion
-        // id, not by hash-iteration order, or the reported truth label
-        // flips between runs.
+        // Ground truth: the majority of each cluster's member tweets'
+        // assertions. BTreeMap, not HashMap: a count tie must resolve by
+        // assertion id, not by hash-iteration order, or the reported
+        // truth label flips between runs.
         let mut majority: Vec<std::collections::BTreeMap<u32, usize>> =
             vec![std::collections::BTreeMap::new(); cluster_count as usize];
         for (t, &c) in dataset.tweets.iter().zip(&tweet_cluster) {
-            let cu = c as usize;
-            sample_text[cu].get_or_insert(&t.text);
-            *majority[cu].entry(t.assertion).or_default() += 1;
+            *majority[c as usize].entry(t.assertion).or_default() += 1;
         }
-
-        let mut order: Vec<u32> = (0..cluster_count).collect();
-        order.sort_by(|&a, &b| {
-            scores[b as usize]
-                .partial_cmp(&scores[a as usize])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        let ranked: Vec<RankedAssertion> = order
+        let ranked = ranked
             .into_iter()
-            .take(self.config.top_k)
-            .map(|c| {
-                let cu = c as usize;
-                let truth_assertion = majority[cu]
+            .map(|r| {
+                let truth = majority[r.assertion as usize]
                     .iter()
                     .max_by_key(|(&a, &n)| (n, std::cmp::Reverse(a)))
-                    .map(|(&a, _)| a);
+                    .map_or(TruthValue::Opinion, |(&a, _)| dataset.truth_value(a));
                 RankedAssertion {
-                    assertion: c,
-                    score: scores[cu],
-                    support: data.sc().col_nnz(c),
-                    sample_text: sample_text[cu].unwrap_or_default().to_owned(),
-                    truth: truth_assertion
-                        .map(|a| dataset.truth_value(a))
-                        .unwrap_or(TruthValue::Opinion),
+                    assertion: r.assertion,
+                    score: r.score,
+                    support: r.support,
+                    sample_text: r.sample_text,
+                    truth,
                 }
             })
             .collect();
@@ -341,48 +364,18 @@ impl Apollo {
             &self.obs,
         )
         .0;
-        let claims: Vec<TimedClaim> = corpus
+        let tweets = corpus
             .tweets
             .iter()
-            .zip(&clustering.assignment)
-            .map(|(t, &c)| TimedClaim::new(t.source, c, t.time))
-            .collect();
-        let graph = self.dependency_graph(
+            .map(|t| (t.source, t.time, t.text.as_str()));
+        let (ranked, data) = self.rank(
             corpus.source_count(),
-            clustering.cluster_count.max(1),
-            &claims,
+            tweets,
+            &clustering.assignment,
+            clustering.cluster_count,
+            &corpus.graph,
+            finder,
         )?;
-        let data = ClaimData::from_claims(
-            corpus.source_count(),
-            clustering.cluster_count.max(1),
-            &claims,
-            graph.as_ref().unwrap_or(&corpus.graph),
-        );
-        let fit_timer = self.obs.timer("pipeline.estimate.seconds");
-        let scores = finder.ranking_scores(&data)?;
-        fit_timer.stop();
-
-        let mut sample_text: Vec<Option<&str>> = vec![None; clustering.cluster_count as usize];
-        for (t, &c) in corpus.tweets.iter().zip(&clustering.assignment) {
-            sample_text[c as usize].get_or_insert(&t.text);
-        }
-        let mut order: Vec<u32> = (0..clustering.cluster_count).collect();
-        order.sort_by(|&a, &b| {
-            scores[b as usize]
-                .partial_cmp(&scores[a as usize])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        let ranked = order
-            .into_iter()
-            .take(self.config.top_k)
-            .map(|c| CorpusRanked {
-                assertion: c,
-                score: scores[c as usize],
-                support: data.sc().col_nnz(c),
-                sample_text: sample_text[c as usize].unwrap_or_default().to_owned(),
-            })
-            .collect();
         Ok(CorpusOutput {
             algorithm: finder.name(),
             ranked,
@@ -393,6 +386,7 @@ impl Apollo {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_types)]
 mod tests {
     use super::*;
     use socsense_baselines::{EmExtFinder, Voting};

@@ -343,10 +343,6 @@ mod tests {
                 smoothing: 0.0,
                 ..EmConfig::default()
             },
-            EmConfig {
-                restarts: 2,
-                ..EmConfig::default()
-            },
         ];
         for config in configs {
             for (mode, on) in [

@@ -103,17 +103,24 @@ pub trait FactFinder {
     ///
     /// Propagates errors from [`scores`](FactFinder::scores).
     fn top_k(&self, data: &ClaimData, k: usize) -> Result<Vec<u32>, SenseError> {
-        let scores = self.ranking_scores(data)?;
-        let mut idx: Vec<u32> = (0..scores.len() as u32).collect();
-        idx.sort_by(|&a, &b| {
-            scores[b as usize]
-                .partial_cmp(&scores[a as usize])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
+        let mut idx = best_first(&self.ranking_scores(data)?);
         idx.truncate(k);
         Ok(idx)
     }
+}
+
+/// The indices of `scores`, best first: score descending, with ties (and
+/// NaN scores, which compare equal to anything) broken toward the lower
+/// index. [`FactFinder::top_k`] and Apollo's rankings order by it.
+pub fn best_first(scores: &[f64]) -> Vec<u32> {
+    let mut idx: Vec<u32> = (0..scores.len() as u32).collect();
+    idx.sort_by(|&a, &b| {
+        scores[b as usize]
+            .partial_cmp(&scores[a as usize])
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.cmp(&b))
+    });
+    idx
 }
 
 /// Constructs one boxed instance of each of the paper's seven algorithms,

@@ -117,7 +117,14 @@ pub fn bound_for_assertions(
     method: &BoundMethod,
     assertions: &[u32],
 ) -> Result<BoundResult, SenseError> {
-    bound_for_assertions_with(data, theta, method, assertions, Parallelism::Auto)
+    bound_for_assertions_traced(
+        data,
+        theta,
+        method,
+        assertions,
+        Parallelism::Auto,
+        &Obs::none(),
+    )
 }
 
 /// Derives the Gibbs seed for assertion `j` from the configured base
@@ -136,7 +143,8 @@ fn per_assertion_gibbs(cfg: &GibbsConfig, j: u32) -> GibbsConfig {
     }
 }
 
-/// [`bound_for_assertions`] with an explicit [`Parallelism`] level.
+/// [`bound_for_assertions`] at an explicit [`Parallelism`] level,
+/// reporting `bound.*` metrics to `obs` ([`Obs::none`] reports nothing).
 ///
 /// Per-assertion bounds are evaluated in fixed index chunks and averaged
 /// in assertion order, so every level returns bit-identical results.
@@ -144,25 +152,11 @@ fn per_assertion_gibbs(cfg: &GibbsConfig, j: u32) -> GibbsConfig {
 /// (see [`GibbsConfig::seed`]), keeping each chain independent of which
 /// worker runs it.
 ///
-/// # Errors
-///
-/// See [`bound_for_assertions`].
-pub fn bound_for_assertions_with(
-    data: &ClaimData,
-    theta: &Theta,
-    method: &BoundMethod,
-    assertions: &[u32],
-    par: Parallelism,
-) -> Result<BoundResult, SenseError> {
-    bound_for_assertions_traced(data, theta, method, assertions, par, &Obs::none())
-}
-
-/// [`bound_for_assertions_with`] reporting `bound.*` metrics to `obs`:
-/// evaluation wall time, assertions per method (exact vs. Gibbs), and
-/// the work each method did — nodes the pruned exact walk visited
-/// (`bound.exact.nodes_total`) and Gibbs samples drawn
-/// (`bound.gibbs.samples_total`). Per-assertion outcomes are collected first and
-/// emitted serially in assertion order, so recorded totals are
+/// The metrics are evaluation wall time, assertions per method (exact
+/// vs. Gibbs), and the work each method did — nodes the pruned exact
+/// walk visited (`bound.exact.nodes_total`) and Gibbs samples drawn
+/// (`bound.gibbs.samples_total`). Per-assertion outcomes are collected
+/// first and emitted serially in assertion order, so recorded totals are
 /// deterministic at every [`Parallelism`] level — and the returned
 /// bound is bit-identical to the untraced call.
 ///
@@ -266,23 +260,8 @@ pub fn bound_for_data(
     theta: &Theta,
     method: &BoundMethod,
 ) -> Result<BoundResult, SenseError> {
-    bound_for_data_with(data, theta, method, Parallelism::Auto)
-}
-
-/// [`bound_for_data`] with an explicit [`Parallelism`] level (see
-/// [`bound_for_assertions_with`]).
-///
-/// # Errors
-///
-/// See [`bound_for_assertions`].
-pub fn bound_for_data_with(
-    data: &ClaimData,
-    theta: &Theta,
-    method: &BoundMethod,
-    par: Parallelism,
-) -> Result<BoundResult, SenseError> {
     let all: Vec<u32> = (0..data.assertion_count() as u32).collect();
-    bound_for_assertions_with(data, theta, method, &all, par)
+    bound_for_assertions(data, theta, method, &all)
 }
 
 #[cfg(test)]

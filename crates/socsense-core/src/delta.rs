@@ -30,7 +30,7 @@ use socsense_matrix::logprob::{safe_ln, safe_ln_1m};
 use socsense_matrix::parallel::{par_map_collect, par_map_reduce, Parallelism};
 
 use crate::data::ClaimData;
-use crate::em::{apply_m_step, EmConfig, EmFit};
+use crate::em::{apply_m_step, EmConfig, EmFit, TOL};
 use crate::error::SenseError;
 use crate::likelihood::LikelihoodTables;
 use crate::model::{SourceParams, Theta};
@@ -435,7 +435,7 @@ impl DeltaEngine {
             self.scoped_e_step(em.parallelism, touched);
             let delta = self.m_step(em, &mut next);
             std::mem::swap(&mut self.theta, &mut next);
-            if delta < em.tol {
+            if delta < TOL {
                 converged = true;
                 break;
             }

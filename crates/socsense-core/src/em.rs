@@ -54,8 +54,6 @@
 //! more pass and goes on from `θ₂`. A run only ever stops at a map's
 //! output, so the served `θ` is never an extrapolated point.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use socsense_matrix::parallel::{par_fill, par_fill_reduce, par_map_collect, Parallelism};
@@ -67,6 +65,13 @@ use crate::likelihood::{
     runs, same_rates, ClaimLayout, ColumnFit, LikelihoodTables, Shared, ShrinkagePrior,
 };
 use crate::model::{SourceParams, Theta};
+
+/// Clamping margin keeping every probability in `[EPS, 1 − EPS]`.
+const EPS: f64 = 1e-6;
+
+/// Convergence threshold on `max |Δθ|` between maps, read by the EM loop
+/// and the delta engine's scoped loop.
+pub(crate) const TOL: f64 = 1e-6;
 
 /// How the EM parameters are initialised.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -92,30 +97,19 @@ pub enum InitStrategy {
     /// truth-lean applied to dependent claims (`f_i = 1.5·r_i`,
     /// `g_i = 0.5·r_i`).
     DepBiased,
-    /// All parameters drawn uniformly at random (seeded); used by
-    /// restarts.
-    Random {
-        /// RNG seed for the draw.
-        seed: u64,
-    },
 }
 
 /// Configuration for [`EmExt`].
+///
+/// Algorithm 2 loops "while θ not convergent": a run stops once a map
+/// moves `θ` by `max |Δθ| < 10⁻⁶`, or at `max_iters`, and every
+/// probability stays in `[10⁻⁶, 1 − 10⁻⁶]`. Both margins are constants.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EmConfig {
-    /// Iteration cap (Algorithm 2 loops "while θ not convergent").
+    /// Iteration cap.
     pub max_iters: usize,
-    /// Convergence threshold on `max |Δθ|` between iterations.
-    pub tol: f64,
-    /// Clamping margin keeping every probability in `[eps, 1-eps]`.
-    pub eps: f64,
     /// Parameter initialisation.
     pub init: InitStrategy,
-    /// Extra random restarts; the fit with the best final observed-data
-    /// log-likelihood wins. `0` runs only `init`.
-    pub restarts: usize,
-    /// Base seed for restart draws.
-    pub seed: u64,
     /// Hierarchical shrinkage pseudo-count `s`: each M-step rate becomes
     /// `(num + s·pop) / (den + s)` where `pop` is the population-level
     /// rate for the same parameter. `0.0` reproduces the paper's update
@@ -125,7 +119,8 @@ pub struct EmConfig {
     /// dependent-claim rates `f`/`g` (see DESIGN.md §4 and `repro
     /// ablations`).
     pub smoothing: f64,
-    /// Worker threads for the E-step, M-step, and restart sweep.
+    /// Worker threads for the E-step, M-step, and the `Auto` sweep over
+    /// its two starts.
     ///
     /// Never changes the numbers: the parallel layer
     /// ([`socsense_matrix::parallel`]) uses fixed chunk boundaries and
@@ -139,11 +134,7 @@ impl Default for EmConfig {
     fn default() -> Self {
         Self {
             max_iters: 200,
-            tol: 1e-6,
-            eps: 1e-6,
             init: InitStrategy::Auto,
-            restarts: 0,
-            seed: 0,
             smoothing: 2.0,
             parallelism: Parallelism::Auto,
         }
@@ -156,17 +147,12 @@ impl EmConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`SenseError::BadConfig`] for a zero iteration budget, a
-    /// non-positive tolerance, or a negative or non-finite smoothing.
+    /// Returns [`SenseError::BadConfig`] for a zero iteration budget or a
+    /// negative or non-finite smoothing.
     pub fn validate(&self) -> Result<(), SenseError> {
         if self.max_iters == 0 {
             return Err(SenseError::BadConfig {
                 what: "max_iters must be positive",
-            });
-        }
-        if self.tol <= 0.0 || self.tol.is_nan() {
-            return Err(SenseError::BadConfig {
-                what: "tol must be positive",
             });
         }
         if !self.smoothing.is_finite() || self.smoothing < 0.0 {
@@ -253,9 +239,9 @@ impl EmExt {
     ///
     /// Used by the streaming estimator: after new claims arrive, the
     /// previous `θ̂` is usually near the new optimum and convergence takes
-    /// a fraction of a cold start's iterations. No restarts are run.
-    /// Warm runs step in safeguarded SQUAREM cycles (see the module
-    /// docs); the fit is still a plain map's output.
+    /// a fraction of a cold start's iterations. Warm runs step in
+    /// safeguarded SQUAREM cycles (see the module docs); the fit is still
+    /// a plain map's output.
     ///
     /// # Errors
     ///
@@ -275,26 +261,21 @@ impl EmExt {
         self.run_em_with(&layout, theta, self.config.parallelism, true)
     }
 
-    /// Runs EM (plus any configured restarts) on `data`.
+    /// Runs EM on `data` from the configured [`InitStrategy`]; `Auto`
+    /// runs both deterministic starts and keeps the better fit.
     ///
     /// # Errors
     ///
-    /// Returns [`SenseError::BadConfig`] for a non-positive tolerance or
-    /// zero iteration budget, and propagates dimension errors.
+    /// Returns [`SenseError::BadConfig`] for a configuration
+    /// [`EmConfig::validate`] rejects, and propagates dimension errors.
     pub fn fit(&self, data: &ClaimData) -> Result<EmFit, SenseError> {
         self.config.validate()?;
         let timer = self.obs.timer("em.fit.seconds");
         let layout = ClaimLayout::new(data)?;
-        let deterministic: Vec<InitStrategy> = match self.config.init {
+        let inits = match self.config.init {
             InitStrategy::Auto => vec![InitStrategy::ClaimRateBiased, InitStrategy::DepBiased],
             other => vec![other],
         };
-        let inits: Vec<InitStrategy> = deterministic
-            .into_iter()
-            .chain((0..self.config.restarts).map(|r| InitStrategy::Random {
-                seed: self.config.seed.wrapping_add(r as u64 + 1),
-            }))
-            .collect();
         // Each init fits independently, so the sweep parallelises across
         // inits; the inner EM loops then run serially to avoid nested
         // thread fan-out (bit-identical either way, see EmConfig docs).
@@ -304,10 +285,8 @@ impl EmExt {
             self.config.parallelism
         };
         self.obs.counter("em.fit.inits_total", inits.len() as u64);
-        self.obs
-            .counter("em.fit.restarts_total", self.config.restarts as u64);
         let fits = par_map_collect(self.config.parallelism, inits.len(), |k| {
-            self.run_em_with(&layout, self.initial_theta(data, inits[k]), inner, false)
+            self.run_em_with(&layout, initial_theta(data, inits[k]), inner, false)
         });
         // Keep-best folds in init order with a strict `>`, so the
         // *earliest* init wins exact log-likelihood ties — the same
@@ -335,34 +314,7 @@ impl EmExt {
     /// cannot lock in forever (see
     /// [`StreamingEstimator`](crate::StreamingEstimator)).
     pub fn data_driven_start(&self, data: &ClaimData) -> Theta {
-        self.initial_theta(data, InitStrategy::ClaimRateBiased)
-    }
-
-    fn initial_theta(&self, data: &ClaimData, init: InitStrategy) -> Theta {
-        let n = data.source_count();
-        let m = data.assertion_count() as f64;
-        match init {
-            InitStrategy::Random { seed } => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut t = Theta::random(n, &mut rng);
-                t.clamp_in_place(self.config.eps);
-                t
-            }
-            InitStrategy::Auto | InitStrategy::ClaimRateBiased | InitStrategy::DepBiased => {
-                let dep_biased = matches!(init, InitStrategy::DepBiased);
-                let mut t = Theta::neutral(n);
-                for i in 0..n {
-                    let r = data.sc().row_nnz(i as u32) as f64 / m;
-                    let hi = (1.5 * r).clamp(self.config.eps, 0.95);
-                    let lo = (0.5 * r).clamp(self.config.eps, 0.95);
-                    let mid = r.clamp(self.config.eps, 0.95);
-                    let (f, g) = if dep_biased { (hi, lo) } else { (mid, mid) };
-                    t.set_source(i, SourceParams { a: hi, b: lo, f, g });
-                }
-                t.set_z(0.5);
-                t
-            }
-        }
+        initial_theta(data, InitStrategy::ClaimRateBiased)
     }
 
     /// The EM loop proper over `layout`'s data, from an explicit starting
@@ -375,15 +327,11 @@ impl EmExt {
         par: Parallelism,
         accelerate: bool,
     ) -> Result<EmFit, SenseError> {
-        // Runs may execute inside the restart sweep's parallel region,
+        // Runs may execute inside the `Auto` sweep's parallel region,
         // so only commutative emissions (counters, observations) are
         // made here — recorded totals stay deterministic.
         let _run_timer = self.obs.timer("em.run.seconds");
-        let (tol, max_iters, smoothing) = (
-            self.config.tol,
-            self.config.max_iters,
-            self.config.smoothing,
-        );
+        let (max_iters, smoothing) = (self.config.max_iters, self.config.smoothing);
         let mut theta = start;
         // Buffers every iteration reuses: the passes' tables and
         // outputs, the M-step counts per source, the next θ and, in a
@@ -406,7 +354,7 @@ impl EmExt {
             let (delta, rates) = self.m_step(&passes, &theta, &mut counts, &mut next);
             std::mem::swap(&mut theta, &mut next);
             last_delta = delta;
-            converged = delta < tol;
+            converged = delta < TOL;
             // A SQUAREM cycle goes on from here with θ₀ = `next` and
             // θ₁ = `theta`; its merit takes the prior at this map's
             // population rates.
@@ -428,11 +376,8 @@ impl EmExt {
             iterations += 1;
             let (delta, _) = self.m_step(&passes, &theta, &mut counts, second);
             last_delta = delta;
-            converged = delta < tol;
-            if !converged
-                && iterations < max_iters
-                && extrapolate(&mut next, &theta, second, self.config.eps)
-            {
+            converged = delta < TOL;
+            if !converged && iterations < max_iters && extrapolate(&mut next, &theta, second) {
                 extrapolations += 1;
                 let trial = passes.run(&next, prior.as_ref());
                 if trial.merit() >= at_map.merit() {
@@ -574,6 +519,25 @@ impl EmExt {
     }
 }
 
+/// The deterministic data-driven start `init` names for `data`
+/// (`DepBiased`, or else `ClaimRateBiased`).
+fn initial_theta(data: &ClaimData, init: InitStrategy) -> Theta {
+    let n = data.source_count();
+    let m = data.assertion_count() as f64;
+    let dep_biased = matches!(init, InitStrategy::DepBiased);
+    let mut t = Theta::neutral(n);
+    for i in 0..n {
+        let r = data.sc().row_nnz(i as u32) as f64 / m;
+        let hi = (1.5 * r).clamp(EPS, 0.95);
+        let lo = (0.5 * r).clamp(EPS, 0.95);
+        let mid = r.clamp(EPS, 0.95);
+        let (f, g) = if dep_biased { (hi, lo) } else { (mid, mid) };
+        t.set_source(i, SourceParams { a: hi, b: lo, f, g });
+    }
+    t.set_z(0.5);
+    t
+}
+
 /// What a pass ([`Passes::run`]) sums besides the columns it writes.
 #[derive(Debug, Clone, Copy)]
 struct Pass {
@@ -673,11 +637,11 @@ impl<'a> Passes<'a> {
 /// SQUAREM's S3 extrapolation from the two maps `θ₀ → θ₁ → θ₂`: with
 /// `r = θ₁ − θ₀` and `v = θ₂ − 2θ₁ + θ₀` (as `(θ₂ − θ₁) − r`), the step
 /// `α = −‖r‖/‖v‖` and `θₓ = θ₀ − 2αr + α²v`, clamped into
-/// `[eps, 1 − eps]`. The norms run over `z` and then every source's
+/// `[EPS, 1 − EPS]`. The norms run over `z` and then every source's
 /// `a, b, f, g`, in order. When `α < −1` it overwrites `theta0` with
 /// `θₓ` and returns `true`; otherwise (`α = −1` is the plain second map)
 /// it leaves `theta0` alone and returns `false`.
-fn extrapolate(theta0: &mut Theta, theta1: &Theta, theta2: &Theta, eps: f64) -> bool {
+fn extrapolate(theta0: &mut Theta, theta1: &Theta, theta2: &Theta) -> bool {
     let rv = |x0: f64, x1: f64, x2: f64| {
         let r = x1 - x0;
         (r, (x2 - x1) - r)
@@ -706,7 +670,7 @@ fn extrapolate(theta0: &mut Theta, theta1: &Theta, theta2: &Theta, eps: f64) -> 
     }
     let step = |x0: f64, x1: f64, x2: f64| {
         let (r, v) = rv(x0, x1, x2);
-        (x0 - 2.0 * alpha * r + alpha * alpha * v).clamp(eps, 1.0 - eps)
+        (x0 - 2.0 * alpha * r + alpha * alpha * v).clamp(EPS, 1.0 - EPS)
     };
     theta0.set_z(step(theta0.z(), theta1.z(), theta2.z()));
     for (i, (p1, p2)) in theta1.sources().iter().zip(theta2.sources()).enumerate() {
@@ -732,7 +696,7 @@ fn extrapolate(theta0: &mut Theta, theta1: &Theta, theta2: &Theta, eps: f64) -> 
 /// with the population rate `pop` (numerator totals over denominator
 /// totals, folded in source order) and `s = config.smoothing`; a rate
 /// whose `den + s` vanishes keeps its value from `theta`. The prior
-/// becomes `z`. Every value is clamped into `[eps, 1 − eps]` and written
+/// becomes `z`. Every value is clamped into `[EPS, 1 − EPS]` and written
 /// into `next`, which must cover as many sources as `theta`. Returns
 /// `max |Δθ|` from `theta` to `next`, taken over `z` first and then the
 /// sources in order, as [`Theta::max_abs_diff`] does, and the population
@@ -765,8 +729,8 @@ pub(crate) fn apply_m_step(
         }
     };
     let pop_rates = [pop_rate(0), pop_rate(1), pop_rate(2), pop_rate(3)];
-    let (s, eps) = (config.smoothing, config.eps);
-    let z = z.clamp(eps, 1.0 - eps);
+    let s = config.smoothing;
+    let z = z.clamp(EPS, 1.0 - EPS);
     next.set_z(z);
     let mut delta = (theta.z() - z).abs();
     // Source `i`'s new rates, written into `next`, folded into `delta`.
@@ -788,7 +752,7 @@ pub(crate) fn apply_m_step(
             f: vals[2],
             g: vals[3],
         }
-        .clamped(eps);
+        .clamped(EPS);
         delta = delta
             .max((prev.a - p.a).abs())
             .max((prev.b - p.b).abs())
@@ -820,6 +784,8 @@ mod tests {
     use crate::likelihood::{column_log_likelihood_naive, column_log_likelihood_reference};
     use crate::model::classify;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use socsense_matrix::logprob::{log_sum_exp2, normalize_log_pair, safe_ln, safe_ln_1m};
     use socsense_matrix::parallel::par_map_reduce;
     use socsense_matrix::SparseBinaryMatrix;
@@ -934,7 +900,7 @@ mod tests {
                 next.set_source(i, SourceParams { a, b, f, g });
             }
             next.set_z(sum_z / m as f64);
-            next.clamp_in_place(cfg.eps);
+            next.clamp_in_place(EPS);
             let delta = theta.max_abs_diff(&next).unwrap();
             (
                 next,
@@ -975,10 +941,7 @@ mod tests {
                 return None;
             }
             let x: Vec<f64> = (0..x0.len())
-                .map(|k| {
-                    (x0[k] - 2.0 * alpha * r[k] + alpha * alpha * v[k])
-                        .clamp(cfg.eps, 1.0 - cfg.eps)
-                })
+                .map(|k| (x0[k] - 2.0 * alpha * r[k] + alpha * alpha * v[k]).clamp(EPS, 1.0 - EPS))
                 .collect();
             let sources = x[1..]
                 .chunks(4)
@@ -1000,7 +963,7 @@ mod tests {
             iterations += 1;
             let (theta1, delta, rates) = map(&theta);
             let theta0 = std::mem::replace(&mut theta, theta1);
-            converged = delta < cfg.tol;
+            converged = delta < TOL;
             let ll1 = log_likelihood(&theta);
             ll_history.push(ll1);
             if converged {
@@ -1018,7 +981,7 @@ mod tests {
             };
             iterations += 1;
             let (theta2, delta, _) = map(&theta);
-            converged = delta < cfg.tol;
+            converged = delta < TOL;
             if !converged && iterations < cfg.max_iters {
                 if let Some(x) = squarem_point(&theta0, &theta, &theta2) {
                     let llx = log_likelihood(&x);
@@ -1062,7 +1025,7 @@ mod tests {
         };
         let mut best: Option<EmFit> = None;
         for init in inits {
-            let fit = reference_run(em, data, em.initial_theta(data, init), false);
+            let fit = reference_run(em, data, initial_theta(data, init), false);
             if best
                 .as_ref()
                 .is_none_or(|b| fit.log_likelihood > b.log_likelihood)
@@ -1144,7 +1107,7 @@ mod tests {
         /// θ, posterior, log-odds, `ll_history`, log-likelihood,
         /// iteration count and convergence, at every parallelism level.
         /// Each world runs at smoothing 0 and 2 and at 1, 3 and 200
-        /// iterations, cold from `Auto` or `Random` or warm from a
+        /// iterations, cold from `Auto` or `DepBiased` or warm from a
         /// random θ.
         #[test]
         #[cfg_attr(miri, ignore = "EM sweep is too slow under Miri")]
@@ -1165,7 +1128,7 @@ mod tests {
                         init: if start == 0 {
                             InitStrategy::Auto
                         } else {
-                            InitStrategy::Random { seed }
+                            InitStrategy::DepBiased
                         },
                         ..EmConfig::default()
                     };
@@ -1233,7 +1196,7 @@ mod tests {
             let config = EmConfig { max_iters: 1, ..EmConfig::default() };
             let fit = EmExt::new(config).fit(&data).unwrap();
             for s in fit.theta.sources() {
-                prop_assert_eq!((s.f, s.g), (config.eps, config.eps));
+                prop_assert_eq!((s.f, s.g), (EPS, EPS));
             }
 
             let (n, m) = (data.source_count(), data.assertion_count());
@@ -1373,7 +1336,6 @@ mod tests {
         let (data, _) = separable_data();
         let fit_at = |par| {
             EmExt::new(EmConfig {
-                restarts: 2,
                 parallelism: par,
                 ..EmConfig::default()
             })
@@ -1391,20 +1353,6 @@ mod tests {
             assert_eq!(serial.posterior, threaded.posterior, "{par:?}");
             assert_eq!(serial.ll_history, threaded.ll_history, "{par:?}");
         }
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore = "EM sweep is too slow under Miri")]
-    fn restarts_never_worsen_likelihood() {
-        let (data, _) = separable_data();
-        let base = EmExt::new(EmConfig::default()).fit(&data).unwrap();
-        let multi = EmExt::new(EmConfig {
-            restarts: 3,
-            ..EmConfig::default()
-        })
-        .fit(&data)
-        .unwrap();
-        assert!(multi.log_likelihood >= base.log_likelihood - 1e-9);
     }
 
     #[test]
@@ -1450,14 +1398,6 @@ mod tests {
         assert!(matches!(
             EmExt::new(EmConfig {
                 max_iters: 0,
-                ..EmConfig::default()
-            })
-            .fit(&data),
-            Err(SenseError::BadConfig { .. })
-        ));
-        assert!(matches!(
-            EmExt::new(EmConfig {
-                tol: 0.0,
                 ..EmConfig::default()
             })
             .fit(&data),
@@ -1559,7 +1499,6 @@ mod tests {
         let totals_at = |par| {
             let (obs, rec) = Obs::recorder();
             let em = EmExt::new(EmConfig {
-                restarts: 2,
                 parallelism: par,
                 ..EmConfig::default()
             })

@@ -59,9 +59,9 @@ pub mod state;
 mod streaming;
 
 pub use bound::{
-    bound_for_assertions, bound_for_assertions_traced, bound_for_assertions_with, bound_for_data,
-    bound_for_data_with, exact_bound, exact_bound_from_table, gibbs_bound,
-    mismatched_decision_error, BoundMethod, BoundResult, GibbsConfig, GibbsEstimator, GibbsOutcome,
+    bound_for_assertions, bound_for_assertions_traced, bound_for_data, exact_bound,
+    exact_bound_from_table, gibbs_bound, mismatched_decision_error, BoundMethod, BoundResult,
+    GibbsConfig, GibbsEstimator, GibbsOutcome,
 };
 pub use cluster::{cluster_partition, ClusterMembers, ClusterTracker, ClusterUpdate, ClusterWorld};
 pub use confidence::{confidence_report, ConfidenceReport, RateInterval, SourceConfidence};

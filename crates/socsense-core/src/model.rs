@@ -123,8 +123,8 @@ impl Theta {
         }
     }
 
-    /// Draws every rate uniformly from `(0.05, 0.95)`; used for random EM
-    /// restarts.
+    /// Draws every rate uniformly from `(0.05, 0.95)`: an arbitrary warm
+    /// start for tests of the EM loop.
     pub fn random<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Self {
         let sources = (0..n)
             .map(|_| SourceParams {

@@ -203,16 +203,6 @@ impl StreamingEstimator {
         self.m
     }
 
-    /// The follow relation the dependency indicators are derived from.
-    pub fn graph(&self) -> &FollowerGraph {
-        &self.graph
-    }
-
-    /// The active EM configuration.
-    pub fn config(&self) -> &EmConfig {
-        &self.config
-    }
-
     /// Replaces the EM configuration used by subsequent refits.
     ///
     /// The claim log, warm-start state, and cached snapshot are all kept;

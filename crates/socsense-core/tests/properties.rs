@@ -3,9 +3,9 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use socsense_core::{
-    assertion_posteriors, assertion_posteriors_with, bound_for_assertions_with, bound_for_data,
+    assertion_posteriors, assertion_posteriors_with, bound_for_assertions_traced, bound_for_data,
     data_log_likelihood_with, exact_bound, gibbs_bound, BoundMethod, ClaimData, EmConfig, EmExt,
-    GibbsConfig, Parallelism, SourceParams, Theta,
+    GibbsConfig, Obs, Parallelism, SourceParams, Theta,
 };
 use socsense_matrix::SparseBinaryMatrix;
 
@@ -163,14 +163,14 @@ proptest! {
     }
 
     /// A full EM fit — θ, posteriors, and the likelihood trace — is
-    /// bit-identical at every parallelism level, including a restart
-    /// sweep whose keep-best tie-breaking must not depend on scheduling.
+    /// bit-identical at every parallelism level, including the `Auto`
+    /// sweep over two starts, whose keep-best tie-breaking must not
+    /// depend on scheduling.
     #[test]
     fn em_fit_is_bit_identical_across_parallelism((data, _) in random_problem()) {
         let fit_at = |par| {
             EmExt::new(EmConfig {
                 max_iters: 40,
-                restarts: 2,
                 parallelism: par,
                 ..EmConfig::default()
             })
@@ -206,11 +206,12 @@ proptest! {
             ..GibbsConfig::default()
         });
         let all: Vec<u32> = (0..data.assertion_count() as u32).collect();
-        let serial =
-            bound_for_assertions_with(&data, &theta, &method, &all, Parallelism::Serial).unwrap();
+        let at = |par| {
+            bound_for_assertions_traced(&data, &theta, &method, &all, par, &Obs::none()).unwrap()
+        };
+        let serial = at(Parallelism::Serial);
         for par in LEVELS {
-            let threaded =
-                bound_for_assertions_with(&data, &theta, &method, &all, par).unwrap();
+            let threaded = at(par);
             prop_assert_eq!(serial.error.to_bits(), threaded.error.to_bits(), "{:?}", par);
             prop_assert_eq!(
                 serial.false_positive.to_bits(),

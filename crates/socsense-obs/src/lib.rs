@@ -1,6 +1,6 @@
 //! Structured metrics and tracing for the socsense workspace.
 //!
-//! The estimator hot paths (EM-Ext restarts, Gibbs bound chains, ingest
+//! The estimator hot paths (EM-Ext fits, Gibbs bound chains, ingest
 //! sharding, the serve worker) accept an [`Obs`] handle — a cheap,
 //! cloneable reference to an optional [`MetricsSink`]. With no sink
 //! attached every emission is a single `Option` check and no

@@ -12,11 +12,12 @@
 //!   record is one line, `<crc32 hex8> <json>\n`, with the CRC taken
 //!   over the JSON bytes. A crash can tear only the *final* line
 //!   (appends are sequential), so recovery validates every line and
-//!   truncates a torn tail in place; a corrupt line that is *not* final
-//!   is real corruption and is reported as an error rather than silently
-//!   dropped. Durability is batched: [`WalWriter::append`] issues an
-//!   `fsync` every `fsync_every` appends (`1` = every append — safest,
-//!   slowest; `0` = never implicitly).
+//!   reports where a torn tail starts, writing nothing; [`truncate_tail`]
+//!   cuts it off once the caller accepts the log. A corrupt line that is
+//!   *not* final is real corruption and is reported as an error rather
+//!   than silently dropped. Durability is batched:
+//!   [`WalWriter::append`] issues an `fsync` every `fsync_every` appends
+//!   (`1` = every append — safest, slowest; `0` = never implicitly).
 //! * [`SnapshotStore`] — whole-state checkpoint files, written
 //!   tmp-then-rename with `fsync` on both file and directory, so a
 //!   snapshot is either completely present or absent. [`SnapshotStore::latest`]
@@ -49,4 +50,4 @@ mod wal;
 
 pub use error::PersistError;
 pub use snapshot::SnapshotStore;
-pub use wal::{recover, Recovery, WalWriter};
+pub use wal::{recover, truncate_tail, Recovery, WalWriter};

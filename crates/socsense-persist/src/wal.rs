@@ -1,7 +1,7 @@
 //! The append-only write-ahead record log.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
@@ -105,6 +105,21 @@ fn scan<T: Deserialize>(
     Ok((records, None))
 }
 
+/// Reads and validates a log without modifying it: `None` when the file
+/// is missing.
+fn read<T: Deserialize>(path: &Path) -> Result<Option<Recovery<T>>, PersistError> {
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(PersistError::io(path, "read", e)),
+    };
+    let (records, torn_at) = scan(path, &bytes)?;
+    Ok(Some(Recovery {
+        records,
+        torn_at: torn_at.map(|offset| offset as u64),
+    }))
+}
+
 /// Reads a log without modifying it: every record, or `None` when the
 /// file is missing or its final line is torn. Snapshot reads use this;
 /// a snapshot is renamed into place whole, so a torn one is damage to
@@ -114,69 +129,63 @@ fn scan<T: Deserialize>(
 ///
 /// As [`recover`].
 pub(crate) fn read_clean<T: Deserialize>(path: &Path) -> Result<Option<Vec<T>>, PersistError> {
-    let bytes = match std::fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(PersistError::io(path, "read", e)),
-    };
-    match scan(path, &bytes)? {
-        (records, None) => Ok(Some(records)),
-        (_, Some(_)) => Ok(None),
-    }
+    Ok(match read(path)? {
+        Some(Recovery {
+            records,
+            torn_at: None,
+        }) => Some(records),
+        _ => None,
+    })
 }
 
-/// The result of [`recover`]: the valid records plus whether a torn
-/// final line was truncated away.
+/// The result of [`recover`]: the valid records plus where a torn final
+/// line starts.
 #[derive(Debug)]
 pub struct Recovery<T> {
     /// Every valid record, in append order.
     pub records: Vec<T>,
-    /// Whether a torn final line was found and truncated in place (at
-    /// the cost of one fsync).
-    pub truncated_tail: bool,
+    /// The byte offset of a torn final line, if there is one: the length
+    /// [`truncate_tail`] cuts the file back to before a [`WalWriter`]
+    /// appends.
+    pub torn_at: Option<u64>,
 }
 
-/// Reads a WAL back, validating every record.
+/// Reads a WAL back, validating every record, and writes nothing.
 ///
 /// A missing file yields zero records. A final line that is incomplete
 /// or fails its framing or CRC check is a *torn append* (the only
-/// failure a crash of the sequential writer can produce): it is
-/// truncated away in place — so a subsequently opened [`WalWriter`]
-/// appends cleanly after the last valid record — and reported via
-/// [`truncated_tail`](Recovery::truncated_tail).
+/// failure a crash of the sequential writer can produce): it stays on
+/// disk, and [`torn_at`](Recovery::torn_at) reports where it starts.
 ///
 /// # Errors
 ///
 /// [`PersistError::Corrupt`] when a record that is **not** the final
 /// line fails validation (that cannot be a torn append), or when a
-/// complete line passes its CRC check but does not decode; the file is
-/// left untouched. [`PersistError::Io`] on filesystem failures.
+/// complete line passes its CRC check but does not decode.
+/// [`PersistError::Io`] on filesystem failures.
 pub fn recover<T: Deserialize>(path: &Path) -> Result<Recovery<T>, PersistError> {
-    let mut file = match OpenOptions::new().read(true).write(true).open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok(Recovery {
-                records: Vec::new(),
-                truncated_tail: false,
-            });
-        }
-        Err(e) => return Err(PersistError::io(path, "open", e)),
-    };
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)
-        .map_err(|e| PersistError::io(path, "read", e))?;
-    let (records, torn_at) = scan(path, &bytes)?;
-    if let Some(offset) = torn_at {
-        // Truncate back to the last clean record.
-        file.set_len(offset as u64)
-            .map_err(|e| PersistError::io(path, "truncate", e))?;
-        file.sync_data()
-            .map_err(|e| PersistError::io(path, "fsync", e))?;
-    }
-    Ok(Recovery {
-        records,
-        truncated_tail: torn_at.is_some(),
-    })
+    Ok(read(path)?.unwrap_or(Recovery {
+        records: Vec::new(),
+        torn_at: None,
+    }))
+}
+
+/// Cuts the WAL at `path` back to `len` bytes, where [`recover`] found a
+/// torn tail, and fsyncs it, so a [`WalWriter`] opened next appends
+/// after the last valid record. Issues one fsync.
+///
+/// # Errors
+///
+/// [`PersistError::Io`] on filesystem failures.
+pub fn truncate_tail(path: &Path, len: u64) -> Result<(), PersistError> {
+    let file = OpenOptions::new()
+        .write(true)
+        .open(path)
+        .map_err(|e| PersistError::io(path, "open", e))?;
+    file.set_len(len)
+        .map_err(|e| PersistError::io(path, "truncate", e))?;
+    file.sync_data()
+        .map_err(|e| PersistError::io(path, "fsync", e))
 }
 
 /// Atomically replaces `path` with a log holding exactly `records`:
@@ -246,8 +255,9 @@ pub(crate) fn create_dir_durable(dir: &Path) -> Result<u64, PersistError> {
 
 /// An append-only writer over one WAL file.
 ///
-/// Open [`recover`] first: appends land at the end of the file, so a
-/// torn tail must have been truncated away before the first append.
+/// Run [`recover`] first: appends land at the end of the file, so a
+/// torn tail must have been cut off ([`truncate_tail`]) before the
+/// first append.
 #[derive(Debug)]
 pub struct WalWriter {
     file: File,
@@ -402,7 +412,7 @@ mod tests {
         );
         drop(w);
         let rx: Recovery<Rec> = recover(&path).unwrap();
-        assert!(!rx.truncated_tail);
+        assert_eq!(rx.torn_at, None);
         assert_eq!(rx.records, (0..5).map(rec).collect::<Vec<_>>());
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -412,7 +422,7 @@ mod tests {
         let dir = tmp_dir("missing");
         let rx: Recovery<Rec> = recover(&dir.join("absent.jsonl")).unwrap();
         assert!(rx.records.is_empty());
-        assert!(!rx.truncated_tail);
+        assert_eq!(rx.torn_at, None);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -430,20 +440,29 @@ mod tests {
             "the new file's directory, then fsync_every=0 only syncs explicitly"
         );
         drop(w);
+        let first_len = encode_line(&rec(0)).len() as u64;
         // Tear the final line mid-record.
         let len = std::fs::metadata(&path).unwrap().len();
         let f = OpenOptions::new().write(true).open(&path).unwrap();
         f.set_len(len - 4).unwrap();
         drop(f);
+        let torn = std::fs::read(&path).unwrap();
         let rx: Recovery<Rec> = recover(&path).unwrap();
-        assert!(rx.truncated_tail);
+        assert_eq!(rx.torn_at, Some(first_len));
         assert_eq!(rx.records, vec![rec(0)]);
-        // The log is clean again: appends resume after the last record.
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            torn,
+            "reading writes nothing"
+        );
+        // Cut back, the log is clean again: appends resume after the
+        // last record.
+        truncate_tail(&path, first_len).unwrap();
         let mut w = WalWriter::open(&path, 1).unwrap();
         w.append(&rec(9)).unwrap();
         drop(w);
         let rx: Recovery<Rec> = recover(&path).unwrap();
-        assert!(!rx.truncated_tail);
+        assert_eq!(rx.torn_at, None);
         assert_eq!(rx.records, vec![rec(0), rec(9)]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -462,7 +481,7 @@ mod tests {
         bytes[n - 3] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         let rx: Recovery<Rec> = recover(&path).unwrap();
-        assert!(rx.truncated_tail);
+        assert_eq!(rx.torn_at, Some(encode_line(&rec(0)).len() as u64));
         assert_eq!(rx.records, vec![rec(0)]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -552,7 +571,7 @@ mod tests {
         assert_eq!(w.fsyncs_total(), 1 + 2 + 1 + 1, "open, appends, truncate");
         drop(w);
         let rx: Recovery<Rec> = recover(&path).unwrap();
-        assert!(!rx.truncated_tail);
+        assert_eq!(rx.torn_at, None);
         assert_eq!(rx.records, vec![rec(2)]);
         std::fs::remove_dir_all(&dir).unwrap();
     }

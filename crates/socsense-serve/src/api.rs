@@ -6,7 +6,7 @@ use std::path::PathBuf;
 
 use serde::{Deserialize, Serialize};
 
-use socsense_core::{BoundMethod, EmConfig, RefitMode, SenseError, SourceParams};
+use socsense_core::{EmConfig, RefitMode, SenseError, SourceParams};
 use socsense_matrix::Parallelism;
 use socsense_persist::PersistError;
 
@@ -58,13 +58,11 @@ pub struct ServeConfig {
     /// refuses one that [`EmConfig::validate`] rejects.
     pub em: EmConfig,
     /// Worker threads for bound evaluation
-    /// ([`bound_for_assertions_with`](socsense_core::bound_for_assertions_with))
+    /// ([`bound_for_assertions_traced`](socsense_core::bound_for_assertions_traced))
     /// inside the service worker. Never changes the numbers — only
-    /// wall-clock time.
+    /// wall-clock time. A [`Bound`](crate::ServeHandle::bound) request
+    /// without its own method runs [`BoundMethod::default`](socsense_core::BoundMethod::default).
     pub parallelism: Parallelism,
-    /// Bound method used when a [`Bound`](crate::ServeHandle::bound)
-    /// request does not carry its own.
-    pub bound: BoundMethod,
     /// How ingest-driven refits run: [`RefitMode::Full`] re-runs warm EM
     /// over the whole log every time; [`RefitMode::Delta`] scopes each
     /// E-step to the assertions the batch touched, falling back to a
@@ -90,7 +88,6 @@ impl Default for ServeConfig {
         Self {
             em: EmConfig::default(),
             parallelism: Parallelism::Auto,
-            bound: BoundMethod::default(),
             refit_mode: RefitMode::Full,
             max_queue_depth: 0,
             persist: None,

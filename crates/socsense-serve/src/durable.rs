@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 
 use socsense_graph::TimedClaim;
 use socsense_obs::Obs;
-use socsense_persist::{recover, SnapshotStore, WalWriter};
+use socsense_persist::{recover, truncate_tail, Recovery, SnapshotStore, WalWriter};
 
 use crate::api::{PersistConfig, ServeError};
 use crate::slot::SlotCheckpoint;
@@ -42,6 +42,20 @@ pub(crate) struct WalRecord {
 /// stored a slot's chain-fit `θ` twice.
 pub(crate) const CHECKPOINT_FORMAT: u64 = 4;
 
+/// Each tier's checkpoint by the top-level key only it holds, and the
+/// tier that writes it. Recovery names the writer of a checkpoint that
+/// holds another tier's key (see [`decode_checkpoint`]).
+const WRITERS: [(&str, &str); 2] = [
+    ("slot", "the single worker (`QueryService`)"),
+    ("clusters", "the sharded router (`ShardedService`)"),
+];
+
+/// A tier's checkpoint payload.
+pub(crate) trait Checkpoint: Deserialize {
+    /// The tier's key in [`WRITERS`].
+    const KEY: &'static str;
+}
+
 /// The unsharded worker's checkpoint: its slot plus the request count.
 /// The ingest sequence position it covers is the snapshot's own
 /// sequence number.
@@ -51,6 +65,10 @@ pub(crate) struct WorkerSnapshot {
     pub format: u64,
     pub slot: SlotCheckpoint,
     pub requests_served: u64,
+}
+
+impl Checkpoint for WorkerSnapshot {
+    const KEY: &'static str = "slot";
 }
 
 /// One cluster's slice of a router checkpoint: global membership and
@@ -75,6 +93,10 @@ pub(crate) struct RouterSnapshot {
     pub total_claims: usize,
     pub requests_served: u64,
     pub clusters: Vec<ClusterSnapshot>,
+}
+
+impl Checkpoint for RouterSnapshot {
+    const KEY: &'static str = "clusters";
 }
 
 /// What [`DurableLog::open`] found on disk.
@@ -125,17 +147,17 @@ impl DurableLog {
     /// and opens the durable state there: the newest valid snapshot and
     /// the valid WAL records from the first one to replay on — every
     /// record when `keep_covered`, else those after the snapshot — which
-    /// must run without a gap. A torn final WAL line — the signature of a
-    /// crash mid-append — is truncated away and counted on
-    /// `serve.wal.truncated_tail_total`. A snapshot of another checkpoint
-    /// format (see [`decode_checkpoint`]), a corrupt WAL line or a gap is
-    /// refused before anything is created: only an accepted directory
-    /// gains `snapshots/` and then the WAL file. Reading the snapshot —
+    /// must run without a gap. A snapshot of another checkpoint format or
+    /// tier (see [`decode_checkpoint`]), a corrupt WAL line or a gap is
+    /// refused before anything is written: only an accepted directory
+    /// loses a torn final WAL line — the signature of a crash mid-append,
+    /// counted on `serve.wal.truncated_tail_total` — and then gains
+    /// `snapshots/` and the WAL file. Reading the snapshot —
     /// the file read, its CRC check and the decode — is timed on
     /// `serve.snapshot.read.seconds`. Each fsync the two stores issue,
     /// here and later, is counted on `serve.wal.fsyncs_total` or
     /// `serve.snapshot.fsyncs_total`.
-    pub fn open<S: Deserialize>(
+    pub fn open<S: Checkpoint>(
         cfg: &PersistConfig,
         obs: &Obs,
         keep_covered: bool,
@@ -148,22 +170,23 @@ impl DurableLog {
         };
         read.stop();
         let wal_path = cfg.data_dir.join("wal.jsonl");
-        let rx = recover::<WalRecord>(&wal_path)?;
-        if rx.truncated_tail {
-            obs.counter("serve.wal.truncated_tail_total", 1);
-        }
+        let Recovery { records, torn_at } = recover::<WalRecord>(&wal_path)?;
         if snapshot.is_some() {
             obs.counter("serve.snapshot.restores_total", 1);
         }
         let since = snapshot.as_ref().map_or(0, |(seq, _)| *seq);
-        let replayable = rx.records.iter().filter(|r| r.seq > since).count();
+        let replayable = records.iter().filter(|r| r.seq > since).count();
         obs.counter("serve.wal.recovered_batches_total", replayable as u64);
-        let records = dense_from(rx.records, if keep_covered { 1 } else { since + 1 })?;
+        let records = dense_from(records, if keep_covered { 1 } else { since + 1 })?;
+        if let Some(len) = torn_at {
+            truncate_tail(&wal_path, len)?;
+            obs.counter("serve.wal.truncated_tail_total", 1);
+        }
         let snaps = SnapshotStore::open(&snap_dir)?;
         let wal = WalWriter::open(&wal_path, cfg.fsync_every)?;
         obs.counter(
             "serve.wal.fsyncs_total",
-            u64::from(rx.truncated_tail) + wal.fsyncs_total(),
+            u64::from(torn_at.is_some()) + wal.fsyncs_total(),
         );
         obs.counter("serve.snapshot.fsyncs_total", snaps.fsyncs_total());
         Ok((
@@ -262,20 +285,25 @@ impl DurableLog {
 }
 
 /// Decodes checkpoint `seq` once its format stamp reads
-/// [`CHECKPOINT_FORMAT`]. A checkpoint of any other format, or one
-/// without a stamp, is refused with an error naming both formats: its
-/// WAL was truncated when it was written, so skipping it would lose the
-/// state it holds.
-fn decode_checkpoint<S: Deserialize>(
-    seq: u64,
-    payload: serde_json::Value,
-) -> Result<S, ServeError> {
-    let stamp = payload
-        .as_object()
+/// [`CHECKPOINT_FORMAT`] and it holds no other tier's key. A checkpoint
+/// of any other format, or one without a stamp, is refused with an error
+/// naming both formats; one that another tier wrote, with an error
+/// naming that tier. Skipping either would lose the state it holds: its
+/// WAL was truncated when it was written, or it is another tier's.
+fn decode_checkpoint<S: Checkpoint>(seq: u64, payload: serde_json::Value) -> Result<S, ServeError> {
+    let fields = payload.as_object();
+    let has = |key: &str| fields.is_some_and(|fields| fields.contains_key(key));
+    let stamp = fields
         .and_then(|fields| fields.get("format"))
         .map(|format| serde_json::from_value::<u64>(format.clone()));
     let found = match stamp {
         Some(Ok(CHECKPOINT_FORMAT)) => {
+            if let Some((_, writer)) = WRITERS.iter().find(|&&(key, _)| key != S::KEY && has(key)) {
+                return Err(ServeError::Persist(format!(
+                    "snapshot {seq} was written by {writer}, another serving tier; recovery \
+                     refuses it and leaves the data directory as it is"
+                )));
+            }
             return serde_json::from_value(payload).map_err(|e| {
                 ServeError::Persist(format!(
                     "snapshot {seq} is stamped checkpoint format {CHECKPOINT_FORMAT} but does \

@@ -244,7 +244,6 @@ impl ShardedService {
         let max_depth = config.max_queue_depth;
         let persist = config.persist.clone();
         let mut router = Router {
-            cfg: config,
             tracker,
             epoch: 0,
             total_claims: 0,
@@ -309,7 +308,6 @@ impl ShardedService {
 
 /// The single-threaded owner of the partition map and shard channels.
 struct Router {
-    cfg: ServeConfig,
     tracker: ClusterTracker,
     /// Ingest batches processed; every shard state and query is pinned
     /// to an epoch.
@@ -811,7 +809,7 @@ impl Router {
             assertions
         };
         check_assertions(&assertions, m, "bound assertion id vs m")?;
-        let method = method.unwrap_or_else(|| self.cfg.bound.clone());
+        let method = method.unwrap_or_default();
         let mut groups: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
         let mut unowned = 0usize;
         for &j in &assertions {

@@ -253,8 +253,8 @@ impl ServeHandle {
     }
 
     /// Mean Bayes-risk bound over `assertions` (every assertion when
-    /// empty) under the current fit, using `method` or the service's
-    /// configured default.
+    /// empty) under the current fit, using `method` or else
+    /// [`BoundMethod::default`].
     ///
     /// # Errors
     ///
@@ -529,7 +529,6 @@ impl QueryService {
         let (rec, obs) = recorded(&extra);
         let mut worker = Worker {
             slot: Slot::new(n, m, graph, &config, obs.clone())?,
-            bound: config.bound.clone(),
             requests_served: 0,
             rec,
             obs,
@@ -575,8 +574,6 @@ impl QueryService {
 /// The serial tier's backend: one [`Slot`] over the global world.
 struct Worker {
     slot: Slot,
-    /// Default bound method ([`ServeConfig::bound`]).
-    bound: BoundMethod,
     requests_served: u64,
     /// The service's own recorder; `Metrics` requests snapshot it.
     rec: Arc<Recorder>,
@@ -700,7 +697,7 @@ impl Backend for Worker {
                     assertions
                 };
                 check_assertions(&assertions, m, "bound assertion id vs m")?;
-                let method = method.unwrap_or_else(|| self.bound.clone());
+                let method = method.unwrap_or_default();
                 Ok(Response::Bound(self.slot.bound(&assertions, &method)?))
             }
             Request::Stats => Ok(Response::Stats(self.stats())),

@@ -580,9 +580,12 @@ fn wal_record_with_object_encoded_claims_is_refused_and_left_as_is() {
 
 /// A WAL whose sequence numbers skip a batch is refused on either tier,
 /// naming the gap, and the data directory is left as it was: recovery
-/// creates nothing before the gap check passes.
+/// writes nothing before the gap check passes, so even the torn final
+/// line after the gap stays.
 #[test]
 fn wal_gap_is_refused_and_left_as_is() {
+    use std::io::Write;
+
     for shards in [None, Some(2)] {
         let dir = tmp_dir(&format!("wal-gap-{shards:?}"));
         let mut wal = WalWriter::open(&dir.join("wal.jsonl"), 1).unwrap();
@@ -594,6 +597,13 @@ fn wal_gap_is_refused_and_left_as_is() {
                 .unwrap();
         }
         drop(wal);
+        // A torn append after the gap: half a record, no newline.
+        let mut file = OpenOptions::new()
+            .append(true)
+            .open(dir.join("wal.jsonl"))
+            .unwrap();
+        file.write_all(b"0badc0de {\"seq\":4,\"cla").unwrap();
+        drop(file);
         let before = dir_bytes(&dir);
 
         let cfg = persisted(&ServeConfig::default(), &dir, 4);
@@ -609,6 +619,55 @@ fn wal_gap_is_refused_and_left_as_is() {
             dir_bytes(&dir) == before,
             "{shards:?}: the refused data directory changed"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A data directory that one tier checkpointed is refused by the other
+/// tier's spawn, naming the tier that wrote it, and left as it was: the
+/// single worker's checkpoint holds `slot`, the router's `clusters`.
+#[test]
+fn other_tiers_data_directory_is_refused_by_name() {
+    let mut batches = vec![bootstrap_batch()];
+    batches.extend(random_batches(5, 12, 43, 1000));
+    for (writer, reader, named) in [
+        (
+            None,
+            Some(2),
+            "written by the single worker (`QueryService`)",
+        ),
+        (
+            Some(2),
+            None,
+            "written by the sharded router (`ShardedService`)",
+        ),
+    ] {
+        let dir = tmp_dir(&format!("other-tier-{writer:?}"));
+        let cfg = persisted(&ServeConfig::default(), &dir, 4);
+        let (service, client) = Tier::spawn(writer, &cfg);
+        for batch in &batches {
+            client.ingest(batch.clone()).unwrap();
+        }
+        service.shutdown().unwrap();
+        assert!(!snapshot_seqs(&dir).is_empty(), "premise: a checkpoint");
+        let before = dir_bytes(&dir);
+
+        let err = Tier::open(reader, &cfg, Obs::none())
+            .map(drop)
+            .expect_err("the other tier's directory is refused");
+        assert!(matches!(err, ServeError::Persist(_)), "{reader:?}: {err}");
+        assert!(
+            err.to_string().contains(named),
+            "{reader:?}: the refusal names the writer: {err}"
+        );
+        assert!(
+            dir_bytes(&dir) == before,
+            "{reader:?}: the refused data directory changed"
+        );
+
+        // The tier that wrote it still recovers it.
+        let (service, _) = Tier::spawn(writer, &cfg);
+        service.shutdown().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -301,6 +301,38 @@ mod tests {
         let r = ds.summary().original_ratio();
         assert!((0.4..=0.8).contains(&r), "original ratio {r:.2}");
     }
+
+    /// FNV-1a over every field of every tweet, in order.
+    fn tweets_fingerprint(tweets: &[Tweet]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for t in tweets {
+            eat(&t.id.to_le_bytes());
+            eat(&t.source.to_le_bytes());
+            eat(&t.assertion.to_le_bytes());
+            eat(&t.time.to_le_bytes());
+            eat(&t.retweet_of.map_or([0xff; 8], u64::to_le_bytes));
+            eat(&u64::from(t.retweet_of.is_some()).to_le_bytes());
+            eat(&(t.text.len() as u64).to_le_bytes());
+            eat(t.text.as_bytes());
+        }
+        h
+    }
+
+    /// The simulator's output is pinned: every RNG draw and every tweet
+    /// stays what it was, whatever bookkeeping the cascade uses.
+    #[test]
+    fn simulation_fingerprint_is_pinned() {
+        let ds = TwitterDataset::simulate(&ScenarioConfig::ukraine().scaled(0.05), 11).unwrap();
+        assert_eq!(
+            (ds.tweets.len(), tweets_fingerprint(&ds.tweets)),
+            (379, 9_040_945_097_917_273_148)
+        );
+    }
 }
 
 #[cfg(test)]

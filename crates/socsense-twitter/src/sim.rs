@@ -3,7 +3,7 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use socsense_graph::{preferential_attachment, FollowerGraph};
 
@@ -112,7 +112,10 @@ pub(crate) fn run(cfg: &ScenarioConfig, seed: u64) -> SimOutput {
 
     let text = TextSynthesizer::new(&cfg.name, seed ^ 0x5eed);
     let mut tweets: Vec<Tweet> = Vec::new();
-    let mut said: HashSet<(u32, u32)> = HashSet::new();
+    // The assertion each source last tweeted. Assertions are simulated
+    // in order, so source `s` has said the current `j` iff `said[s] == j`
+    // (`u32::MAX`, above every assertion id, before its first tweet).
+    let mut said: Vec<u32> = vec![u32::MAX; n as usize];
     let mut next_id = 0u64;
     let horizon = (m as u64) * 10;
 
@@ -142,9 +145,10 @@ pub(crate) fn run(cfg: &ScenarioConfig, seed: u64) -> SimOutput {
                 }
                 s = sample_source(&mut rng);
             }
-            if !said.insert((s, j)) {
+            if said[s as usize] == j {
                 continue;
             }
+            said[s as usize] = j;
             let t = t0 + w as u64;
             let tw = Tweet {
                 id: next_id,
@@ -164,7 +168,7 @@ pub(crate) fn run(cfg: &ScenarioConfig, seed: u64) -> SimOutput {
                 continue;
             }
             for &f in graph.followers(tweeter) {
-                if said.contains(&(f, j)) {
+                if said[f as usize] == j {
                     continue;
                 }
                 let activity = retweet_activity[f as usize];
@@ -193,7 +197,7 @@ pub(crate) fn run(cfg: &ScenarioConfig, seed: u64) -> SimOutput {
                 if !passes {
                     continue;
                 }
-                said.insert((f, j));
+                said[f as usize] = j;
                 let t_new = t + 1 + rng.gen_range(0..5);
                 let tw = Tweet {
                     id: next_id,
@@ -219,8 +223,10 @@ pub(crate) fn run(cfg: &ScenarioConfig, seed: u64) -> SimOutput {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_types)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn poisson_mean_is_roughly_lambda() {
