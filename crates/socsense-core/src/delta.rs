@@ -714,7 +714,15 @@ impl DeltaEngine {
                 ]
             })
             .collect();
-        apply_m_step(em, &self.theta, &counts, self.sum_z / m, next, &[]).0
+        apply_m_step(
+            em,
+            &self.theta,
+            &counts,
+            0..counts.len(),
+            self.sum_z / m,
+            next,
+        )
+        .0
     }
 }
 

@@ -23,23 +23,27 @@
 //! pass at the final `θ` is the fit's answer, and nothing runs after the
 //! loop.
 //!
-//! Each fit lays its data out once ([`ClaimLayout`]) and shares the
-//! layout across its starts. A pass rebuilds the likelihood tables in
-//! one buffer per run, evaluates one column per group of equal columns,
-//! and copies each group's result out to its columns while it sums Eq. 7
-//! over all of them in the fixed chunk order. The M-step gathers each
-//! source's sums from the layout's lists and writes into buffers
-//! allocated once per run.
+//! Each fit lays its data out once ([`ClaimLayout`]): a partition of the
+//! sources and one of the columns into classes whose members EM cannot
+//! tell apart, so that every member of a source class holds its class's
+//! rates at every map and every member of a column class its class's
+//! fit. A cold fit shares one layout across its starts, which are
+//! functions of a source's claim count and so of its class; a warm fit
+//! seeds the partition with its start. A run's `θ` holds one rate set
+//! per source class. A pass rebuilds the tables in one buffer per run,
+//! one row per source class, evaluates each column class once, and
+//! copies each class's result out to its columns while it sums Eq. 7
+//! over all of them in the fixed chunk order. The M-step counts each
+//! source class once from its lists of column classes and updates its
+//! rates once, into buffers allocated once per run.
 //!
-//! The tables (Eqs. 4–5, 9) and the M-step (Eqs. 24–28) see a source
-//! only through its `SC` and `D` rows and its own rates, so the sources
-//! of one layout class (equal rows) with equal rates get the same terms
-//! and the same update, bit for bit. Each per-source loop does a class's
-//! work once: a copy takes its leader's M-step counts, and, when its
-//! rates have the leader's bits, the leader's table terms and new rates.
-//! Every sum still adds each source's term in source order, so sharing
-//! moves only the work counters. A copy whose rates differ from its
-//! leader's, as after a warm start, runs the loop's own code.
+//! Every fold across elements still adds each element's term in element
+//! order, reading its class's value: the base sums and the log-prior
+//! over the sources, Eq. 7 over the columns, `Σ Z_j`, the population
+//! counts over the sources, and SQUAREM's norms over `z` and then the
+//! sources. So classes move only the work counters, never a served bit.
+//! `max |Δθ|` runs over the classes, since a maximum is exact in any
+//! order.
 //!
 //! Cold fits ([`EmExt::fit`]) take one map and one pass per iteration.
 //! Warm fits ([`EmExt::fit_warm`]) step in SQUAREM cycles (Varadhan &
@@ -61,9 +65,7 @@ use socsense_obs::Obs;
 
 use crate::data::ClaimData;
 use crate::error::SenseError;
-use crate::likelihood::{
-    runs, same_rates, ClaimLayout, ColumnFit, LikelihoodTables, Shared, ShrinkagePrior,
-};
+use crate::likelihood::{ClaimLayout, ColumnFit, LikelihoodTables, ShrinkagePrior};
 use crate::model::{SourceParams, Theta};
 
 /// Clamping margin keeping every probability in `[EPS, 1 − EPS]`.
@@ -256,9 +258,10 @@ impl EmExt {
                 actual: theta.source_count(),
             });
         }
-        let layout = ClaimLayout::new(data)?;
+        let layout = ClaimLayout::new(data, Some(&theta))?;
         self.obs.counter("em.warm_starts_total", 1);
-        self.run_em_with(&layout, theta, self.config.parallelism, true)
+        let start = layout.classes_of(&theta);
+        self.run_em_with(&layout, start, self.config.parallelism, true)
     }
 
     /// Runs EM on `data` from the configured [`InitStrategy`]; `Auto`
@@ -271,7 +274,10 @@ impl EmExt {
     pub fn fit(&self, data: &ClaimData) -> Result<EmFit, SenseError> {
         self.config.validate()?;
         let timer = self.obs.timer("em.fit.seconds");
-        let layout = ClaimLayout::new(data)?;
+        // Both deterministic starts are functions of a source's claim
+        // count, which its class fixes, so one unseeded layout serves
+        // them.
+        let layout = ClaimLayout::new(data, None)?;
         let inits = match self.config.init {
             InitStrategy::Auto => vec![InitStrategy::ClaimRateBiased, InitStrategy::DepBiased],
             other => vec![other],
@@ -286,7 +292,8 @@ impl EmExt {
         };
         self.obs.counter("em.fit.inits_total", inits.len() as u64);
         let fits = par_map_collect(self.config.parallelism, inits.len(), |k| {
-            self.run_em_with(&layout, initial_theta(data, inits[k]), inner, false)
+            let start = layout.classes_of(&initial_theta(data, inits[k]));
+            self.run_em_with(&layout, start, inner, false)
         });
         // Keep-best folds in init order with a strict `>`, so the
         // *earliest* init wins exact log-likelihood ties — the same
@@ -317,9 +324,10 @@ impl EmExt {
         initial_theta(data, InitStrategy::ClaimRateBiased)
     }
 
-    /// The EM loop proper over `layout`'s data, from an explicit starting
-    /// point: one map and one pass per iteration, or, when `accelerate`
-    /// (warm runs only), safeguarded SQUAREM cycles (see the module docs).
+    /// The EM loop proper over `layout`'s data, from a starting point
+    /// with one rate set per source class: one map and one pass per
+    /// iteration, or, when `accelerate` (warm runs only), safeguarded
+    /// SQUAREM cycles (see the module docs).
     fn run_em_with(
         &self,
         layout: &ClaimLayout,
@@ -334,12 +342,14 @@ impl EmExt {
         let (max_iters, smoothing) = (self.config.max_iters, self.config.smoothing);
         let mut theta = start;
         // Buffers every iteration reuses: the passes' tables and
-        // outputs, the M-step counts per source, the next θ and, in a
-        // SQUAREM cycle, the second map's output θ₂.
+        // outputs, the M-step counts per source class, the next θ and, in
+        // a SQUAREM cycle, the second map's output θ₂ and the squares of
+        // the extrapolation's norms.
         let mut passes = Passes::new(layout, par);
-        let mut counts = vec![[0.0f64; 8]; layout.source_count()];
+        let mut counts = vec![[0.0f64; 8]; layout.source_classes()];
         let mut next = theta.clone();
         let mut second: Option<Theta> = None;
+        let mut squares = Vec::new();
         let mut ll_history = Vec::new();
         let mut converged = false;
         let mut iterations = 0;
@@ -377,7 +387,16 @@ impl EmExt {
             let (delta, _) = self.m_step(&passes, &theta, &mut counts, second);
             last_delta = delta;
             converged = delta < TOL;
-            if !converged && iterations < max_iters && extrapolate(&mut next, &theta, second) {
+            if !converged
+                && iterations < max_iters
+                && extrapolate(
+                    &mut next,
+                    &theta,
+                    second,
+                    layout.source_class(),
+                    &mut squares,
+                )
+            {
                 extrapolations += 1;
                 let trial = passes.run(&next, prior.as_ref());
                 if trial.merit() >= at_map.merit() {
@@ -421,12 +440,12 @@ impl EmExt {
         // detlint: allow(P1) -- EM runs at least one iteration (max_iters >= 1 is config-validated), so the history is nonempty
         let log_likelihood = *ll_history.last().expect("at least one iteration ran");
         let log_odds = layout
-            .group_of()
+            .column_class()
             .iter()
-            .map(|&g| passes.fits[g as usize].log_odds)
+            .map(|&c| passes.fits[c as usize].log_odds)
             .collect();
         Ok(EmFit {
-            theta,
+            theta: layout.sources_of(&theta),
             posterior: passes.posterior,
             log_likelihood,
             iterations,
@@ -436,12 +455,11 @@ impl EmExt {
         })
     }
 
-    /// M-step (Eqs. 24–28), sparse form: accumulates each source's
-    /// posterior-weighted claim counts and exposures into `counts` from
-    /// the last pass's posteriors, then writes `θₜ₊₁` into `next` via
-    /// [`apply_m_step`]. A copy in a source class holds its leader's
-    /// lists, so it takes its leader's counts. Returns `max |Δθ|` from
-    /// `theta` to `next` and the population rates.
+    /// M-step (Eqs. 24–28), sparse form: accumulates each source
+    /// class's posterior-weighted claim counts and exposures into
+    /// `counts` from the last pass's column-class fits, then writes
+    /// `θₜ₊₁` into `next` via [`apply_m_step`], one rate set per class.
+    /// Returns `max |Δθ|` from `theta` to `next` and the population rates.
     fn m_step(
         &self,
         passes: &Passes<'_>,
@@ -449,26 +467,26 @@ impl EmExt {
         counts: &mut [[f64; 8]],
         next: &mut Theta,
     ) -> (f64, [f64; 4]) {
-        let (layout, posterior) = (passes.layout, &passes.posterior);
-        let m = posterior.len() as f64;
-        let sum_z: f64 = posterior.iter().sum();
+        let (layout, fits) = (passes.layout, &passes.fits);
+        let m = passes.posterior.len() as f64;
+        let sum_z: f64 = passes.posterior.iter().sum();
         let sum_y = m - sum_z;
-        let count = |i: usize| {
-            let (dep_row, independent, dependent) = layout.source_cells(i);
+        let count = |c: usize| {
+            let (dep_row, independent, dependent) = layout.source_cells(c);
             let mut dep_z = 0.0;
-            for &j in dep_row {
-                dep_z += posterior[j as usize];
+            for &k in dep_row {
+                dep_z += fits[k as usize].posterior;
             }
             let dep_y = dep_row.len() as f64 - dep_z;
             let (mut num_a, mut num_b) = (0.0, 0.0);
-            for &j in independent {
-                let zj = posterior[j as usize];
+            for &k in independent {
+                let zj = fits[k as usize].posterior;
                 num_a += zj;
                 num_b += 1.0 - zj;
             }
             let (mut num_f, mut num_g) = (0.0, 0.0);
-            for &j in dependent {
-                let zj = posterior[j as usize];
+            for &k in dependent {
+                let zj = fits[k as usize].posterior;
                 num_f += zj;
                 num_g += 1.0 - zj;
             }
@@ -484,38 +502,11 @@ impl EmExt {
                 dep_y,
             ]
         };
-        // Each source's counts read only its own lists, so the fill
-        // parallelises over fixed source chunks. The copies take their
-        // leader's counts once every chunk is filled.
-        par_fill_reduce(
-            passes.par,
-            counts,
-            (),
-            |range, out| {
-                let start = range.start;
-                let copies = layout
-                    .shared_in(range.clone())
-                    .iter()
-                    .filter(|m| m.is_copy());
-                for (run, _) in runs(range, copies) {
-                    for (c, i) in out[run.start - start..run.end - start].iter_mut().zip(run) {
-                        *c = count(i);
-                    }
-                }
-            },
-            |(), ()| (),
-        );
-        for copy in layout.shared().iter().filter(|m| m.is_copy()) {
-            counts[copy.source as usize] = counts[copy.leader as usize];
-        }
-        apply_m_step(
-            &self.config,
-            theta,
-            counts,
-            sum_z / m,
-            next,
-            layout.shared(),
-        )
+        // Each class's counts read only its own lists, so the fill
+        // parallelises over fixed chunks of classes.
+        par_fill(passes.par, counts, count);
+        let members = layout.source_class().iter().map(|&c| c as usize);
+        apply_m_step(&self.config, theta, counts, members, sum_z / m, next)
     }
 }
 
@@ -562,13 +553,13 @@ struct Passes<'a> {
     layout: &'a ClaimLayout,
     par: Parallelism,
     tables: LikelihoodTables,
-    /// The last pass's fit of each group of equal columns.
-    fits: Vec<ColumnFit>,
-    /// The last pass's posterior of each column, which the next M-step
+    /// The last pass's fit of each column class, which the next M-step
     /// reads.
+    fits: Vec<ColumnFit>,
+    /// The last pass's posterior of each column.
     posterior: Vec<f64>,
-    /// Passes run, distinct columns evaluated, sources whose terms the
-    /// table builds computed, and logarithms they took.
+    /// Passes run, column classes evaluated, source classes whose terms
+    /// the table builds computed, and logarithms they took.
     passes: u64,
     column_evals: u64,
     source_evals: u64,
@@ -581,7 +572,7 @@ impl<'a> Passes<'a> {
             layout,
             par,
             tables: LikelihoodTables::empty(),
-            fits: vec![ColumnFit::default(); layout.group_count()],
+            fits: vec![ColumnFit::default(); layout.column_classes()],
             posterior: vec![0.0; layout.assertion_count()],
             passes: 0,
             column_evals: 0,
@@ -590,9 +581,10 @@ impl<'a> Passes<'a> {
         }
     }
 
-    /// One pass under `theta`: evaluates one column per group (Eq. 9 and
-    /// Eq. 7's term), in fixed chunks over the groups, then copies each
-    /// group's posterior out to its columns and sums the observed-data
+    /// One pass under `theta`, one rate set per source class: evaluates
+    /// each column class once (Eq. 9 and Eq. 7's term), in fixed chunks
+    /// over the classes, then copies each class's posterior out to its
+    /// columns and sums the observed-data
     /// log-likelihood, plus the log-prior of `theta` when a `prior` is
     /// given. The Eq. 7 terms of all `m` columns are summed within the
     /// fixed chunks of `0..m` and the chunk sums folded in chunk order
@@ -604,10 +596,10 @@ impl<'a> Passes<'a> {
         let layout = self.layout;
         self.tables.refill(theta, layout, prior);
         let tables = &self.tables;
-        par_fill(self.par, &mut self.fits, |g| {
-            tables.slots_column(layout.group_slots(g))
+        par_fill(self.par, &mut self.fits, |c| {
+            tables.slots_column(layout.column_slots(c))
         });
-        let (fits, group_of) = (&self.fits, layout.group_of());
+        let (fits, column_class) = (&self.fits, layout.column_class());
         let log_likelihood = par_fill_reduce(
             Parallelism::Serial,
             &mut self.posterior,
@@ -615,7 +607,7 @@ impl<'a> Passes<'a> {
             |range, out| {
                 let mut sum = 0.0;
                 for (z, j) in out.iter_mut().zip(range) {
-                    let fit = &fits[group_of[j] as usize];
+                    let fit = &fits[column_class[j] as usize];
                     *z = fit.posterior;
                     sum += fit.log_marginal;
                 }
@@ -625,7 +617,7 @@ impl<'a> Passes<'a> {
         );
         self.passes += 1;
         self.column_evals += fits.len() as u64;
-        self.source_evals += tables.source_evals();
+        self.source_evals += tables.source_count() as u64;
         self.logs += tables.logs();
         Pass {
             log_likelihood,
@@ -634,35 +626,51 @@ impl<'a> Passes<'a> {
     }
 }
 
-/// SQUAREM's S3 extrapolation from the two maps `θ₀ → θ₁ → θ₂`: with
-/// `r = θ₁ − θ₀` and `v = θ₂ − 2θ₁ + θ₀` (as `(θ₂ − θ₁) − r`), the step
-/// `α = −‖r‖/‖v‖` and `θₓ = θ₀ − 2αr + α²v`, clamped into
-/// `[EPS, 1 − EPS]`. The norms run over `z` and then every source's
-/// `a, b, f, g`, in order. When `α < −1` it overwrites `theta0` with
-/// `θₓ` and returns `true`; otherwise (`α = −1` is the plain second map)
-/// it leaves `theta0` alone and returns `false`.
-fn extrapolate(theta0: &mut Theta, theta1: &Theta, theta2: &Theta) -> bool {
+/// SQUAREM's S3 extrapolation from the two maps `θ₀ → θ₁ → θ₂`, each
+/// with one rate set per source class: with `r = θ₁ − θ₀` and
+/// `v = θ₂ − 2θ₁ + θ₀` (as `(θ₂ − θ₁) − r`), the step `α = −‖r‖/‖v‖` and
+/// `θₓ = θ₀ − 2αr + α²v`, clamped into `[EPS, 1 − EPS]`. The norms run
+/// over `z` and then every source's `a, b, f, g`, in source order, each
+/// source adding its class's squares (`members` holds every source's
+/// class; `squares` is a buffer for each class's squares). When `α < −1`
+/// it overwrites `theta0` with `θₓ` and returns `true`; otherwise
+/// (`α = −1` is the plain second map) it leaves `theta0` alone and
+/// returns `false`.
+fn extrapolate(
+    theta0: &mut Theta,
+    theta1: &Theta,
+    theta2: &Theta,
+    members: &[u32],
+    squares: &mut Vec<[[f64; 2]; 4]>,
+) -> bool {
     let rv = |x0: f64, x1: f64, x2: f64| {
         let r = x1 - x0;
         (r, (x2 - x1) - r)
     };
-    let (mut rr, mut vv) = (0.0, 0.0);
-    let mut add = |x0: f64, x1: f64, x2: f64| {
+    let square = |x0: f64, x1: f64, x2: f64| {
         let (r, v) = rv(x0, x1, x2);
-        rr += r * r;
-        vv += v * v;
+        [r * r, v * v]
     };
-    add(theta0.z(), theta1.z(), theta2.z());
+    let [mut rr, mut vv] = square(theta0.z(), theta1.z(), theta2.z());
+    squares.clear();
     for ((p0, p1), p2) in theta0
         .sources()
         .iter()
         .zip(theta1.sources())
         .zip(theta2.sources())
     {
-        add(p0.a, p1.a, p2.a);
-        add(p0.b, p1.b, p2.b);
-        add(p0.f, p1.f, p2.f);
-        add(p0.g, p1.g, p2.g);
+        squares.push([
+            square(p0.a, p1.a, p2.a),
+            square(p0.b, p1.b, p2.b),
+            square(p0.f, p1.f, p2.f),
+            square(p0.g, p1.g, p2.g),
+        ]);
+    }
+    for &c in members {
+        for [r2, v2] in squares[c as usize] {
+            rr += r2;
+            vv += v2;
+        }
     }
     let alpha = -(rr.sqrt() / vv.sqrt());
     if !(alpha < -1.0 && alpha.is_finite()) {
@@ -688,35 +696,33 @@ fn extrapolate(theta0: &mut Theta, theta1: &Theta, theta2: &Theta) -> bool {
     true
 }
 
-/// The M-step's update from per-source sufficient statistics, shared by
-/// the full loop and the delta engine.
+/// The M-step's update from sufficient statistics, shared by the full
+/// loop and the delta engine.
 ///
-/// `counts[i]` is `[num_a, den_a, num_b, den_b, num_f, den_f, num_g,
-/// den_g]` for source `i`. Each rate becomes `(num + s·pop) / (den + s)`
-/// with the population rate `pop` (numerator totals over denominator
-/// totals, folded in source order) and `s = config.smoothing`; a rate
+/// Its rows are sources, or a claim layout's source classes: `theta`
+/// holds one rate set per row, and `counts[r]` is `[num_a, den_a, num_b,
+/// den_b, num_f, den_f, num_g, den_g]` for row `r`. `members` yields
+/// every source's row, in source order. Each rate becomes
+/// `(num + s·pop) / (den + s)` with the population rate `pop`
+/// (numerator totals over denominator totals, each source adding its
+/// row's counts in source order) and `s = config.smoothing`; a rate
 /// whose `den + s` vanishes keeps its value from `theta`. The prior
 /// becomes `z`. Every value is clamped into `[EPS, 1 − EPS]` and written
-/// into `next`, which must cover as many sources as `theta`. Returns
-/// `max |Δθ|` from `theta` to `next`, taken over `z` first and then the
-/// sources in order, as [`Theta::max_abs_diff`] does, and the population
-/// rates of `a`, `b`, `f` and `g`.
-///
-/// `shared` lists the members of source classes ([`ClaimLayout`]), each
-/// copy holding its leader's counts; the delta engine passes none. A
-/// copy whose rates in `theta` have its leader's bits takes the leader's
-/// new rates, and its `|Δθ|` is the leader's, already in the maximum.
+/// into `next`, which must cover as many rows as `theta`. Returns
+/// `max |Δθ|` from `theta` to `next`, over `z` and every row, which is
+/// the maximum over every source, and the population rates of `a`, `b`,
+/// `f` and `g`.
 pub(crate) fn apply_m_step(
     config: &EmConfig,
     theta: &Theta,
     counts: &[[f64; 8]],
+    members: impl Iterator<Item = usize>,
     z: f64,
     next: &mut Theta,
-    shared: &[Shared],
 ) -> (f64, [f64; 4]) {
     let mut pop = [0.0f64; 8];
-    for c in counts {
-        for (p, v) in pop.iter_mut().zip(c) {
+    for r in members {
+        for (p, v) in pop.iter_mut().zip(&counts[r]) {
             *p += v;
         }
     }
@@ -733,9 +739,7 @@ pub(crate) fn apply_m_step(
     let z = z.clamp(EPS, 1.0 - EPS);
     next.set_z(z);
     let mut delta = (theta.z() - z).abs();
-    // Source `i`'s new rates, written into `next`, folded into `delta`.
-    let mut update = |i: usize, next: &mut Theta| {
-        let (c, prev) = (&counts[i], *theta.source(i));
+    for (r, (c, prev)) in counts.iter().zip(theta.sources()).enumerate() {
         let fallback = [prev.a, prev.b, prev.f, prev.g];
         let mut vals = [0.0f64; 4];
         for k in 0..4 {
@@ -758,22 +762,7 @@ pub(crate) fn apply_m_step(
             .max((prev.b - p.b).abs())
             .max((prev.f - p.f).abs())
             .max((prev.g - p.g).abs());
-        next.set_source(i, p);
-    };
-    let copies = shared.iter().filter(|m| m.is_copy());
-    for (run, copy) in runs(0..counts.len(), copies) {
-        for i in run {
-            update(i, next);
-        }
-        let Some(copy) = copy else {
-            break;
-        };
-        let (i, leader) = (copy.source as usize, copy.leader as usize);
-        if same_rates(theta.source(i), theta.source(leader)) {
-            next.set_source(i, *next.source(leader));
-        } else {
-            update(i, next);
-        }
+        next.set_source(r, p);
     }
     (delta, pop_rates)
 }
@@ -781,7 +770,9 @@ pub(crate) fn apply_m_step(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::likelihood::{column_log_likelihood_naive, column_log_likelihood_reference};
+    use crate::likelihood::{
+        column_log_likelihood_naive, column_log_likelihood_reference, naive_partition, MAX_ROUNDS,
+    };
     use crate::model::classify;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -1436,14 +1427,13 @@ mod tests {
         let passes = snap.counter("em.passes_total");
         assert_eq!(passes, 2 + iterations);
         assert_eq!(snap.counter("em.extrapolations_total"), 0);
-        // Two distinct columns (0..5 and 5..10), one evaluation each per
-        // pass. A build takes `ln z`, `ln(1−z)` and the first source's
-        // four logarithms; the sources of each block share their rates,
-        // so the others reuse them.
+        // Two column classes (0..5 and 5..10), one evaluation each per
+        // pass. A build takes `ln z`, `ln(1−z)` and the first class's
+        // four logarithms; both classes share their rates at the start,
+        // so the other reuses them.
         assert_eq!(snap.counter("em.column_evals_total"), 2 * passes);
-        // Sources 0..3 hold the same cells, as do 4 and 5, and both
-        // deterministic starts give every source the same rates: each
-        // block's first source computes its terms, the others copy them.
+        // Sources 0..3 form one class and sources 4 and 5 another, so
+        // each build computes the terms of two rows.
         assert_eq!(snap.counter("em.source_evals_total"), 2 * passes);
         let logs = snap.counter("em.logs_total");
         assert!(
@@ -1565,8 +1555,8 @@ mod tests {
     }
 
     /// The layout's test Miri runs: a warm fit over two equal columns
-    /// and two sources without a cell, so grouping, the copy-out and the
-    /// logarithm reuse all run under the interpreter, against the
+    /// and two sources without a cell, so the refinement, the copy-out
+    /// and the logarithm reuse all run under the interpreter, against the
     /// three-pass reference.
     #[test]
     fn tiny_warm_fit_over_equal_columns_matches_the_reference() {
@@ -1591,7 +1581,7 @@ mod tests {
         assert_eq!(
             snap.counter("em.column_evals_total"),
             2 * snap.counter("em.passes_total"),
-            "premise: assertions 0 and 1 are one group"
+            "premise: assertions 0 and 1 are one class"
         );
         assert_eq!(
             fit_bits(&fit),
@@ -1599,58 +1589,238 @@ mod tests {
         );
     }
 
-    /// The source classes' test Miri runs: warm fits in which sources 0
-    /// and 1 hold the same cells, as do sources 3 and 4, so the table
-    /// fill, the M-step's counts and its update share a class's work
-    /// under the interpreter, against the three-pass reference. Each copy
-    /// starts from rates other than its leader's, so its first pass takes
-    /// the unshared path. Source 4 starts from source 3's `a` and `b`
-    /// only: at smoothing 0 its `f` and `g`, which no cell informs, keep
-    /// their own values, so it never shares.
+    /// Fits `data` cold, or warm from `start`, at `Serial`, `Threads(2)`
+    /// and `Threads(4)`, asserts that each serves the three-pass
+    /// reference's bits, and returns the passes, column-class evaluations
+    /// and source-class evaluations counted, which every level repeats.
+    fn fit_like_the_reference(
+        config: EmConfig,
+        data: &ClaimData,
+        start: Option<&Theta>,
+    ) -> [u64; 3] {
+        let want = match start {
+            Some(theta) => reference_run(&EmExt::new(config), data, theta.clone(), true),
+            None => reference_fit(&EmExt::new(config), data),
+        };
+        let mut counts = Vec::new();
+        for par in [
+            Parallelism::Serial,
+            Parallelism::Threads(2),
+            Parallelism::Threads(4),
+        ] {
+            let (obs, rec) = Obs::recorder();
+            let em = EmExt::new(EmConfig {
+                parallelism: par,
+                ..config
+            })
+            .with_obs(obs);
+            let got = match start {
+                Some(theta) => em.fit_warm(data, theta.clone()),
+                None => em.fit(data),
+            };
+            assert_eq!(fit_bits(&got.unwrap()), fit_bits(&want), "{par:?}");
+            let snap = rec.snapshot();
+            let names = [
+                "em.passes_total",
+                "em.column_evals_total",
+                "em.source_evals_total",
+            ];
+            counts.push(names.map(|name| snap.counter(name)));
+        }
+        assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
+        counts[0]
+    }
+
+    /// A warm start whose rates differ inside a structural class splits
+    /// that class. Sources 0 and 1 claim assertion 0 and copy on
+    /// assertion 1, and sources 3 and 4 hold nothing, so a cold fit's
+    /// layout puts each pair in one class. A warm fit seeds the partition
+    /// with its start: one that gives each pair one set of rates keeps 3
+    /// source classes, and one that gives source 1 rates of its own and
+    /// source 4 its own `f` and `g` (which, at smoothing 0, no cell ever
+    /// informs) splits both pairs, into 5. Every level serves the
+    /// three-pass reference's bits either way.
     #[test]
     fn tiny_warm_fit_over_copied_sources_matches_the_reference() {
-        // Sources 0 and 1 claim assertion 0 and copy on assertion 1;
-        // source 2 claims 2. Sources 3 and 4 hold nothing.
         let sc = SparseBinaryMatrix::from_entries(5, 3, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]);
         let d = SparseBinaryMatrix::from_entries(5, 3, [(0, 1), (1, 1)]);
         let data = ClaimData::new(sc, d).unwrap();
-        let mut start = Theta::random(5, &mut StdRng::seed_from_u64(7));
-        let (s3, s4) = (*start.source(3), *start.source(4));
-        start.set_source(
+        let layout = ClaimLayout::new(&data, None).unwrap();
+        assert_eq!(layout.source_class(), [0, 0, 1, 2, 2]);
+        let mut shared = Theta::random(5, &mut StdRng::seed_from_u64(7));
+        shared.set_source(1, *shared.source(0));
+        shared.set_source(4, *shared.source(3));
+        let mut split = shared.clone();
+        let own = *Theta::random(5, &mut StdRng::seed_from_u64(8)).source(1);
+        split.set_source(1, own);
+        let s3 = *shared.source(3);
+        split.set_source(
             4,
             SourceParams {
-                f: s4.f,
-                g: s4.g,
+                f: 0.3,
+                g: 0.6,
                 ..s3
             },
         );
         for smoothing in [0.0, 2.0] {
-            let em = EmExt::new(EmConfig {
+            let config = EmConfig {
                 max_iters: 6,
                 smoothing,
-                parallelism: Parallelism::Serial,
                 ..EmConfig::default()
-            });
-            let (obs, rec) = Obs::recorder();
-            let fit = em
-                .clone()
-                .with_obs(obs)
-                .fit_warm(&data, start.clone())
-                .unwrap();
-            let snap = rec.snapshot();
-            // Sources 0, 2 and 3 lead; the first pass computes the
-            // copies' terms too, and a later one shares some.
-            let passes = snap.counter("em.passes_total");
-            let evals = snap.counter("em.source_evals_total");
-            assert!(
-                (3 * passes + 2..5 * passes).contains(&evals),
-                "premise: {evals} source evaluations over {passes} passes"
-            );
-            assert_eq!(
-                fit_bits(&fit),
-                fit_bits(&reference_run(&em, &data, start.clone(), true)),
-                "smoothing {smoothing}"
-            );
+            };
+            for (start, classes) in [(&shared, 3), (&split, 5)] {
+                let [passes, _, evals] = fit_like_the_reference(config, &data, Some(start));
+                assert_eq!(evals, classes * passes, "smoothing {smoothing}");
+            }
+        }
+    }
+
+    /// Sources and columns that EM cannot tell apart, though no two hold
+    /// the same cells: sources 0 and 1 each claim a column of their own,
+    /// which source 2 copies, and source 3 alone claims column 2. Sources
+    /// 0 and 1 form one class and columns 0 and 1 another, so each pass
+    /// evaluates 3 source classes and 2 column classes, where one per
+    /// distinct row and column would be 4 and 3.
+    #[test]
+    fn tiny_fits_share_equivalent_sources_and_columns() {
+        let sc = SparseBinaryMatrix::from_entries(4, 3, [(0, 0), (1, 1), (2, 0), (2, 1), (3, 2)]);
+        let d = SparseBinaryMatrix::from_entries(4, 3, [(2, 0), (2, 1)]);
+        let data = ClaimData::new(sc, d).unwrap();
+        let layout = ClaimLayout::new(&data, None).unwrap();
+        assert_eq!(layout.source_class(), [0, 0, 1, 2]);
+        assert_eq!(layout.column_class(), [0, 0, 1]);
+        // A warm start that gives sources 0 and 1 one set of rates keeps
+        // their class.
+        let mut start = Theta::random(4, &mut StdRng::seed_from_u64(11));
+        start.set_source(1, *start.source(0));
+        for smoothing in [0.0, 2.0] {
+            let config = EmConfig {
+                max_iters: 6,
+                smoothing,
+                ..EmConfig::default()
+            };
+            for start in [None, Some(&start)] {
+                let [passes, columns, sources] = fit_like_the_reference(config, &data, start);
+                assert_eq!((columns, sources), (2 * passes, 3 * passes));
+            }
+        }
+    }
+
+    /// Two 3-slot columns whose claimants' classes come in swapped order
+    /// stay apart. Column 0's claimants are sources 0, 1 and 2, column
+    /// 1's sources 3, 4 and 5; sources 0 and 4 also claim one column of
+    /// their own, sources 1 and 3 two, and sources 2 and 5 none. After
+    /// one round column 0 reads classes (A, B, C) and column 1 (B, A, C):
+    /// one multiset, which plain colour refinement would keep in one
+    /// class, in two orders, whose sums can differ in the last bit.
+    #[test]
+    fn tiny_fits_keep_columns_with_swapped_claimant_order_apart() {
+        let own = [(0, 2), (4, 3), (1, 4), (1, 5), (3, 6), (3, 7)];
+        let shared = [(0, 0), (1, 0), (2, 0), (3, 1), (4, 1), (5, 1)];
+        let sc = SparseBinaryMatrix::from_entries(6, 8, shared.into_iter().chain(own));
+        let data = ClaimData::new(sc, SparseBinaryMatrix::empty(6, 8)).unwrap();
+        let layout = ClaimLayout::new(&data, None).unwrap();
+        let class = layout.column_class();
+        assert_ne!(class[0], class[1]);
+        assert_eq!(
+            class[4], class[5],
+            "premise: a source's own columns look alike"
+        );
+        let config = EmConfig {
+            max_iters: 6,
+            ..EmConfig::default()
+        };
+        fit_like_the_reference(config, &data, None);
+    }
+
+    /// A world that needs more than [`MAX_ROUNDS`] rounds gets the
+    /// discrete partition: a path in which source `i` claims columns `i`
+    /// and `i + 1`, and three sources that hold nothing. Each round
+    /// carries what tells the path's ends apart one step further in, so
+    /// the naive refinement, which has no cap, splits the path fully and
+    /// keeps the three idle sources in one class, while the layout stops
+    /// at the cap with every source and column in a class of its own.
+    #[test]
+    fn tiny_fit_over_a_path_beyond_the_round_cap_matches_the_reference() {
+        let len = 2 * MAX_ROUNDS as u32 + 8;
+        let path = (0..len).flat_map(|i| [(i, i), (i, i + 1)]);
+        let (n, m) = (len + 3, len + 1);
+        let sc = SparseBinaryMatrix::from_entries(n, m, path);
+        let data = ClaimData::new(sc, SparseBinaryMatrix::empty(n, m)).unwrap();
+        let (sources, _) = naive_partition(&data, None);
+        assert_eq!(
+            sources.iter().max(),
+            Some(&len),
+            "premise: only the idle sources share a class"
+        );
+        let layout = ClaimLayout::new(&data, None).unwrap();
+        assert_eq!(layout.source_classes(), n as usize);
+        assert_eq!(layout.column_classes(), m as usize);
+        let config = EmConfig {
+            max_iters: 4,
+            ..EmConfig::default()
+        };
+        let [passes, columns, evals] = fit_like_the_reference(config, &data, None);
+        assert_eq!(
+            (columns, evals),
+            (u64::from(m) * passes, u64::from(n) * passes)
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The layout's classes are the naive refinement's, and every
+        /// member of a class holds its class's bits in the three-pass
+        /// reference's fits, which the fused loop serves: the rates of a
+        /// source class, the posterior and log-odds of a column class.
+        /// Fits run cold from `Auto` and warm from a random start that
+        /// gives each class one set of rates, which seeds the same
+        /// partition.
+        #[test]
+        fn layout_classes_are_the_naive_refinement_and_share_every_bit(
+            data in random_world(),
+            seed in 0u64..1000,
+        ) {
+            let layout = ClaimLayout::new(&data, None).unwrap();
+            let (sources, columns) = naive_partition(&data, None);
+            prop_assert_eq!(layout.source_class(), &sources[..]);
+            prop_assert_eq!(layout.column_class(), &columns[..]);
+            let classes = Theta::random(layout.source_classes(), &mut StdRng::seed_from_u64(seed));
+            let start = layout.sources_of(&classes);
+            let seeded = ClaimLayout::new(&data, Some(&start)).unwrap();
+            prop_assert_eq!(seeded.source_class(), layout.source_class());
+
+            let em = EmExt::new(EmConfig { max_iters: 8, ..EmConfig::default() });
+            let cold = reference_fit(&em, &data);
+            let warm = reference_run(&em, &data, start.clone(), true);
+            prop_assert_eq!(fit_bits(&em.fit(&data).unwrap()), fit_bits(&cold));
+            prop_assert_eq!(fit_bits(&em.fit_warm(&data, start).unwrap()), fit_bits(&warm));
+            // The first member of each class.
+            let first = |classes: &[u32]| {
+                let mut first = Vec::new();
+                for (k, &c) in classes.iter().enumerate() {
+                    if c as usize == first.len() {
+                        first.push(k);
+                    }
+                }
+                first
+            };
+            let (first_source, first_column) = (first(&sources), first(&columns));
+            for fit in [&cold, &warm] {
+                let rates = |i: usize| {
+                    let p = fit.theta.source(i);
+                    [p.a, p.b, p.f, p.g].map(f64::to_bits)
+                };
+                for (i, &c) in sources.iter().enumerate() {
+                    prop_assert_eq!(rates(i), rates(first_source[c as usize]));
+                }
+                for (j, &c) in columns.iter().enumerate() {
+                    let k = first_column[c as usize];
+                    prop_assert_eq!(fit.posterior[j].to_bits(), fit.posterior[k].to_bits());
+                    prop_assert_eq!(fit.log_odds[j].to_bits(), fit.log_odds[k].to_bits());
+                }
+            }
         }
     }
 

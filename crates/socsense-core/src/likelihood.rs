@@ -23,25 +23,22 @@
 //!
 //! Callers that hold the sorted `SC` and `D` columns (the functions
 //! below and the delta engine) pass them to `column`, which merges them
-//! into slots on the fly. EM-Ext builds a [`ClaimLayout`] once per fit
-//! instead: every distinct column's slot list, each column's group of
-//! equal columns, each source's `D` row and claims split by `D`, and the
-//! classes of sources whose three lists are all equal. Its passes
-//! evaluate one column per group through the same accumulation, and its
-//! M-step gathers from the source lists without a merge.
+//! into slots on the fly, over tables with one row per source. EM-Ext
+//! builds a [`ClaimLayout`] once per fit instead: a partition of the
+//! sources and one of the columns into classes whose members EM cannot
+//! tell apart, found by ordered colour refinement. Its tables hold one
+//! row per source class, its passes evaluate one column per column class
+//! from a slot list over those rows, and its M-step gathers each source
+//! class's sums from lists of column classes, without a merge.
 //!
-//! A table build takes each logarithm once per source, and fewer where a
-//! source's rate has the same bits as the previous source's: it reuses
-//! that source's `ln x` and `ln(1−x)`. Over a layout, a copy in a source
-//! class whose rates have its leader's bits takes no logarithm at all:
-//! it takes the leader's three pairs, and adds the leader's `ln(1−a)`,
-//! `ln(1−b)` and prior term to the sums at its own place in source
-//! order, so every sum keeps its bits. Built with a [`ShrinkagePrior`],
-//! the tables also sum the log-prior that turns Eq. 7 into the objective
-//! the shrinkage M-step ascends, which EM-Ext's warm runs use to
-//! safeguard their extrapolations.
-
-use std::ops::Range;
+//! A table build takes each logarithm once per row, and fewer where a
+//! row's rate has the same bits as the previous row's: it reuses that
+//! row's `ln x` and `ln(1−x)`. The base sums add every source's
+//! `ln(1−a)` and `ln(1−b)` in source order, reading its row, so tables
+//! over classes have the bits of tables over sources. Built with a
+//! [`ShrinkagePrior`], the tables also sum, the same way, the log-prior
+//! that turns Eq. 7 into the objective the shrinkage M-step ascends,
+//! which EM-Ext's warm runs use to safeguard their extrapolations.
 
 use socsense_matrix::logprob::{log_sum_exp2, safe_ln, safe_ln_1m};
 use socsense_matrix::parallel::{par_map_collect, par_map_reduce, Parallelism};
@@ -50,8 +47,8 @@ use crate::data::ClaimData;
 use crate::error::SenseError;
 use crate::model::{SourceParams, Theta};
 
-/// The slot of source `i`'s independent-claim pair, `ln a − ln(1−a)` and
-/// `ln b − ln(1−b)`. Source `i`'s three pairs sit at `3i + kind`.
+/// The slot of row `r`'s independent-claim pair, `ln a − ln(1−a)` and
+/// `ln b − ln(1−b)`. Row `r`'s three pairs sit at `3r + kind`.
 const CLAIM: usize = 0;
 /// The slot of a dependent-cell pair, `ln(1−f) − ln(1−a)` and
 /// `ln(1−g) − ln(1−b)`.
@@ -85,17 +82,22 @@ fn merged_slots<'a>(claimants: &'a [u32], dep_rows: &'a [u32]) -> impl Iterator<
     dep_rows.iter().map(|&i| 3 * i as usize + DEP).chain(claims)
 }
 
-/// Precomputed per-source log-probability tables for one `θ`.
+/// Precomputed per-row log-probability tables for one `θ`.
 ///
-/// Rebuild after every M-step; construction is `O(n)`. Tables built by
-/// [`for_data`](Self::for_data) leave out the terms no cell of that data
-/// reads: a source with no claim never needs `ln a`, `ln b`, and one with
-/// no dependent cell never needs its four `f`/`g` logarithms.
+/// A row is a source, or, in tables over EM-Ext's claim layout, a
+/// source class. Rebuild after every M-step; construction is `O(n)`. Tables
+/// built by [`for_data`](Self::for_data) leave out the terms no cell of
+/// that data reads: a source with no claim never needs `ln a`, `ln b`,
+/// and one with no dependent cell never needs its four `f`/`g`
+/// logarithms.
 #[derive(Debug, Clone)]
 pub struct LikelihoodTables {
-    /// Three correction pairs per source, at the slots `3i + kind`;
+    /// Three correction pairs per row, at the slots `3r + kind`;
     /// left-out pairs hold NaN.
     terms: Vec<[f64; 2]>,
+    /// Per row, its `ln(1−a)`, `ln(1−b)` and prior term, which the sums
+    /// below add once per source.
+    row_sums: Vec<[f64; 3]>,
     /// `Σ_i ln(1-a_i)` — all-silent all-independent pattern under `C = 1`.
     base1: f64,
     /// `Σ_i ln(1-b_i)` — same under `C = 0`.
@@ -107,12 +109,6 @@ pub struct LikelihoodTables {
     log_prior: f64,
     /// The logarithms the last build took.
     logs: u64,
-    /// The sources whose terms the last build computed; a copy that took
-    /// its leader's terms is not one of them.
-    source_evals: u64,
-    /// Per source class, the leader's `ln(1−a)`, `ln(1−b)` and prior
-    /// term from the last build, which its copies add in its place.
-    class_sums: Vec<[f64; 3]>,
 }
 
 /// The Beta prior behind the M-step's shrinkage: each rate update
@@ -157,8 +153,8 @@ pub struct ColumnFit {
     pub log_marginal: f64,
 }
 
-/// One rate's two logarithms, kept for the next source while its rate
-/// has the same bits. After a map, every source with no claim and no `D`
+/// One rate's two logarithms, kept for the next row while its rate has
+/// the same bits. After a map, every source with no claim and no `D`
 /// cell shares `a` and `b`, and every source without a `D` cell shares
 /// `f` and `g`, so table builds meet long runs of equal rates.
 #[derive(Debug, Default)]
@@ -199,23 +195,20 @@ impl RateLogs {
 }
 
 /// One table build's running state: the logarithms kept for the next
-/// source, the logarithms taken, and the sums in source order.
+/// row, and the logarithms taken.
 struct Build<'p> {
     rates: [RateLogs; 4],
     logs: u64,
-    base1: f64,
-    base0: f64,
-    prior_sum: f64,
     prior: Option<&'p ShrinkagePrior>,
 }
 
 impl Build<'_> {
-    /// Writes source `s`'s three pairs into `row`: its claim pair when
-    /// `claims`, its dependent pairs when `deps`, and the rest
-    /// [`LEFT_OUT`]. Adds its `ln(1−a)`, `ln(1−b)` and, with a prior, its
-    /// prior term to the sums and returns them.
+    /// Writes the three pairs of the row with rates `s` into `row`: its
+    /// claim pair when `claims`, its dependent pairs when `deps`, and the
+    /// rest [`LEFT_OUT`]. Returns its `ln(1−a)`, `ln(1−b)` and, with a
+    /// prior, its prior term (else `0.0`).
     #[inline(always)]
-    fn source(
+    fn row(
         &mut self,
         s: &SourceParams,
         row: &mut [[f64; 2]],
@@ -246,23 +239,8 @@ impl Build<'_> {
         row[CLAIM] = claim;
         row[DEP] = dep;
         row[DEP_CLAIM] = dep_claim;
-        let sums = [ln_1a, ln_1b, prior_term];
-        self.add(sums);
-        sums
+        [ln_1a, ln_1b, prior_term]
     }
-
-    /// Adds one source's `ln(1−a)`, `ln(1−b)` and prior term to the sums.
-    #[inline(always)]
-    fn add(&mut self, [ln_1a, ln_1b, prior_term]: [f64; 3]) {
-        self.base1 += ln_1a;
-        self.base0 += ln_1b;
-        self.prior_sum += prior_term;
-    }
-}
-
-/// Whether two sources' rates have the same bits.
-pub(crate) fn same_rates(p: &SourceParams, q: &SourceParams) -> bool {
-    [p.a, p.b, p.f, p.g].map(f64::to_bits) == [q.a, q.b, q.f, q.g].map(f64::to_bits)
 }
 
 impl LikelihoodTables {
@@ -284,127 +262,107 @@ impl LikelihoodTables {
         )
     }
 
-    /// Builds the tables for `theta`, filling source `i`'s claim terms
-    /// only when `has_claims(i)` and its dependent-cell and
-    /// dependent-claim terms only when `has_deps(i)`. Each filled term is
-    /// the same subtraction [`new`](Self::new) performs, so every column
-    /// that reads only filled terms evaluates to the same bits.
+    /// Builds the tables for `theta`, one row per source, filling source
+    /// `i`'s claim terms only when `has_claims(i)` and its dependent-cell
+    /// and dependent-claim terms only when `has_deps(i)`. Each filled term
+    /// is the same subtraction [`new`](Self::new) performs, so every
+    /// column that reads only filled terms evaluates to the same bits.
     pub(crate) fn compact(
         theta: &Theta,
         has_claims: impl Fn(usize) -> bool,
         has_deps: impl Fn(usize) -> bool,
     ) -> Self {
         let mut tables = Self::empty();
-        tables.fill(theta, has_claims, has_deps, None, &[]);
+        tables.fill(theta, has_claims, has_deps, None, 0..theta.source_count());
         tables
     }
 
-    /// Tables over no source, for a buffer that [`refill`](Self::refill)
+    /// Tables over no row, for a buffer that [`refill`](Self::refill)
     /// fills.
     pub(crate) fn empty() -> Self {
         Self {
             terms: Vec::new(),
+            row_sums: Vec::new(),
             base1: 0.0,
             base0: 0.0,
             ln_z: 0.0,
             ln_1z: 0.0,
             log_prior: 0.0,
             logs: 0,
-            source_evals: 0,
-            class_sums: Vec::new(),
         }
     }
 
-    /// Rebuilds the tables in place for evaluating `layout`'s columns
-    /// under `theta`, as [`for_data`](Self::for_data) builds them for the
-    /// layout's data. With a `prior`, also sums the log-prior of `theta`,
-    /// read back by [`log_prior`](Self::log_prior); every source's terms
-    /// are then filled, since the prior reads them all. A copy in one of
-    /// the layout's source classes whose rates have its leader's bits
-    /// takes the leader's terms.
+    /// Rebuilds the tables in place for evaluating `layout`'s column
+    /// classes under `classes`, which holds one rate set per source class
+    /// of `layout` ([`ClaimLayout::classes_of`]): one row per class,
+    /// filled as [`for_data`](Self::for_data) fills its sources. With a
+    /// `prior`, also sums the log-prior, read back by
+    /// [`log_prior`](Self::log_prior); every row's terms are then filled,
+    /// since the prior reads them all.
     pub(crate) fn refill(
         &mut self,
-        theta: &Theta,
+        classes: &Theta,
         layout: &ClaimLayout,
         prior: Option<&ShrinkagePrior>,
     ) {
+        let members = layout.source_class().iter().map(|&c| c as usize);
         self.fill(
-            theta,
-            |i| layout.has_claims(i),
-            |i| layout.has_deps(i),
+            classes,
+            |c| layout.has_claims(c),
+            |c| layout.has_deps(c),
             prior,
-            &layout.shared,
+            members,
         );
     }
 
-    /// Fills the tables for `theta` in place, as
-    /// [`compact`](Self::compact) builds them, also summing the log-prior
+    /// Fills one row per source of `theta` in place, as
+    /// [`compact`](Self::compact) fills them, also summing the log-prior
     /// when a `prior` is given: `s` times the per-source
-    /// [`ShrinkagePrior::source_term`]s, folded in source order from
-    /// `0.0`. The prior reuses the logarithms the terms take, so with one
-    /// every term of every source is filled. Each logarithm is reused
-    /// from the previous source computed when its rate has the same bits.
+    /// [`ShrinkagePrior::source_term`]s. The prior reuses the logarithms
+    /// the terms take, so with one every term of every row is filled.
+    /// Each logarithm is reused from the previous row when its rate has
+    /// the same bits.
     ///
-    /// `shared` lists the members of the source classes, in source order
-    /// ([`ClaimLayout`]). A leader's `ln(1−a)`, `ln(1−b)` and prior term
-    /// are kept for its class; a copy whose rates have its leader's bits
-    /// takes the leader's three pairs and adds the kept sums at its own
-    /// place in the order, so every sum has the bits of a build without
-    /// classes. The other sources run the same loop as without classes.
+    /// `members` yields every source's row in source order. The base sums
+    /// and the log-prior fold the rows' `ln(1−a)`, `ln(1−b)` and prior
+    /// terms in that order from `0.0`, so tables over rows whose sources
+    /// all hold their row's rates have the bits of tables over the
+    /// sources.
     fn fill(
         &mut self,
         theta: &Theta,
         has_claims: impl Fn(usize) -> bool,
         has_deps: impl Fn(usize) -> bool,
         prior: Option<&ShrinkagePrior>,
-        shared: &[Shared],
+        members: impl Iterator<Item = usize>,
     ) {
         let mut build = Build {
             rates: Default::default(),
             logs: 0,
-            base1: 0.0,
-            base0: 0.0,
-            prior_sum: 0.0,
             prior,
         };
-        let sources = theta.sources();
-        let n = sources.len();
         // The prior reads every term.
         let all = prior.is_some();
-        let claims = |i| all || has_claims(i);
-        let deps = |i| all || has_deps(i);
-        let mut copies = 0;
-        self.terms.resize(3 * n, LEFT_OUT);
-        self.class_sums.clear();
-        for (run, member) in runs(0..n, shared.iter()) {
-            let rows = self.terms[3 * run.start..3 * run.end].chunks_exact_mut(3);
-            for (i, (s, row)) in run.clone().zip(sources[run].iter().zip(rows)) {
-                build.source(s, row, claims(i), deps(i));
-            }
-            let Some(member) = member else {
-                break;
-            };
-            let (i, leader) = (member.source as usize, member.leader as usize);
-            if i != leader && same_rates(&sources[i], &sources[leader]) {
-                self.terms.copy_within(3 * leader..3 * leader + 3, 3 * i);
-                build.add(self.class_sums[member.class as usize]);
-                copies += 1;
-            } else {
-                let row = &mut self.terms[3 * i..3 * i + 3];
-                let sums = build.source(&sources[i], row, claims(i), deps(i));
-                // Classes are numbered in the order of their leaders.
-                if i == leader {
-                    self.class_sums.push(sums);
-                }
-            }
+        self.terms.resize(3 * theta.source_count(), LEFT_OUT);
+        self.row_sums.clear();
+        let rows = self.terms.chunks_exact_mut(3);
+        for (r, (s, row)) in theta.sources().iter().zip(rows).enumerate() {
+            let sums = build.row(s, row, all || has_claims(r), all || has_deps(r));
+            self.row_sums.push(sums);
         }
-        self.base1 = build.base1;
-        self.base0 = build.base0;
+        let (mut base1, mut base0, mut prior_sum) = (0.0, 0.0, 0.0);
+        for r in members {
+            let [ln_1a, ln_1b, prior_term] = self.row_sums[r];
+            base1 += ln_1a;
+            base0 += ln_1b;
+            prior_sum += prior_term;
+        }
+        self.base1 = base1;
+        self.base0 = base0;
         self.ln_z = safe_ln(theta.z());
         self.ln_1z = safe_ln_1m(theta.z());
-        self.log_prior = prior.map_or(0.0, |p| p.smoothing * build.prior_sum);
+        self.log_prior = prior.map_or(0.0, |p| p.smoothing * prior_sum);
         self.logs = build.logs + 2;
-        self.source_evals = (n - copies) as u64;
     }
 
     /// The log-prior of the tables' `θ` under the [`ShrinkagePrior`]
@@ -420,13 +378,8 @@ impl LikelihoodTables {
         self.logs
     }
 
-    /// The sources whose terms the last build computed, leaving out the
-    /// copies that took their leader's.
-    pub(crate) fn source_evals(&self) -> u64 {
-        self.source_evals
-    }
-
-    /// Number of sources the tables cover.
+    /// Number of rows the tables cover: sources, or source classes for
+    /// tables over a claim layout.
     pub fn source_count(&self) -> usize {
         self.terms.len() / 3
     }
@@ -450,7 +403,7 @@ impl LikelihoodTables {
         self.fit(self.column_log_likelihood(claimants, dep_rows))
     }
 
-    /// [`column`](Self::column) for a column given by its
+    /// [`column`](Self::column) for a column class given by its
     /// [`ClaimLayout`] slots.
     pub(crate) fn slots_column(&self, slots: &[u32]) -> ColumnFit {
         self.fit(self.accumulate(slots.iter().map(|&s| s as usize)))
@@ -488,81 +441,262 @@ impl LikelihoodTables {
 /// `u32`s.
 const MAX_LAYOUT_SOURCES: usize = u32::MAX as usize / 3;
 
-/// A member of a source class of two or more ([`ClaimLayout`]): the
-/// class's first source, its *leader*, or one of its *copies*.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Shared {
-    pub source: u32,
-    pub leader: u32,
-    /// The class, numbered in the order of the leaders.
-    pub class: u32,
+/// The most rounds [`ClaimLayout::new`] refines for. A world that needs
+/// more, such as a long path of sources each sharing a column with the
+/// next, gets the discrete partition, which is valid for every world.
+pub(crate) const MAX_ROUNDS: usize = 32;
+
+/// No element, no class: the empty marker of the refinement's tables.
+const NONE: u32 = u32::MAX;
+
+/// A partition of `0..len` into numbered classes, which
+/// [`split`](Self::split) refines.
+struct Partition {
+    class_of: Vec<u32>,
+    /// Members per class.
+    size: Vec<u32>,
 }
 
-impl Shared {
-    /// Whether the member is a copy of its leader.
-    pub(crate) fn is_copy(&self) -> bool {
-        self.source != self.leader
+/// The buffers [`Partition::split`] reuses from one call to the next.
+#[derive(Default)]
+struct Splitter {
+    /// The keys of the elements being split, one after another.
+    keys: Vec<u32>,
+    key_start: Vec<usize>,
+    /// Open addressing over `(key hash, element position)`, looked up,
+    /// never iterated.
+    table: Vec<(u64, u32)>,
+    /// Per position: the first position with its class and key, the
+    /// size of the group it leads, and that group's new class.
+    leader: Vec<u32>,
+    count: Vec<u32>,
+    class: Vec<u32>,
+    /// Per class: its members among the elements being split, and the
+    /// position leading its largest group.
+    split_members: Vec<u32>,
+    largest: Vec<u32>,
+}
+
+impl Partition {
+    /// Every element in class 0.
+    fn new(len: usize) -> Self {
+        Self {
+            class_of: vec![0; len],
+            size: vec![len as u32],
+        }
+    }
+
+    /// Splits the classes of the `dirty` elements by their keys: `key(e,
+    /// buf)` appends element `e`'s key to `buf`. Dirty members of one
+    /// class with equal keys stay together; the members not listed keep
+    /// the class's number, or, when every member is listed, the largest
+    /// group keeps it (the earliest of equal ones), and every other group
+    /// becomes a new class. Writes the elements whose class changed to
+    /// `changed`.
+    ///
+    /// A listed member's key must differ from the keys of the members
+    /// left out, which share one key: the refinement lists exactly the
+    /// elements next to one whose class changed, or every element.
+    fn split(
+        &mut self,
+        dirty: &[u32],
+        mut key: impl FnMut(usize, &mut Vec<u32>),
+        s: &mut Splitter,
+        changed: &mut Vec<u32>,
+    ) {
+        changed.clear();
+        s.keys.clear();
+        s.key_start.clear();
+        s.key_start.push(0);
+        for &e in dirty {
+            key(e as usize, &mut s.keys);
+            s.key_start.push(s.keys.len());
+        }
+        let bits = (2 * dirty.len())
+            .max(2)
+            .next_power_of_two()
+            .trailing_zeros();
+        s.table.clear();
+        s.table.resize(1 << bits, (0, NONE));
+        s.leader.clear();
+        let class_of = &self.class_of;
+        let (keys, key_start) = (&s.keys, &s.key_start);
+        let key_at = |k: usize| &keys[key_start[k]..key_start[k + 1]];
+        for (k, &e) in dirty.iter().enumerate() {
+            let class = class_of[e as usize];
+            let key = key_at(k);
+            // FNV-1a over the class and the key; Fibonacci hashing picks
+            // the slot from the product's top bits.
+            let hash = key
+                .iter()
+                .fold(fnv(0xcbf2_9ce4_8422_2325, class), |h, &x| fnv(h, x));
+            let mut slot = (hash.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - bits)) as usize;
+            let leader = loop {
+                match s.table[slot] {
+                    (_, NONE) => {
+                        s.table[slot] = (hash, k as u32);
+                        break k as u32;
+                    }
+                    (h, l)
+                        if h == hash
+                            && class_of[dirty[l as usize] as usize] == class
+                            && key_at(l as usize) == key =>
+                    {
+                        break l
+                    }
+                    _ => slot = (slot + 1) & (s.table.len() - 1),
+                }
+            };
+            s.leader.push(leader);
+        }
+
+        s.count.clear();
+        s.count.resize(dirty.len(), 0);
+        for &l in &s.leader {
+            s.count[l as usize] += 1;
+        }
+        let classes = self.size.len();
+        s.split_members.resize(classes, 0);
+        s.largest.resize(classes, NONE);
+        for (k, &e) in dirty.iter().enumerate() {
+            let c = class_of[e as usize] as usize;
+            s.split_members[c] += 1;
+            let largest = s.largest[c];
+            if s.leader[k] == k as u32
+                && (largest == NONE || s.count[k] > s.count[largest as usize])
+            {
+                s.largest[c] = k as u32;
+            }
+        }
+        s.class.clear();
+        s.class.resize(dirty.len(), NONE);
+        for (k, &e) in dirty.iter().enumerate() {
+            if s.leader[k] != k as u32 {
+                continue;
+            }
+            let c = class_of[e as usize];
+            let whole = s.split_members[c as usize] == self.size[c as usize];
+            s.class[k] = if whole && s.largest[c as usize] == k as u32 {
+                c
+            } else {
+                self.size.push(0);
+                (self.size.len() - 1) as u32
+            };
+        }
+        for &e in dirty {
+            let c = class_of[e as usize] as usize;
+            s.split_members[c] = 0;
+            s.largest[c] = NONE;
+        }
+        for (k, &e) in dirty.iter().enumerate() {
+            let (old, new) = (self.class_of[e as usize], s.class[s.leader[k] as usize]);
+            if new != old {
+                self.size[old as usize] -= 1;
+                self.size[new as usize] += 1;
+                self.class_of[e as usize] = new;
+                changed.push(e);
+            }
+        }
+    }
+
+    /// Renumbers the classes in the order of their first members.
+    fn into_classes(mut self) -> Vec<u32> {
+        let mut number = vec![NONE; self.size.len()];
+        let mut classes = 0;
+        for c in &mut self.class_of {
+            if number[*c as usize] == NONE {
+                number[*c as usize] = classes;
+                classes += 1;
+            }
+            *c = number[*c as usize];
+        }
+        self.class_of
     }
 }
 
-/// Splits `range` at `members`, which lie in it in source order: each
-/// run of sources before a member, paired with that member, then the run
-/// after the last member, paired with `None`.
-pub(crate) fn runs<'a>(
-    range: Range<usize>,
-    members: impl Iterator<Item = &'a Shared>,
-) -> impl Iterator<Item = (Range<usize>, Option<&'a Shared>)> {
-    let mut from = range.start;
-    members.map(Some).chain([None]).map(move |member| {
-        let to = member.map_or(range.end, |m| m.source as usize);
-        let run = from..to;
-        from = to + 1;
-        (run, member)
-    })
+/// One FNV-1a step over a 32-bit word.
+fn fnv(hash: u64, x: u32) -> u64 {
+    (hash ^ u64::from(x)).wrapping_mul(0x0100_0000_01b3)
 }
 
-/// `SC` and `D` arranged for EM-Ext's passes, built once per fit.
+/// Writes to `out`, in order, every element next to one in `changed`:
+/// `next_to(e, seen)` marks `e`'s neighbours in `seen`, which this
+/// clears again.
+fn neighbours(
+    changed: &[u32],
+    mut next_to: impl FnMut(usize, &mut [bool]),
+    seen: &mut [bool],
+    out: &mut Vec<u32>,
+) {
+    for &e in changed {
+        next_to(e as usize, seen);
+    }
+    out.clear();
+    for (x, seen) in seen.iter_mut().enumerate() {
+        if std::mem::take(seen) {
+            out.push(x as u32);
+        }
+    }
+}
+
+/// `SC` and `D` arranged for EM-Ext's passes, built once per fit: a
+/// partition of the sources and one of the columns into classes whose
+/// members EM cannot tell apart, and per class the lists its passes read.
 ///
-/// * Columns with the same slot list form a *group*. The layout keeps
-///   one slot list per group, in the order of the groups' first columns,
-///   and the group of every column, so a pass evaluates each distinct
-///   column once. Groups are found by sorting the columns by their slot
-///   lists.
-/// * Per source, it keeps the `D` row, the independent claims and the
-///   dependent claims as three sorted lists, so the M-step gathers each
-///   sum from its own list without merging `SC` and `D` rows.
-/// * Sources whose three lists are all equal form a *class*: the tables
-///   (Eqs. 4–5, 9) and the M-step (Eqs. 24–28) see a source only through
-///   those lists and its own rates, so a class's sources with equal
-///   rates get the same terms and the same update. The layout lists the
-///   members of every class of two or more in source order, so each
-///   per-source loop does a class's work once. Classes are found by
-///   hashing every source's lists and comparing the sources whose hashes
-///   are equal.
+/// * A column's *key* is the sequence of (slot kind, source class) in
+///   its slot order ([`merged_slots`]): its slot list with every source
+///   replaced by its class. A source's key is the sequence of column
+///   classes along its `D` row, then its independent claims, then its
+///   dependent claims.
+/// * The partition is the coarsest one, finer than the seed, in which
+///   the members of every class have equal keys. A cold fit's seed puts
+///   every source in one class; a warm fit's puts sources together only
+///   when their starting rates have the same bits. Ordered colour
+///   refinement finds it: each round re-keys, then splits by key, the
+///   columns and then the sources next to an element whose class
+///   changed, and the first round that splits nothing ends it. Keys are
+///   sequences, not multisets, because every fold in a pass adds its
+///   terms in a fixed order and floating-point addition is not
+///   associative: two columns whose claimants' classes come in another
+///   order can differ in the last bit. A world that needs more than
+///   [`MAX_ROUNDS`] rounds gets the discrete partition.
+/// * By induction over maps, every member of a class holds its class's
+///   bits: a source class's members start with equal rates, so get equal
+///   table terms; a column class's members add the same terms in the same
+///   order, so get equal fits; and a source class's members gather those
+///   fits in the same order, so get equal M-step counts and equal new
+///   rates. So the tables hold one row per source class, and a pass
+///   evaluates each column class once, from its first column's slot
+///   list over the class rows (`3·class + kind`). Per source class the
+///   layout keeps its first source's three lists as column classes, so
+///   the M-step counts each class once from its own lists.
+/// * Classes are numbered in the order of their first members.
 #[derive(Debug, Clone)]
 pub(crate) struct ClaimLayout {
-    /// Group `g`'s slots are `group_slots[group_start[g]..group_start[g + 1]]`.
-    group_start: Vec<usize>,
-    group_slots: Vec<u32>,
-    /// The group of each column.
-    group_of: Vec<u32>,
-    /// Source `i`'s `D` row, independent claims and dependent claims are
-    /// the three runs of `row_cols` that `row_start[3i..3i + 4]` bound.
+    /// The class of each source and of each column.
+    source_class: Vec<u32>,
+    column_class: Vec<u32>,
+    /// Column class `c`'s slots are
+    /// `column_slots[column_start[c]..column_start[c + 1]]`.
+    column_start: Vec<usize>,
+    column_slots: Vec<u32>,
+    /// Source class `c`'s `D` row, independent claims and dependent
+    /// claims, as column classes, are the three runs of `row_cols` that
+    /// `row_start[3c..3c + 4]` bound.
     row_start: Vec<usize>,
     row_cols: Vec<u32>,
-    /// The leader and the copies of every class of two or more sources,
-    /// in source order.
-    shared: Vec<Shared>,
 }
 
 impl ClaimLayout {
-    /// Lays out `data`.
+    /// Lays out `data`, its partition finer than the one `seed` gives:
+    /// with a seed, which must cover `data`'s sources, sources share a
+    /// class only when their rates in it have the same bits.
     ///
     /// # Errors
     ///
     /// Returns [`SenseError::DimensionMismatch`] when `data` has more
     /// sources than `u32` slots can index (`u32::MAX / 3`).
-    pub(crate) fn new(data: &ClaimData) -> Result<Self, SenseError> {
+    pub(crate) fn new(data: &ClaimData, seed: Option<&Theta>) -> Result<Self, SenseError> {
         let (n, m) = (data.source_count(), data.assertion_count());
         if n > MAX_LAYOUT_SOURCES {
             return Err(SenseError::DimensionMismatch {
@@ -579,32 +713,9 @@ impl ClaimLayout {
             col_slots.extend(merged_slots(data.sc().col(j), data.d().col(j)).map(|s| s as u32));
             col_start.push(col_slots.len());
         }
-        let col = |j: u32| &col_slots[col_start[j as usize]..col_start[j as usize + 1]];
+        let col = |j: usize| &col_slots[col_start[j]..col_start[j + 1]];
 
-        // A stable sort by slot list puts equal columns next to each
-        // other, each run led by its first column. Point every column at
-        // that leader, then number the leaders in column order.
-        let mut order: Vec<u32> = (0..m as u32).collect();
-        order.sort_by(|&x, &y| col(x).cmp(col(y)));
-        let mut group_of = vec![0u32; m];
-        for run in order.chunk_by(|&x, &y| col(x) == col(y)) {
-            for &j in run {
-                group_of[j as usize] = run[0];
-            }
-        }
-        let mut group_start = vec![0];
-        let mut group_slots = Vec::new();
-        for j in 0..m {
-            let leader = group_of[j] as usize;
-            group_of[j] = if leader == j {
-                group_slots.extend_from_slice(col(j as u32));
-                group_start.push(group_slots.len());
-                (group_start.len() - 2) as u32
-            } else {
-                group_of[leader]
-            };
-        }
-
+        // Every source's `D` row, independent claims and dependent claims.
         let mut row_start = Vec::with_capacity(3 * n + 1);
         row_start.push(0);
         let mut row_cols = Vec::with_capacity(data.sc().nnz() + data.d().nnz());
@@ -625,142 +736,182 @@ impl ClaimLayout {
             row_cols.extend_from_slice(&dependent);
             row_start.push(row_cols.len());
         }
-        let mut layout = Self {
-            group_start,
-            group_slots,
-            group_of,
-            row_start,
-            row_cols,
-            shared: Vec::new(),
-        };
-        layout.shared = layout.source_classes();
-        Ok(layout)
-    }
+        let row = |i: usize| &row_cols[row_start[3 * i]..row_start[3 * i + 3]];
 
-    /// The members of every class of two or more sources, in source
-    /// order. Each source in turn looks up an earlier source with equal
-    /// lists in a table of leaders keyed by the hash of their lists
-    /// (open addressing, never iterated), and joins its class or leads a
-    /// class of its own.
-    fn source_classes(&self) -> Vec<Shared> {
-        const EMPTY: u32 = u32::MAX;
-        let n = self.source_count();
-        let bits = (2 * n).max(2).next_power_of_two().trailing_zeros();
-        let mut table = vec![(0u64, EMPTY); 1 << bits];
-        let mut leader_of = Vec::with_capacity(n);
-        for i in 0..n {
-            let (hash, cells) = (self.cells_hash(i), self.source_cells(i));
-            // Fibonacci hashing: the product's top bits pick the slot.
-            let mut slot = (hash.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - bits)) as usize;
-            let leader = loop {
-                match table[slot] {
-                    (_, EMPTY) => {
-                        table[slot] = (hash, i as u32);
-                        break i as u32;
-                    }
-                    (h, l) if h == hash && self.source_cells(l as usize) == cells => break l,
-                    _ => slot = (slot + 1) & (table.len() - 1),
+        // A column's key is its slot list over source classes; a
+        // source's is the lengths of its first two lists, then its
+        // three lists over column classes.
+        let column_key = |classes: &[u32], j: usize, key: &mut Vec<u32>| {
+            key.extend(col(j).iter().map(|&s| 3 * classes[s as usize / 3] + s % 3));
+        };
+        let source_key = |classes: &[u32], i: usize, key: &mut Vec<u32>| {
+            let bounds = &row_start[3 * i..3 * i + 3];
+            key.extend([bounds[1] - bounds[0], bounds[2] - bounds[1]].map(|len| len as u32));
+            key.extend(row(i).iter().map(|&j| classes[j as usize]));
+        };
+
+        let (mut sources, mut columns) = (Partition::new(n), Partition::new(m));
+        let mut s = Splitter::default();
+        let (mut changed, mut dirty) = (Vec::new(), Vec::new());
+        // The first round keys every element, and a source by its seed
+        // rates too; a later one keys only the elements next to one whose
+        // class changed.
+        let (every_source, every_column): (Vec<u32>, Vec<u32>) =
+            ((0..n as u32).collect(), (0..m as u32).collect());
+        let key = |j: usize, buf: &mut Vec<u32>| column_key(&sources.class_of, j, buf);
+        columns.split(&every_column, key, &mut s, &mut changed);
+        let key = |i: usize, buf: &mut Vec<u32>| {
+            if let Some(p) = seed.map(|seed| seed.source(i)) {
+                for x in [p.a, p.b, p.f, p.g].map(f64::to_bits) {
+                    buf.extend([x as u32, (x >> 32) as u32]);
+                }
+            }
+            source_key(&columns.class_of, i, buf);
+        };
+        sources.split(&every_source, key, &mut s, &mut changed);
+        let (mut seen_sources, mut seen_columns) = (vec![false; n], vec![false; m]);
+        let mut rounds = 1;
+        while !changed.is_empty() {
+            if rounds == MAX_ROUNDS {
+                sources.class_of = (0..n as u32).collect();
+                columns.class_of = (0..m as u32).collect();
+                sources.size = vec![1; n];
+                columns.size = vec![1; m];
+                break;
+            }
+            rounds += 1;
+            let next_to = |i: usize, seen: &mut [bool]| {
+                for &j in row(i) {
+                    seen[j as usize] = true;
                 }
             };
-            leader_of.push(leader);
+            neighbours(&changed, next_to, &mut seen_columns, &mut dirty);
+            let key = |j: usize, buf: &mut Vec<u32>| column_key(&sources.class_of, j, buf);
+            columns.split(&dirty, key, &mut s, &mut changed);
+            if changed.is_empty() {
+                break;
+            }
+            let next_to = |j: usize, seen: &mut [bool]| {
+                for &s in col(j) {
+                    seen[s as usize / 3] = true;
+                }
+            };
+            neighbours(&changed, next_to, &mut seen_sources, &mut dirty);
+            let key = |i: usize, buf: &mut Vec<u32>| source_key(&columns.class_of, i, buf);
+            sources.split(&dirty, key, &mut s, &mut changed);
         }
-        let mut has_copy = vec![false; n];
-        for (i, &l) in leader_of.iter().enumerate() {
-            has_copy[l as usize] |= l as usize != i;
-        }
-        // Number the classes in the order of their leaders, each of which
-        // comes before its copies.
-        let mut class_of = vec![0; n];
-        let mut classes = 0;
-        let mut shared = Vec::new();
-        for (i, &leader) in leader_of.iter().enumerate() {
-            let source = i as u32;
-            if leader != source {
-                let class = class_of[leader as usize];
-                shared.push(Shared {
-                    source,
-                    leader,
-                    class,
-                });
-            } else if has_copy[i] {
-                class_of[i] = classes;
-                shared.push(Shared {
-                    source,
-                    leader,
-                    class: classes,
-                });
-                classes += 1;
+        // The refinement's buffers go before the class lists are built.
+        drop(s);
+        let (source_class, column_class) = (sources.into_classes(), columns.into_classes());
+
+        // Each class's lists, from its first member.
+        let mut column_start = vec![0];
+        let mut column_slots = Vec::new();
+        for (j, &c) in column_class.iter().enumerate() {
+            if c as usize + 1 == column_start.len() {
+                column_key(&source_class, j, &mut column_slots);
+                column_start.push(column_slots.len());
             }
         }
-        shared
-    }
-
-    /// A hash of source `i`'s three lists (FNV-1a over their lengths and
-    /// cells): sources with equal lists hash alike.
-    fn cells_hash(&self, i: usize) -> u64 {
-        let bounds = &self.row_start[3 * i..3 * i + 4];
-        let lengths = bounds.windows(2).map(|w| (w[1] - w[0]) as u64);
-        let cells = self.row_cols[bounds[0]..bounds[3]]
-            .iter()
-            .map(|&j| u64::from(j));
-        lengths.chain(cells).fold(0xcbf2_9ce4_8422_2325, |h, x| {
-            (h ^ x).wrapping_mul(0x0100_0000_01b3)
+        let mut class_row_start = vec![0];
+        let mut class_row_cols = Vec::new();
+        for (i, &c) in source_class.iter().enumerate() {
+            if 3 * c as usize + 1 == class_row_start.len() {
+                for k in 0..3 {
+                    let cells = &row_cols[row_start[3 * i + k]..row_start[3 * i + k + 1]];
+                    class_row_cols.extend(cells.iter().map(|&j| column_class[j as usize]));
+                    class_row_start.push(class_row_cols.len());
+                }
+            }
+        }
+        Ok(Self {
+            source_class,
+            column_class,
+            column_start,
+            column_slots,
+            row_start: class_row_start,
+            row_cols: class_row_cols,
         })
     }
 
     /// Number of sources `n`.
     pub(crate) fn source_count(&self) -> usize {
-        (self.row_start.len() - 1) / 3
+        self.source_class.len()
     }
 
     /// Number of assertions `m`.
     pub(crate) fn assertion_count(&self) -> usize {
-        self.group_of.len()
+        self.column_class.len()
     }
 
-    /// Number of distinct columns.
-    pub(crate) fn group_count(&self) -> usize {
-        self.group_start.len() - 1
+    /// The class of every source, in source order.
+    pub(crate) fn source_class(&self) -> &[u32] {
+        &self.source_class
     }
 
-    /// The slots of every column in group `g`.
-    pub(crate) fn group_slots(&self, g: usize) -> &[u32] {
-        &self.group_slots[self.group_start[g]..self.group_start[g + 1]]
+    /// The class of every column, in column order.
+    pub(crate) fn column_class(&self) -> &[u32] {
+        &self.column_class
     }
 
-    /// The group of every column.
-    pub(crate) fn group_of(&self) -> &[u32] {
-        &self.group_of
+    /// Number of source classes.
+    pub(crate) fn source_classes(&self) -> usize {
+        (self.row_start.len() - 1) / 3
     }
 
-    /// Source `i`'s `D` row, independent claims and dependent claims,
-    /// each sorted.
-    pub(crate) fn source_cells(&self, i: usize) -> (&[u32], &[u32], &[u32]) {
+    /// Number of column classes.
+    pub(crate) fn column_classes(&self) -> usize {
+        self.column_start.len() - 1
+    }
+
+    /// Column class `c`'s slots over the source-class rows.
+    pub(crate) fn column_slots(&self, c: usize) -> &[u32] {
+        &self.column_slots[self.column_start[c]..self.column_start[c + 1]]
+    }
+
+    /// Source class `c`'s `D` row, independent claims and dependent
+    /// claims, as column classes, each in column order.
+    pub(crate) fn source_cells(&self, c: usize) -> (&[u32], &[u32], &[u32]) {
         let run =
-            |k: usize| &self.row_cols[self.row_start[3 * i + k]..self.row_start[3 * i + k + 1]];
+            |k: usize| &self.row_cols[self.row_start[3 * c + k]..self.row_start[3 * c + k + 1]];
         (run(0), run(1), run(2))
     }
 
-    /// The leader and the copies of every class of two or more sources,
-    /// in source order.
-    pub(crate) fn shared(&self) -> &[Shared] {
-        &self.shared
+    /// `theta` over the source classes: each class takes its first
+    /// source's rates, which, for a `theta` finer than the layout's
+    /// partition, are every member's.
+    pub(crate) fn classes_of(&self, theta: &Theta) -> Theta {
+        let mut classes = Theta::neutral(self.source_classes());
+        let mut seen = 0;
+        for (i, &c) in self.source_class.iter().enumerate() {
+            if c as usize == seen {
+                classes.set_source(seen, *theta.source(i));
+                seen += 1;
+            }
+        }
+        classes.set_z(theta.z());
+        classes
     }
 
-    /// The members of [`shared`](Self::shared) in `range`.
-    pub(crate) fn shared_in(&self, range: Range<usize>) -> &[Shared] {
-        let at = |i: usize| self.shared.partition_point(|m| (m.source as usize) < i);
-        &self.shared[at(range.start)..at(range.end)]
+    /// `classes`, one rate set per source class, over the sources: each
+    /// source takes its class's rates.
+    pub(crate) fn sources_of(&self, classes: &Theta) -> Theta {
+        let mut theta = Theta::neutral(self.source_count());
+        for (i, &c) in self.source_class.iter().enumerate() {
+            theta.set_source(i, *classes.source(c as usize));
+        }
+        theta.set_z(classes.z());
+        theta
     }
 
-    /// Whether source `i` claims anything.
-    fn has_claims(&self, i: usize) -> bool {
-        self.row_start[3 * i + 1] < self.row_start[3 * i + 3]
+    /// Whether source class `c` claims anything.
+    fn has_claims(&self, c: usize) -> bool {
+        self.row_start[3 * c + 1] < self.row_start[3 * c + 3]
     }
 
-    /// Whether source `i` has a `D` cell.
-    fn has_deps(&self, i: usize) -> bool {
-        self.row_start[3 * i] < self.row_start[3 * i + 1]
+    /// Whether source class `c` has a `D` cell.
+    fn has_deps(&self, c: usize) -> bool {
+        self.row_start[3 * c] < self.row_start[3 * c + 1]
     }
 }
 
@@ -891,6 +1042,65 @@ pub(crate) fn column_log_likelihood_reference(
     (ln1, ln0)
 }
 
+/// The partition [`ClaimLayout::new`] finds, found the slow way to test
+/// it: each round keys every column by its class and its slot list over
+/// the source classes, and every source by its class and its three
+/// lists over the column classes, both from the previous round's
+/// classes, interns the keys in element order through a `BTreeMap`, and
+/// the first round that splits nothing ends it. The source classes,
+/// then the column classes, each numbered by first member.
+#[cfg(test)]
+pub(crate) fn naive_partition(data: &ClaimData, seed: Option<&Theta>) -> (Vec<u32>, Vec<u32>) {
+    use std::collections::BTreeMap;
+    fn intern(keys: impl Iterator<Item = Vec<u32>>) -> Vec<u32> {
+        let mut ids = BTreeMap::new();
+        keys.map(|key| {
+            let next = ids.len() as u32;
+            *ids.entry(key).or_insert(next)
+        })
+        .collect()
+    }
+    let distinct = |classes: &[u32]| classes.iter().max().map_or(0, |&c| c + 1);
+    let (n, m) = (data.source_count() as u32, data.assertion_count() as u32);
+    let mut sources = intern((0..n).map(|i| {
+        let Some(seed) = seed else {
+            return Vec::new();
+        };
+        let p = seed.source(i as usize);
+        let bits = [p.a, p.b, p.f, p.g].map(f64::to_bits);
+        bits.iter()
+            .flat_map(|&x| [x as u32, (x >> 32) as u32])
+            .collect()
+    }));
+    let mut columns = vec![0; m as usize];
+    loop {
+        let next_columns = intern((0..m).map(|j| {
+            let slots = merged_slots(data.sc().col(j), data.d().col(j));
+            let mapped = slots.map(|s| 3 * sources[s / 3] + (s % 3) as u32);
+            [columns[j as usize]].into_iter().chain(mapped).collect()
+        }));
+        let next_sources = intern((0..n).map(|i| {
+            let d_row = data.d().row(i);
+            let claims: Vec<(u32, bool)> = marked(data.sc().row(i), d_row).collect();
+            let independent = claims.iter().filter(|c| !c.1).map(|c| c.0);
+            let dependent = claims.iter().filter(|c| c.1).map(|c| c.0);
+            let mut key = vec![sources[i as usize]];
+            for (kind, cells) in [d_row.to_vec(), independent.collect(), dependent.collect()]
+                .into_iter()
+                .enumerate()
+            {
+                key.extend(cells.iter().map(|&j| 3 * columns[j as usize] + kind as u32));
+            }
+            key
+        }));
+        let split = distinct(&next_columns) > distinct(&columns)
+            || distinct(&next_sources) > distinct(&sources);
+        (columns, sources) = (next_columns, next_sources);
+        if !split {
+            return (sources, columns);
+        }
+    }
+}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -976,25 +1186,29 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Compact tables read only filled terms: every column gives the
-        /// same bits as under full tables, as through the claim layout's
-        /// group slots over refilled tables, and as the on-the-spot
-        /// reference kernel, and `column` derives its three outputs from
-        /// them exactly as Eqs. 7 and 9 are written.
+        /// same bits as under full tables, as through its class's slots in
+        /// a claim layout seeded with θ over tables refilled by class, and
+        /// as the on-the-spot reference kernel, and `column` derives its
+        /// three outputs from them exactly as Eqs. 7 and 9 are written.
         #[test]
         fn compact_tables_match_full_tables_bit_for_bit((data, theta) in random_world()) {
             let full = LikelihoodTables::new(&theta);
             let compact = LikelihoodTables::for_data(&theta, &data);
-            let layout = ClaimLayout::new(&data).unwrap();
+            let layout = ClaimLayout::new(&data, Some(&theta)).unwrap();
             let mut laid = LikelihoodTables::empty();
-            laid.refill(&theta, &layout, None);
-            prop_assert_eq!(table_bits(&laid), table_bits(&compact));
+            laid.refill(&layout.classes_of(&theta), &layout, None);
+            let sources: Vec<u32> = (0..data.source_count() as u32).collect();
+            prop_assert_eq!(
+                table_bits(&laid, layout.source_class()),
+                table_bits(&compact, &sources)
+            );
             let bits = |(a, b): (f64, f64)| (a.to_bits(), b.to_bits());
             for j in 0..data.assertion_count() as u32 {
                 let (sc, d) = (data.sc().col(j), data.d().col(j));
                 let want = column_log_likelihood_reference(&theta, sc, d);
                 prop_assert_eq!(bits(compact.column_log_likelihood(sc, d)), bits(want));
                 prop_assert_eq!(bits(full.column_log_likelihood(sc, d)), bits(want));
-                let slots = layout.group_slots(layout.group_of()[j as usize] as usize);
+                let slots = layout.column_slots(layout.column_class()[j as usize] as usize);
                 let laid_ln = laid.accumulate(slots.iter().map(|&s| s as usize));
                 prop_assert_eq!(bits(laid_ln), bits(want));
                 let fit_bits = |f: ColumnFit| {
@@ -1011,70 +1225,73 @@ mod tests {
         }
     }
 
-    /// Every term, both base sums and the log-prior, as bits.
-    fn table_bits(tables: &LikelihoodTables) -> (Vec<[u64; 2]>, [u64; 3]) {
-        let terms = tables.terms.iter().map(|t| t.map(f64::to_bits)).collect();
+    /// Every source's three terms, read from its row, then both base sums
+    /// and the log-prior, as bits.
+    fn table_bits(tables: &LikelihoodTables, rows: &[u32]) -> (Vec<[u64; 2]>, [u64; 3]) {
+        let terms = rows
+            .iter()
+            .flat_map(|&r| &tables.terms[3 * r as usize..3 * r as usize + 3])
+            .map(|t| t.map(f64::to_bits))
+            .collect();
         let sums = [tables.base1, tables.base0, tables.log_prior].map(f64::to_bits);
         (terms, sums)
-    }
-
-    /// The layout's classes, each as its members in source order.
-    fn classes_of(layout: &ClaimLayout) -> Vec<Vec<u32>> {
-        let mut classes: Vec<Vec<u32>> = Vec::new();
-        for m in layout.shared() {
-            match classes.get_mut(m.class as usize) {
-                Some(class) => class.push(m.source),
-                None => classes.push(vec![m.source]),
-            }
-        }
-        classes
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The layout's classes are exactly the sets of two or more
-        /// sources with equal cells, each led by its first source and
-        /// numbered in the order of the leaders. A fill that shares a
-        /// class's terms, with or without a prior, gives every term, base
-        /// sum and log-prior the bits of a fill without classes.
+        /// The layout's classes, unseeded or seeded with θ, are the naive
+        /// refinement's, and each seeded class lies within an unseeded one
+        /// and holds one set of rates. A fill over the
+        /// classes of the seeded layout, with or without a prior, gives
+        /// every source's terms, both base sums and the log-prior the bits
+        /// of a fill over the sources, and computes one row per class.
         #[test]
         fn shared_fills_match_unshared_fills_bit_for_bit(
             (data, theta) in random_world(),
             smoothing in 0.0f64..4.0,
             (a, b, f, g) in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
         ) {
-            let layout = ClaimLayout::new(&data).unwrap();
-            let n = data.source_count();
-            let mut want: Vec<Vec<u32>> = Vec::new();
-            for i in 0..n as u32 {
-                let same = |k: u32| data.sc().row(k) == data.sc().row(i) && data.d().row(k) == data.d().row(i);
-                if (0..i).all(|k| !same(k)) && (i + 1..n as u32).any(same) {
-                    want.push((i..n as u32).filter(|&k| same(k)).collect());
-                }
+            let plain_layout = ClaimLayout::new(&data, None).unwrap();
+            let layout = ClaimLayout::new(&data, Some(&theta)).unwrap();
+            for (layout, seed) in [(&plain_layout, None), (&layout, Some(&theta))] {
+                let (sources, columns) = naive_partition(&data, seed);
+                prop_assert_eq!(layout.source_class(), &sources[..]);
+                prop_assert_eq!(layout.column_class(), &columns[..]);
             }
-            let classes = classes_of(&layout);
-            prop_assert_eq!(&classes, &want);
-            for m in layout.shared() {
-                prop_assert_eq!(m.leader, classes[m.class as usize][0]);
+            // Seeded classes lie within the unseeded ones, each with one
+            // set of rate bits.
+            let n = data.source_count();
+            let rates = |i: usize| {
+                let p = theta.source(i);
+                [p.a, p.b, p.f, p.g].map(f64::to_bits)
+            };
+            for i in 0..n {
+                for k in (0..n).filter(|&k| layout.source_class()[k] == layout.source_class()[i]) {
+                    prop_assert_eq!(plain_layout.source_class()[k], plain_layout.source_class()[i]);
+                    prop_assert_eq!(rates(k), rates(i));
+                }
             }
 
             let prior = ShrinkagePrior { smoothing, rates: [a, b, f, g] };
+            let classes = layout.classes_of(&theta);
+            let rows = layout.source_class();
             for prior in [None, Some(&prior)] {
                 let mut shared = LikelihoodTables::empty();
-                shared.refill(&theta, &layout, prior);
+                shared.refill(&classes, &layout, prior);
                 let mut plain = LikelihoodTables::empty();
-                plain.fill(&theta, |i| layout.has_claims(i), |i| layout.has_deps(i), prior, &[]);
-                prop_assert_eq!(table_bits(&shared), table_bits(&plain));
-                prop_assert_eq!(plain.source_evals(), n as u64);
-                let copied = layout
-                    .shared()
-                    .iter()
-                    .filter(|m| {
-                        m.is_copy() && same_rates(theta.source(m.source as usize), theta.source(m.leader as usize))
-                    })
-                    .count();
-                prop_assert_eq!(shared.source_evals(), (n - copied) as u64);
+                let class = |i: usize| rows[i] as usize;
+                plain.fill(
+                    &theta,
+                    |i| layout.has_claims(class(i)),
+                    |i| layout.has_deps(class(i)),
+                    prior,
+                    0..n,
+                );
+                let sources: Vec<u32> = (0..n as u32).collect();
+                prop_assert_eq!(table_bits(&shared, rows), table_bits(&plain, &sources));
+                prop_assert_eq!(plain.source_count(), n);
+                prop_assert_eq!(shared.source_count(), layout.source_classes());
             }
         }
     }

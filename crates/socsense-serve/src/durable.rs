@@ -149,10 +149,13 @@ impl DurableLog {
     /// record when `keep_covered`, else those after the snapshot — which
     /// must run without a gap. A snapshot of another checkpoint format or
     /// tier (see [`decode_checkpoint`]), a corrupt WAL line or a gap is
-    /// refused before anything is written: only an accepted directory
-    /// loses a torn final WAL line — the signature of a crash mid-append,
-    /// counted on `serve.wal.truncated_tail_total` — and then gains
-    /// `snapshots/` and the WAL file. Reading the snapshot —
+    /// refused before anything is written or counted: only an accepted
+    /// directory loses a torn final WAL line — the signature of a crash
+    /// mid-append, counted on `serve.wal.truncated_tail_total` — and then
+    /// gains `snapshots/` and the WAL file, and only an accepted recovery
+    /// counts its restore on `serve.snapshot.restores_total` and its
+    /// replayable batches on `serve.wal.recovered_batches_total`. Reading
+    /// the snapshot —
     /// the file read, its CRC check and the decode — is timed on
     /// `serve.snapshot.read.seconds`. Each fsync the two stores issue,
     /// here and later, is counted on `serve.wal.fsyncs_total` or
@@ -171,13 +174,15 @@ impl DurableLog {
         read.stop();
         let wal_path = cfg.data_dir.join("wal.jsonl");
         let Recovery { records, torn_at } = recover::<WalRecord>(&wal_path)?;
+        let since = snapshot.as_ref().map_or(0, |(seq, _)| *seq);
+        let replayable = records.iter().filter(|r| r.seq > since).count();
+        let records = dense_from(records, if keep_covered { 1 } else { since + 1 })?;
+        // Counted once the snapshot, the WAL and its order are accepted:
+        // a refused recovery restores and replays nothing.
         if snapshot.is_some() {
             obs.counter("serve.snapshot.restores_total", 1);
         }
-        let since = snapshot.as_ref().map_or(0, |(seq, _)| *seq);
-        let replayable = records.iter().filter(|r| r.seq > since).count();
         obs.counter("serve.wal.recovered_batches_total", replayable as u64);
-        let records = dense_from(records, if keep_covered { 1 } else { since + 1 })?;
         if let Some(len) = torn_at {
             truncate_tail(&wal_path, len)?;
             obs.counter("serve.wal.truncated_tail_total", 1);

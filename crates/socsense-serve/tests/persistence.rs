@@ -586,7 +586,11 @@ fn wal_record_with_object_encoded_claims_is_refused_and_left_as_is() {
 fn wal_gap_is_refused_and_left_as_is() {
     use std::io::Write;
 
+    let mut batches = vec![bootstrap_batch()];
+    batches.extend(random_batches(5, 12, 44, 1000));
     for shards in [None, Some(2)] {
+        // A WAL alone, batches 1 and 3, then a torn append after the gap:
+        // half a record, no newline.
         let dir = tmp_dir(&format!("wal-gap-{shards:?}"));
         let mut wal = WalWriter::open(&dir.join("wal.jsonl"), 1).unwrap();
         for (seq, claims) in [
@@ -597,29 +601,55 @@ fn wal_gap_is_refused_and_left_as_is() {
                 .unwrap();
         }
         drop(wal);
-        // A torn append after the gap: half a record, no newline.
         let mut file = OpenOptions::new()
             .append(true)
             .open(dir.join("wal.jsonl"))
             .unwrap();
         file.write_all(b"0badc0de {\"seq\":4,\"cla").unwrap();
         drop(file);
-        let before = dir_bytes(&dir);
 
-        let cfg = persisted(&ServeConfig::default(), &dir, 4);
-        let err = Tier::open(shards, &cfg, Obs::none())
-            .map(drop)
-            .expect_err("a WAL with a gap is refused");
-        assert!(
-            err.to_string()
-                .contains("WAL gap: expected batch 2, found 3"),
-            "{shards:?}: the refusal names the gap: {err}"
-        );
-        assert!(
-            dir_bytes(&dir) == before,
-            "{shards:?}: the refused data directory changed"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+        // Checkpoint 4 and batches 5 and 6, then batch 8.
+        let live = tmp_dir(&format!("wal-gap-live-{shards:?}"));
+        let (service, client) = Tier::spawn(shards, &persisted(&ServeConfig::default(), &live, 4));
+        for batch in &batches {
+            client.ingest(batch.clone()).unwrap();
+        }
+        let checkpointed = crash_image(&live, &format!("wal-gap-checkpointed-{shards:?}"));
+        service.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(&live);
+        let mut wal = WalWriter::open(&checkpointed.join("wal.jsonl"), 1).unwrap();
+        wal.append(&serde_json::json!({ "seq": 8, "claims": [[0u64, 2, 9]] }))
+            .unwrap();
+        drop(wal);
+
+        for (dir, gap) in [
+            (dir, "expected batch 2, found 3"),
+            (checkpointed, "expected batch 7, found 8"),
+        ] {
+            let before = dir_bytes(&dir);
+            let cfg = persisted(&ServeConfig::default(), &dir, 4);
+            let (extra, rec) = Obs::recorder();
+            let err = Tier::open(shards, &cfg, extra)
+                .map(drop)
+                .expect_err("a WAL with a gap is refused");
+            assert!(
+                err.to_string().contains(&format!("WAL gap: {gap}")),
+                "{shards:?}: the refusal names the gap: {err}"
+            );
+            assert!(
+                dir_bytes(&dir) == before,
+                "{shards:?}: the refused data directory changed"
+            );
+            // A refused recovery restores and replays nothing.
+            let metrics = rec.snapshot();
+            for name in [
+                "serve.snapshot.restores_total",
+                "serve.wal.recovered_batches_total",
+            ] {
+                assert_eq!(metrics.counter(name), 0, "{shards:?}: {gap}: {name}");
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }
 
